@@ -3,7 +3,9 @@
 Each sweep solves all strips concurrently from the previous sweep's traces
 (additive/Jacobi pattern), then exchanges Robin traces across interfaces.
 Extreme faces always carry Dirichlet data g; the initial guess h0 supplies
-Robin data on interior interfaces for the first sweep only.
+Robin data on interior interfaces for the first sweep only.  A run keeps one
+StripOperator per strip, so each strip's steps are assembled and factored
+in the first sweep and reused by the later ones.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .diagnostics import (IterationHistory, IterationRecord, WeightSpec,
                           compute_E, compute_error_fields, default_gamma,
                           phi_boundary_check)
 from .errors import OswrError
-from .grid import SpaceTimeGrid
+from .grid import SpaceTimeGrid, StripOperator
 from .oracle import GlobalSolution
 from .problem import ParabolicProblem
 from .subdomain import (RobinParameter, SubdomainSolution, TraceData,
@@ -148,14 +150,30 @@ def exchange(solutions: Sequence[SubdomainSolution], layout: SubdomainLayout,
     return traces
 
 
+def strip_operators(problem: ParabolicProblem, grid: SpaceTimeGrid,
+                    layout: SubdomainLayout) -> List[StripOperator]:
+    """One StripOperator per strip; the factor cache is shared out by strip size."""
+    sizes = [entry.i_right - entry.i_left + 1 for entry in layout.entries]
+    return [StripOperator(problem, grid, entry.i_left, entry.i_right,
+                          cache_share=size / sum(sizes))
+            for entry, size in zip(layout.entries, sizes)]
+
+
 def sweep_once(problem: ParabolicProblem, grid: SpaceTimeGrid,
                layout: SubdomainLayout, traces: Sequence[SubTraces],
-               p: RobinParameter, workers: int = 1) -> List[SubdomainSolution]:
-    """Solve all strips from the given inbound traces (Jacobi ordering)."""
+               p: RobinParameter, workers: int = 1,
+               operators: Optional[Sequence[StripOperator]] = None,
+               ) -> List[SubdomainSolution]:
+    """Solve all strips from the given inbound traces (Jacobi ordering).
+
+    `operators` (from strip_operators) carry each strip's prepared steps
+    from one sweep to the next.
+    """
 
     def solve_one(entry):
         left, right = traces[entry.index]
-        return solve_subdomain(problem, grid, entry, left, right, p)
+        operator = operators[entry.index] if operators is not None else None
+        return solve_subdomain(problem, grid, entry, left, right, p, operator)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -186,11 +204,12 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
     weights = WeightSpec(gamma=gamma, varphi=varphi)
     history = IterationHistory(window=layout.count)
     traces = initial_traces(config.guess, layout, grid, problem)
+    operators = strip_operators(problem, grid, layout)
     for k in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
         try:
             solutions = sweep_once(problem, grid, layout, traces, config.p,
-                                   workers=config.workers)
+                                   workers=config.workers, operators=operators)
         except OswrError as exc:
             raise type(exc)(f"sweep {k}: {exc}") from exc
         fields = [compute_error_fields(sol, oracle, config.p, weights, grid)

@@ -10,12 +10,13 @@ match the ghost-eliminated boundary rows exactly at the discrete level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .decomposition import SubdomainEntry
 from .errors import DataMismatch, NodeOutOfRange
-from .grid import FaceClosure, SpaceTimeGrid, march
+from .grid import FaceClosure, SpaceTimeGrid, StripOperator, march
 from .problem import ParabolicProblem
 
 
@@ -89,8 +90,13 @@ def _check_trace(data: TraceData, expected_kind: str, side: str,
 
 def solve_subdomain(problem: ParabolicProblem, grid: SpaceTimeGrid,
                     entry: SubdomainEntry, left_data: TraceData,
-                    right_data: TraceData, p: RobinParameter) -> SubdomainSolution:
-    """March one strip over the whole time window with the given face data."""
+                    right_data: TraceData, p: RobinParameter,
+                    operator: Optional[StripOperator] = None) -> SubdomainSolution:
+    """March one strip over the whole time window with the given face data.
+
+    `operator` is the strip's StripOperator, kept by the caller across
+    sweeps; without one, the march prepares every step afresh.
+    """
     _check_trace(left_data, entry.left_kind, "left", grid)
     _check_trace(right_data, entry.right_kind, "right", grid)
 
@@ -101,7 +107,8 @@ def solve_subdomain(problem: ParabolicProblem, grid: SpaceTimeGrid,
                            p=p.p, sign=p.sign("right"))
         return low, high
 
-    values = march(problem, grid, closures, axis_lo=entry.i_left, axis_hi=entry.i_right)
+    values = march(problem, grid, closures, axis_lo=entry.i_left, axis_hi=entry.i_right,
+                   operator=operator)
     return SubdomainSolution(index=entry.index, i_left=entry.i_left, values=values)
 
 
