@@ -26,7 +26,7 @@ _SCHEMA = {
     "grid": ("nx_axis", "nt", "nx_cross"),
     "decomposition": ("count", "overlap", "a_list", "b_list"),
     "iteration": ("p", "orientation", "max_iters", "stop_tol", "guess",
-                  "guess_value", "seed", "workers", "record_timing"),
+                  "guess_value", "seed", "record_timing"),
     "diagnostics": ("gamma", "theta", "gamma_max"),
     "sweep": ("p_values", "overlap_values"),
     "output": ("directory",),
@@ -58,7 +58,6 @@ class ExperimentConfig:
     guess: str = "zero"
     guess_value: float = 0.0
     seed: int = 0
-    workers: int = 1
     record_timing: bool = False
     gamma: Optional[float] = None  # None -> 5/(beta-alpha)
     theta: float = 0.0
@@ -99,7 +98,7 @@ class ExperimentConfig:
                                orientation=self.orientation)
         return SWRConfig(p=robin, max_iters=self.max_iters,
                          stop_tol=self.stop_tol, guess=guess,
-                         workers=self.workers, gamma=self.resolved_gamma(),
+                         gamma=self.resolved_gamma(),
                          theta=self.theta, record_timing=self.record_timing)
 
     def scheduled_runs(self, sweep: bool) -> List[Tuple[float, float]]:
@@ -115,7 +114,7 @@ class ExperimentConfig:
         for key in ("preset", "table", "n", "alpha", "beta", "T", "cross",
                     "nx_axis", "nt", "nx_cross", "count", "overlap", "a_list",
                     "b_list", "p", "orientation", "max_iters", "stop_tol",
-                    "guess", "guess_value", "seed", "workers", "record_timing",
+                    "guess", "guess_value", "seed", "record_timing",
                     "theta", "gamma_max", "p_values", "overlap_values",
                     "directory"):
             pairs.append((key, repr(getattr(self, key))))
@@ -200,7 +199,6 @@ def load_config(path: str) -> ExperimentConfig:
     cfg.guess = _get(parser, "iteration", "guess", str, cfg.guess)
     cfg.guess_value = _get(parser, "iteration", "guess_value", float, cfg.guess_value)
     cfg.seed = _get(parser, "iteration", "seed", int, cfg.seed)
-    cfg.workers = _get(parser, "iteration", "workers", int, cfg.workers)
     cfg.record_timing = _get(parser, "iteration", "record_timing", bool,
                              cfg.record_timing)
     cfg.gamma = _get(parser, "diagnostics", "gamma", float, None)
@@ -246,8 +244,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.a_list is not None and len(cfg.a_list) != len(cfg.b_list):
         raise ValidationError("a_list and b_list must have equal length")
     if cfg.a_list is None:
-        if cfg.count < 1:
-            raise ValidationError("count must be at least 1")
+        if cfg.count < 2:
+            raise ValidationError("count must be at least 2")
         if not cfg.overlap > 0:
             raise ValidationError("overlap must be positive")
     if not cfg.p > 0:
@@ -260,8 +258,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError("stop_tol must be positive")
     if cfg.guess not in ("zero", "constant", "random-smooth"):
         raise ValidationError("guess must be zero, constant or random-smooth")
-    if cfg.workers < 1:
-        raise ValidationError("workers must be at least 1")
     if cfg.gamma is not None and not cfg.gamma > 0:
         raise ValidationError("gamma must be positive")
     if cfg.theta < 0:

@@ -78,10 +78,6 @@ class SubdomainEntry:
     left_shift: float = 0.0   # snap shift of the abscissa, for reporting
     right_shift: float = 0.0
 
-    @property
-    def left_neighbor(self) -> Optional[int]:
-        return self.index - 1 if self.index > 0 else None
-
 
 @dataclass(frozen=True)
 class SubdomainLayout:

@@ -1,17 +1,18 @@
 """The outer Schwarz waveform relaxation iteration.
 
-Each sweep solves all strips concurrently from the previous sweep's traces
+Each sweep solves all strips from the previous sweep's traces
 (additive/Jacobi pattern), then exchanges Robin traces across interfaces.
 Extreme faces always carry Dirichlet data g; the initial guess h0 supplies
-Robin data on interior interfaces for the first sweep only.  A run keeps one
-StripOperator per strip, so each strip's steps are assembled and factored
-in the first sweep and reused by the later ones.
+Robin data on interior interfaces for the first sweep only.  Since the
+strips of a sweep are independent, a sweep marches them side by side, one
+block-diagonal solve per time step; a run keeps one StackOperator, so the
+steps are assembled and factored in the first sweep and reused by the
+later ones.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -22,11 +23,11 @@ from .diagnostics import (IterationHistory, IterationRecord, WeightSpec,
                           compute_E, compute_error_fields, default_gamma,
                           phi_boundary_check)
 from .errors import OswrError
-from .grid import SpaceTimeGrid, StripOperator
+from .grid import SpaceTimeGrid, StackOperator, eval_plane, march
 from .oracle import GlobalSolution
 from .problem import ParabolicProblem
-from .subdomain import (RobinParameter, SubdomainSolution, TraceData,
-                        extract_robin_trace, solve_subdomain)
+from .subdomain import (RobinParameter, SubdomainSolution, TraceData, axis_range,
+                        extract_robin_trace, face_data)
 
 SubTraces = Tuple[TraceData, TraceData]  # (left, right) inbound data
 
@@ -78,7 +79,6 @@ class SWRConfig:
     max_iters: int = 60
     stop_tol: float = 1e-20
     guess: InitialGuess = field(default_factory=InitialGuess)
-    workers: int = 1
     gamma: Optional[float] = None  # space-weight gamma; default 5/(beta-alpha)
     theta: float = 0.0  # decay rate of the time weight varphi(t) = exp(-theta t)
     record_timing: bool = False
@@ -94,15 +94,8 @@ class SWRConfig:
 
 def _dirichlet_trace(problem: ParabolicProblem, grid: SpaceTimeGrid,
                      xn: float, side: str) -> TraceData:
-    n = problem.domain.n
-    times = grid.times()
-    cross = grid.cross_nodes()
-    if n == 1:
-        vals = np.asarray(problem.g(times[:, None], xn), dtype=float)
-    else:
-        vals = np.asarray(problem.g(times[:, None], cross[None, :], xn), dtype=float)
-    vals = np.broadcast_to(vals, (grid.nt + 1, grid.nx_cross)).copy()
-    return TraceData(abscissa=xn, side=side, kind="dirichlet", values=vals)
+    return TraceData(abscissa=xn, side=side, kind="dirichlet",
+                     values=eval_plane(problem.g, grid, xn))
 
 
 def initial_traces(guess: InitialGuess, layout: SubdomainLayout,
@@ -150,35 +143,22 @@ def exchange(solutions: Sequence[SubdomainSolution], layout: SubdomainLayout,
     return traces
 
 
-def strip_operators(problem: ParabolicProblem, grid: SpaceTimeGrid,
-                    layout: SubdomainLayout) -> List[StripOperator]:
-    """One StripOperator per strip; the factor cache is shared out by strip size."""
-    sizes = [entry.i_right - entry.i_left + 1 for entry in layout.entries]
-    return [StripOperator(problem, grid, entry.i_left, entry.i_right,
-                          cache_share=size / sum(sizes))
-            for entry, size in zip(layout.entries, sizes)]
-
-
 def sweep_once(problem: ParabolicProblem, grid: SpaceTimeGrid,
                layout: SubdomainLayout, traces: Sequence[SubTraces],
-               p: RobinParameter, workers: int = 1,
-               operators: Optional[Sequence[StripOperator]] = None,
+               p: RobinParameter, operator: Optional[StackOperator] = None,
                ) -> List[SubdomainSolution]:
-    """Solve all strips from the given inbound traces (Jacobi ordering).
+    """Solve all strips from the given inbound traces (Jacobi ordering) in
+    one march.
 
-    `operators` (from strip_operators) carry each strip's prepared steps
-    from one sweep to the next.
+    `operator`, a StackOperator over the layout's axis ranges, carries the
+    prepared steps from one sweep to the next; without one, the steps are
+    prepared for this sweep.
     """
-
-    def solve_one(entry):
-        left, right = traces[entry.index]
-        operator = operators[entry.index] if operators is not None else None
-        return solve_subdomain(problem, grid, entry, left, right, p, operator)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(solve_one, layout.entries))
-    return [solve_one(entry) for entry in layout.entries]
+    entries = layout.entries
+    faces = [face_data(e, *traces[e.index], grid) for e in entries]
+    values = march(problem, grid, [axis_range(e, p) for e in entries], faces, operator)
+    return [SubdomainSolution(index=e.index, i_left=e.i_left, values=v)
+            for e, v in zip(entries, values)]
 
 
 def _trace_increment(new: Sequence[SubTraces], old: Sequence[SubTraces]) -> float:
@@ -204,12 +184,12 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
     weights = WeightSpec(gamma=gamma, varphi=varphi)
     history = IterationHistory(window=layout.count)
     traces = initial_traces(config.guess, layout, grid, problem)
-    operators = strip_operators(problem, grid, layout)
+    operator = StackOperator(problem, grid,
+                             [axis_range(e, config.p) for e in layout.entries])
     for k in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
         try:
-            solutions = sweep_once(problem, grid, layout, traces, config.p,
-                                   workers=config.workers, operators=operators)
+            solutions = sweep_once(problem, grid, layout, traces, config.p, operator)
         except OswrError as exc:
             raise type(exc)(f"sweep {k}: {exc}") from exc
         fields = [compute_error_fields(sol, oracle, config.p, weights, grid)

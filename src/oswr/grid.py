@@ -1,4 +1,4 @@
-"""Uniform space-time grid, backward-Euler step assembly and strip operators.
+"""Uniform space-time grid, backward-Euler step assembly and the stack operator.
 
 One implicit step solves  (I/dt + L_h(t_next)) u_next = u_prev/dt + f(t_next)
 with L_h the centered second-order discretization of
@@ -11,27 +11,29 @@ Unknowns are all nodes of the (local) box, ordered axis-major
 (index = i_axis * ncross + j_cross); Dirichlet nodes carry identity rows so
 the band structure is uniform.
 
-The step matrices depend on t_next and the face kinds only, never on the
-iterate, so a StripOperator factors them once (LAPACK ?gbtrf) and every
-later march over the strip costs a right-hand-side update and one ?gbtrs
-per step.
+The step matrices depend on t_next and the face rules only, never on the
+iterate.  A StackOperator places the step matrices of several axis node
+ranges (the strips of one sweep, which are independent within it)
+block-diagonally in one band and factors each distinct one once; every
+later march costs one right-hand-side build for all steps and one LAPACK
+solve per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .errors import BadResolution, SingularSystem
 from .problem import CoefficientSet, DomainSpec, ParabolicProblem
 
-# Bytes of LU factors one run keeps between sweeps, over all its strips.  A
-# step's factors take (3*bw + 1) * N * 8 bytes plus N pivots, with bw = 1 in
-# 1D and nx_cross + 1 in 2D.  Steps whose factors do not fit are assembled
-# and factored again at every use.
+# Bytes of LU factors one StackOperator keeps between marches.  A step's
+# factors take about (3*bw + 1) * N * 8 bytes plus N pivots, for N unknowns
+# over all ranges and bw = 1 in 1D, nx_cross + 1 in 2D.  Steps whose
+# factors do not fit are assembled and factored again at every use.
 FACTOR_CACHE_BYTES = 5 * 2 ** 20
 
 
@@ -95,6 +97,17 @@ def eval_nodes(fn, n: int, t: float, axis: np.ndarray, cross: np.ndarray) -> np.
     return np.broadcast_to(vals, (m, J)).copy()
 
 
+def eval_plane(fn, grid: SpaceTimeGrid, xn: float) -> np.ndarray:
+    """Evaluate a space-time callable on the plane x_n = xn at every grid
+    time, returning (nt+1, ncross)."""
+    times = grid.times()[:, None]
+    if grid.domain.n == 1:
+        vals = np.asarray(fn(times, xn), dtype=float)
+    else:
+        vals = np.asarray(fn(times, grid.cross_nodes()[None, :], xn), dtype=float)
+    return np.broadcast_to(vals, (grid.nt + 1, grid.nx_cross)).copy()
+
+
 @dataclass(frozen=True)
 class FaceClosure:
     """Closure of one axis face for a single time step.
@@ -117,6 +130,24 @@ class BoundaryClosure:
     lateral_high: Optional[np.ndarray] = None  # (m,) Dirichlet values at j=J-1
 
 
+class FaceRule(NamedTuple):
+    """How one axis face is closed: kind 'dirichlet' (prescribed values) or
+    'robin' (data of sign * du/dx_n + p u)."""
+
+    kind: str
+    p: float = 0.0
+    sign: float = 1.0
+
+
+class AxisRange(NamedTuple):
+    """The axis nodes [lo, hi] of one strip and the rules of its two faces."""
+
+    lo: int
+    hi: int
+    low: FaceRule
+    high: FaceRule
+
+
 @dataclass(frozen=True)
 class BandedLU:
     """LU factors of a banded matrix from ?gbtrf, for repeated solves."""
@@ -135,6 +166,44 @@ class BandedLU:
         return x
 
 
+@dataclass(frozen=True)
+class TridiagonalLU:
+    """LU factors of a tridiagonal matrix from ?gttrf, for repeated solves."""
+
+    dl: np.ndarray
+    d: np.ndarray
+    du: np.ndarray
+    du2: np.ndarray
+    ipiv: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.dl, self.d, self.du, self.du2, self.ipiv))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        # ?gttrs reports only invalid arguments, which the factors rule out.
+        x, _ = dgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, rhs)
+        return x
+
+
+def _factor_band(work: np.ndarray, bw: int) -> Union[BandedLU, TridiagonalLU]:
+    """LU factors of the band held in rows bw: of a (3*bw + 1, N) Fortran array.
+
+    Bandwidth 1 uses the tridiagonal kernels ?gttrf/?gttrs, whose solve
+    takes about half the time of ?gbtrs; wider bands are factored in place
+    by ?gbtrf.  A zero pivot raises SingularSystem.
+    """
+    if bw == 1:
+        dl, d, du, du2, ipiv, info = dgttrf(work[3, :-1], work[2], work[1, 1:])
+        lu = TridiagonalLU(dl, d, du, du2, ipiv)
+    else:
+        ab, piv, info = dgbtrf(work, bw, bw, overwrite_ab=1)
+        lu = BandedLU(bw, ab, piv)
+    if info > 0:
+        raise SingularSystem(f"singular matrix: zero pivot at unknown {info - 1}")
+    return lu
+
+
 @dataclass
 class BandedSystem:
     """Banded matrix in scipy solve_banded layout plus right-hand side."""
@@ -143,14 +212,11 @@ class BandedSystem:
     ab: np.ndarray
     rhs: np.ndarray
 
-    def factor(self) -> BandedLU:
+    def factor(self) -> Union[BandedLU, TridiagonalLU]:
         bw = self.bandwidth
         work = np.zeros((3 * bw + 1, self.rhs.size), order="F")
         work[bw:] = self.ab
-        lu, piv, info = dgbtrf(work, bw, bw, overwrite_ab=1)
-        if info > 0:
-            raise SingularSystem(f"singular matrix: zero pivot at unknown {info - 1}")
-        return BandedLU(bandwidth=bw, lu=lu, piv=piv)
+        return _factor_band(work, bw)
 
     def solve(self) -> np.ndarray:
         return self.factor().solve(self.rhs)
@@ -228,11 +294,14 @@ def _face_rhs(rhs: np.ndarray, rows, face: FaceClosure, vals: np.ndarray, n: int
 
 def assemble_step(coeffs: CoefficientSet, grid: SpaceTimeGrid, t_next: float,
                   bc: BoundaryClosure, u_prev: np.ndarray, f_vals: np.ndarray,
-                  axis_lo: int = 0, axis_hi: Optional[int] = None) -> BandedSystem:
+                  axis_lo: int = 0, axis_hi: Optional[int] = None,
+                  ab: Optional[np.ndarray] = None) -> BandedSystem:
     """Assemble one implicit step on axis nodes [axis_lo, axis_hi].
 
     u_prev and f_vals have shape (m, ncross) over the local box; the
-    returned system's solution is u_next flattened axis-major.
+    returned system's solution is u_next flattened axis-major.  `ab`, if
+    given, is a zeroed (2*bw + 1, N) array (or view) that receives the
+    matrix in place of a new one.
     """
     n = coeffs.n
     if axis_hi is None:
@@ -262,7 +331,8 @@ def assemble_step(coeffs: CoefficientSet, grid: SpaceTimeGrid, t_next: float,
     else:
         up_cr = dn_cr = corner = 0.0
 
-    ab = np.zeros((2 * bw + 1, N))
+    if ab is None:
+        ab = np.zeros((2 * bw + 1, N))
     rhs = (u_prev / dt + f_vals).reshape(N).astype(float)
 
     # Constant diagonals (boundary rows are overwritten afterwards).
@@ -312,122 +382,161 @@ def assemble_step(coeffs: CoefficientSet, grid: SpaceTimeGrid, t_next: float,
     return BandedSystem(bandwidth=bw, ab=ab, rhs=rhs)
 
 
-class _Step(NamedTuple):
-    """What a StripOperator keeps of one time step."""
+class StackOperator:
+    """The time steps of several axis node ranges, prepared once for many marches.
 
-    rule: tuple          # kind, p and sign of the low face, then of the high face
-    static: np.ndarray   # right-hand side for zero u_prev and zero face data
-    lu: BandedLU
-    face_coefs: tuple    # per face: Robin data factors, or None for Dirichlet
-
-
-class StripOperator:
-    """The time steps of one axis node range, prepared once for many marches.
-
-    A step's matrix, forcing and lateral data depend on t_next and on the
-    kind, p and sign of each axis face, never on the iterate.  The first
-    march through a step assembles it with zero u_prev and zero face data,
-    keeps that right-hand side and the Robin data factors, and factors the
-    matrix; later marches add u_prev/dt and the face data and call ?gbtrs.
-    Steps with equal coefficient values and face rules share one
-    factorization.  Factors are kept while they fit in `cache_share` of
-    FACTOR_CACHE_BYTES; a step whose factors do not fit is assembled and
-    factored again, the same way, at every use.  One operator serves one
-    thread at a time.
+    Step k's matrix is the ranges' step-k matrices placed block-diagonally
+    in one band, so one LAPACK solve advances every range by one step.  A
+    step's matrix, forcing and lateral data depend on t_k and the face rules
+    only, never on the iterate.  The first march assembles every step with
+    zero u_prev and zero face data, keeps that static right-hand side,
+    (nt+1, N), and the Robin data factors, and factors each distinct matrix
+    (steps with equal coefficient values share one).  Factors are kept while
+    they fit in FACTOR_CACHE_BYTES, read when a step is prepared; a step
+    whose factors do not fit is assembled and factored again at every use,
+    so results do not depend on the cap.
     """
 
     def __init__(self, problem: ParabolicProblem, grid: SpaceTimeGrid,
-                 axis_lo: int = 0, axis_hi: Optional[int] = None,
-                 cache_share: float = 0.0):
-        if axis_hi is None:
-            axis_hi = grid.nx_axis - 1
+                 ranges: Sequence[AxisRange]):
         n, J = problem.domain.n, grid.nx_cross
-        self.problem, self.grid = problem, grid
-        self.axis_lo, self.axis_hi = axis_lo, axis_hi
-        self.budget = int(cache_share * FACTOR_CACHE_BYTES)
+        self.problem, self.grid, self.ranges = problem, grid, tuple(ranges)
+        self.bandwidth = J + 1 if n == 2 else 1
         self.factorizations = 0
         self.nbytes = 0  # factors kept
-        self.axis = grid.axis_nodes()[axis_lo:axis_hi + 1]
-        self.shape = (len(self.axis), J)
-        m = self.shape[0]
-        j0, j1 = (1, J - 1) if n == 2 else (0, 1)
-        self._face_rows = (slice(j0, j1), slice((m - 1) * J + j0, (m - 1) * J + j1))
-        self._lateral = np.r_[0:m * J:J, J - 1:m * J:J] if n == 2 else None
-        self._steps = [None] * (grid.nt + 1)
-        self._lus = {}
-
-    def step(self, k: int, u_prev: np.ndarray, low: FaceClosure,
-             high: FaceClosure) -> np.ndarray:
-        """u at step k, shape (m, ncross), from u at step k-1 and the face closures."""
-        rule = (low.kind, low.p, low.sign, high.kind, high.p, high.sign)
-        step = self._steps[k]
-        if step is None or step.rule != rule:
-            step = self._prepare(k, low, high, rule)
-        rhs = u_prev.reshape(-1) / self.grid.dt + step.static
-        if self._lateral is not None:
-            rhs[self._lateral] = step.static[self._lateral]
-        n, J = self.problem.domain.n, self.shape[1]
-        for face, rows, coefs in zip((low, high), self._face_rows, step.face_coefs):
-            _face_rhs(rhs, rows, face, _face_values(face, J), n, coefs)
-        return step.lu.solve(rhs).reshape(self.shape)
-
-    def _prepare(self, k: int, low: FaceClosure, high: FaceClosure, rule: tuple) -> _Step:
-        problem, grid = self.problem, self.grid
-        n, t = problem.domain.n, grid.times()[k]
-        cross = grid.cross_nodes()
-        f_vals = eval_nodes(problem.f, n, t, self.axis, cross)
-        lat_lo = lat_hi = None
+        ends = np.cumsum([0] + [(r.hi - r.lo + 1) * J for r in self.ranges])
+        self.slices = [slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
+        self.size = int(ends[-1])
+        # 1 on the rows whose right-hand side takes u_prev/dt, 0 on the
+        # Dirichlet rows: lateral faces (n=2) and Dirichlet axis faces.
+        self.takes_prev = np.ones(self.size)
         if n == 2:
-            m = self.shape[0]
-            lat_lo = np.broadcast_to(
-                np.asarray(problem.g(t, cross[0], self.axis), dtype=float), (m,))
-            lat_hi = np.broadcast_to(
-                np.asarray(problem.g(t, cross[-1], self.axis), dtype=float), (m,))
-        zero = np.zeros(self.shape[1])
-        bc = BoundaryClosure(low=replace(low, values=zero), high=replace(high, values=zero),
-                             lateral_low=lat_lo, lateral_high=lat_hi)
-        system = assemble_step(problem.coeffs, grid, t, bc, np.zeros(self.shape), f_vals,
-                               axis_lo=self.axis_lo, axis_hi=self.axis_hi)
-        values = _coefficient_values(problem.coeffs, t)
-        key = (rule, values)
-        lu = self._lus.get(key)
-        if lu is None:
-            lu = system.factor()
-            self.factorizations += 1
-            if self.nbytes + lu.nbytes <= self.budget:
-                self._lus[key] = lu
+            self.takes_prev[0::J] = self.takes_prev[J - 1::J] = 0.0
+        j0, j1 = (1, J - 1) if n == 2 else (0, 1)
+        self._faces = []  # (rows, rule, is low face) per face, range by range
+        for r, rows in zip(self.ranges, self.slices):
+            for face, low in ((r.low, True), (r.high, False)):
+                if face.kind not in ("dirichlet", "robin"):
+                    raise ValueError(f"unknown face closure kind '{face.kind}'")
+                first = rows.start if low else rows.stop - J
+                face_rows = slice(first + j0, first + j1)
+                if face.kind == "dirichlet":
+                    self.takes_prev[face_rows] = 0.0
+                self._faces.append((face_rows, face, low))
+        self._static = None   # (nt+1, N), filled by the first march
+        self._coefs = None    # per face: Robin data factors, (2, nt+1)
+        self._keys = None     # per step: the coefficient values at t_k
+        self._lus = {}        # coefficient values -> factors kept
+        axis, cross = grid.axis_nodes(), grid.cross_nodes()
+        self.u0 = np.concatenate([eval_nodes(problem.g, n, 0.0, axis[r.lo:r.hi + 1], cross)
+                                  .reshape(-1) for r in self.ranges])
+
+    def system(self, k: int) -> BandedSystem:
+        """Step k's stacked matrix and static right-hand side, assembled afresh."""
+        work, rhs = self._assemble(k)
+        return BandedSystem(bandwidth=self.bandwidth, ab=work[self.bandwidth:], rhs=rhs)
+
+    def _assemble(self, k: int, node_data: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+        """Step k's matrix, in rows bw: of a fresh (3*bw + 1, N) Fortran
+        array, and its static right-hand side (zero without node data)."""
+        problem, grid, bw = self.problem, self.grid, self.bandwidth
+        n, t, J = problem.domain.n, grid.times()[k], grid.nx_cross
+        cross, axis = grid.cross_nodes(), grid.axis_nodes()
+        work = np.zeros((3 * bw + 1, self.size), order="F")
+        rhs = np.empty(self.size)
+        zero_face = np.zeros(J)
+        for r, rows in zip(self.ranges, self.slices):
+            nodes = axis[r.lo:r.hi + 1]
+            m = len(nodes)
+            f_vals = (eval_nodes(problem.f, n, t, nodes, cross) if node_data
+                      else np.zeros((m, J)))
+            lateral = ()
+            if n == 2:
+                lateral = tuple(
+                    np.broadcast_to(np.asarray(problem.g(t, x, nodes), dtype=float), (m,))
+                    if node_data else np.zeros(m) for x in (cross[0], cross[-1]))
+            bc = BoundaryClosure(FaceClosure(r.low.kind, zero_face, r.low.p, r.low.sign),
+                                 FaceClosure(r.high.kind, zero_face, r.high.p, r.high.sign),
+                                 *lateral)
+            rhs[rows] = assemble_step(problem.coeffs, grid, t, bc, np.zeros((m, J)), f_vals,
+                                      r.lo, r.hi, ab=work[bw:, rows]).rhs
+        return work, rhs
+
+    def _factor(self, work: np.ndarray) -> Union[BandedLU, TridiagonalLU]:
+        lu = _factor_band(work, self.bandwidth)
+        self.factorizations += 1
+        return lu
+
+    def _prepare(self) -> None:
+        problem, grid, nt = self.problem, self.grid, self.grid.nt
+        static = np.zeros((nt + 1, self.size))
+        coefs = np.zeros((len(self._faces), 2, nt + 1))
+        keys: List[Optional[tuple]] = [None] * (nt + 1)
+        # An upper bound on one step's factor bytes, known before factoring.
+        step_bytes = (3 * self.bandwidth + 1) * self.size * 8 + self.size * 4
+        for k in range(1, nt + 1):
+            work, static[k] = self._assemble(k)
+            keys[k] = values = _coefficient_values(problem.coeffs, grid.times()[k])
+            for i, (_, face, low) in enumerate(self._faces):
+                if face.kind == "robin":
+                    coefs[i, :, k] = _robin_data_coefficients(values, grid, face, low)
+            if values not in self._lus and self.nbytes + step_bytes <= FACTOR_CACHE_BYTES:
+                lu = self._lus[values] = self._factor(work)
                 self.nbytes += lu.nbytes
-        face_coefs = tuple(
-            _robin_data_coefficients(values, grid, face, side) if face.kind == "robin"
-            else None for face, side in ((low, True), (high, False)))
-        step = _Step(rule=rule, static=system.rhs, lu=lu, face_coefs=face_coefs)
-        if key in self._lus:
-            self._steps[k] = step
-        return step
+        self._static, self._coefs, self._keys = static, coefs, keys
+
+    def rhs(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """Every step's right-hand side for zero u_prev, (nt+1, N).
+
+        faces[i] holds the (nt+1, ncross) data of range i's low and high
+        face: solution values on a Dirichlet face, Robin data on a Robin one.
+        The first call prepares the steps.
+        """
+        if self._static is None:
+            self._prepare()
+        n = self.problem.domain.n
+        out = self._static.copy()
+        data = [vals for pair in faces for vals in pair]
+        for (rows, face, _), vals, (dc, mc) in zip(self._faces, data, self._coefs):
+            inner = vals[:, 1:-1] if n == 2 else vals
+            if face.kind == "dirichlet":
+                out[:, rows] = inner
+                continue
+            out[:, rows] += dc[:, None] * inner
+            if n == 2:
+                out[:, rows] += mc[:, None] * (vals[:, 2:] - vals[:, :-2])
+        return out
+
+    def factors(self, k: int) -> Union[BandedLU, TridiagonalLU]:
+        """Step k's LU factors: the kept ones, or made afresh; after rhs()."""
+        lu = self._lus.get(self._keys[k])
+        if lu is None:
+            lu = self._factor(self._assemble(k, node_data=False)[0])
+        return lu
 
 
-def march(problem: ParabolicProblem, grid: SpaceTimeGrid,
-          closures: Callable[[int, float], Tuple[FaceClosure, FaceClosure]],
-          axis_lo: int = 0, axis_hi: Optional[int] = None,
-          operator: Optional[StripOperator] = None) -> np.ndarray:
-    """Backward-Euler march on an axis node range; returns (nt+1, m, ncross).
+def march(problem: ParabolicProblem, grid: SpaceTimeGrid, ranges: Sequence[AxisRange],
+          faces: Sequence[Tuple[np.ndarray, np.ndarray]],
+          operator: Optional[StackOperator] = None) -> List[np.ndarray]:
+    """Backward-Euler march of axis node ranges side by side; returns one
+    (nt+1, m, ncross) array per range.
 
-    `closures(k, t_next)` supplies the low/high axis-face closures for step
-    k; lateral faces (n=2) always carry Dirichlet data g.  `operator` keeps
-    the range's prepared steps between marches; without one, each step is
-    prepared for this march only.
+    faces[i] holds the (nt+1, ncross) data of range i's low and high axis
+    face; lateral faces (n=2) always carry Dirichlet data g.  `operator`
+    keeps the ranges' prepared steps between marches; without one, the
+    steps are prepared for this march only.
     """
-    if axis_hi is None:
-        axis_hi = grid.nx_axis - 1
     if operator is None:
-        operator = StripOperator(problem, grid, axis_lo, axis_hi)
-    elif (operator.problem, operator.grid, operator.axis_lo, operator.axis_hi) != \
-            (problem, grid, axis_lo, axis_hi):
+        operator = StackOperator(problem, grid, ranges)
+    elif (operator.problem, operator.grid, operator.ranges) != (problem, grid, tuple(ranges)):
         raise ValueError("operator was built for another problem, grid or axis range")
-    times = grid.times()
-    u = np.empty((grid.nt + 1,) + operator.shape)
-    u[0] = eval_nodes(problem.g, problem.domain.n, 0.0, operator.axis, grid.cross_nodes())
+    b = operator.rhs(faces)
+    u = np.empty_like(b)
+    u[0] = operator.u0
+    take, dt = operator.takes_prev, grid.dt
     for k in range(1, grid.nt + 1):
-        low, high = closures(k, times[k])
-        u[k] = operator.step(k, u[k - 1], low, high)
-    return u
+        rhs = u[k - 1] / dt
+        rhs *= take
+        rhs += b[k]
+        u[k] = operator.factors(k).solve(rhs)
+    return [u[:, rows].reshape(grid.nt + 1, -1, grid.nx_cross) for rows in operator.slices]

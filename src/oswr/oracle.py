@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FaceClosure, SpaceTimeGrid, march
+from .grid import AxisRange, FaceRule, SpaceTimeGrid, eval_plane, march
 from .problem import ParabolicProblem
 
 
@@ -22,19 +22,8 @@ class GlobalSolution:
 
 def solve_global(problem: ParabolicProblem, grid: SpaceTimeGrid) -> GlobalSolution:
     """Backward-Euler march with Dirichlet closures (data g) on every face."""
-    n = problem.domain.n
-    cross = grid.cross_nodes()
-    alpha, beta = problem.domain.alpha, problem.domain.beta
-
-    def face_values(t, xn):
-        if n == 1:
-            return np.atleast_1d(np.asarray(problem.g(t, xn), dtype=float))
-        vals = np.asarray(problem.g(t, cross, xn), dtype=float)
-        return np.broadcast_to(vals, (grid.nx_cross,))
-
-    def closures(k, t_next):
-        low = FaceClosure(kind="dirichlet", values=face_values(t_next, alpha))
-        high = FaceClosure(kind="dirichlet", values=face_values(t_next, beta))
-        return low, high
-
-    return GlobalSolution(values=march(problem, grid, closures))
+    whole = AxisRange(0, grid.nx_axis - 1, FaceRule("dirichlet"), FaceRule("dirichlet"))
+    faces = (eval_plane(problem.g, grid, problem.domain.alpha),
+             eval_plane(problem.g, grid, problem.domain.beta))
+    values, = march(problem, grid, [whole], [faces])
+    return GlobalSolution(values=values)

@@ -10,13 +10,13 @@ match the ghost-eliminated boundary rows exactly at the discrete level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
 from .decomposition import SubdomainEntry
 from .errors import DataMismatch, NodeOutOfRange
-from .grid import FaceClosure, SpaceTimeGrid, StripOperator, march
+from .grid import AxisRange, FaceRule, SpaceTimeGrid, march
 from .problem import ParabolicProblem
 
 
@@ -88,27 +88,29 @@ def _check_trace(data: TraceData, expected_kind: str, side: str,
             f"trace shape {data.values.shape} != {(grid.nt + 1, grid.nx_cross)}")
 
 
-def solve_subdomain(problem: ParabolicProblem, grid: SpaceTimeGrid,
-                    entry: SubdomainEntry, left_data: TraceData,
-                    right_data: TraceData, p: RobinParameter,
-                    operator: Optional[StripOperator] = None) -> SubdomainSolution:
-    """March one strip over the whole time window with the given face data.
+def axis_range(entry: SubdomainEntry, p: RobinParameter) -> AxisRange:
+    """The strip's axis nodes and face rules, as the march takes them."""
+    return AxisRange(entry.i_left, entry.i_right,
+                     FaceRule(entry.left_kind, p.p, p.sign("left")),
+                     FaceRule(entry.right_kind, p.p, p.sign("right")))
 
-    `operator` is the strip's StripOperator, kept by the caller across
-    sweeps; without one, the march prepares every step afresh.
-    """
+
+def face_data(entry: SubdomainEntry, left_data: TraceData, right_data: TraceData,
+              grid: SpaceTimeGrid) -> Tuple[np.ndarray, np.ndarray]:
+    """The strip's inbound (low, high) face data, checked against its face
+    kinds and the grid."""
     _check_trace(left_data, entry.left_kind, "left", grid)
     _check_trace(right_data, entry.right_kind, "right", grid)
+    return left_data.values, right_data.values
 
-    def closures(k, t_next):
-        low = FaceClosure(kind=entry.left_kind, values=left_data.values[k],
-                          p=p.p, sign=p.sign("left"))
-        high = FaceClosure(kind=entry.right_kind, values=right_data.values[k],
-                           p=p.p, sign=p.sign("right"))
-        return low, high
 
-    values = march(problem, grid, closures, axis_lo=entry.i_left, axis_hi=entry.i_right,
-                   operator=operator)
+def solve_subdomain(problem: ParabolicProblem, grid: SpaceTimeGrid,
+                    entry: SubdomainEntry, left_data: TraceData,
+                    right_data: TraceData, p: RobinParameter) -> SubdomainSolution:
+    """March one strip over the whole time window with the given face data,
+    preparing every step afresh."""
+    faces = face_data(entry, left_data, right_data, grid)
+    values, = march(problem, grid, [axis_range(entry, p)], [faces])
     return SubdomainSolution(index=entry.index, i_left=entry.i_left, values=values)
 
 

@@ -167,6 +167,23 @@ class TestExitCodes:
         path = write(tmp_path, MINIMAL.replace("p = 1.0", "p = -3"))
         assert main(["run", path]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("verb", ["check", "run"])
+    def test_removed_workers_key_rejected(self, tmp_path, monkeypatch, capsys, verb):
+        monkeypatch.chdir(tmp_path)
+        path = write(tmp_path, MINIMAL + "workers = 2\n")
+        assert main([verb, path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            "config error: unknown key 'workers' in section [iteration]\n"
+        assert not os.path.exists("out")
+
+    @pytest.mark.parametrize("verb", ["check", "run"])
+    def test_single_strip_rejected(self, tmp_path, monkeypatch, capsys, verb):
+        monkeypatch.chdir(tmp_path)
+        path = write(tmp_path, MINIMAL.replace("count = 2", "count = 1"))
+        assert main([verb, path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "config error: count must be at least 2\n"
+        assert not os.path.exists("out")
+
     def test_numerical_exit_on_snap_failure(self, tmp_path, monkeypatch):
         # Overlap below one grid cell collapses when snapped: the run fails
         # numerically but still writes its meta file.

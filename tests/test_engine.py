@@ -113,17 +113,6 @@ def test_mirror_symmetry():
 
 
 class TestDeterminism:
-    def test_serial_matches_concurrent(self, setup):
-        prob, grid, layout, oracle = setup
-        base = dict(p=RobinParameter(1.0), max_iters=6, stop_tol=1e-30,
-                    guess=InitialGuess(kind="random-smooth", seed=7))
-        h1 = run(prob, grid, layout, SWRConfig(workers=1, **base), oracle)
-        h2 = run(prob, grid, layout, SWRConfig(workers=3, **base), oracle)
-        assert [r.E for r in h1.rows] == [r.E for r in h2.rows]
-        assert [r.sup_e_max for r in h1.rows] == [r.sup_e_max for r in h2.rows]
-        assert [r.trace_increment for r in h1.rows] == \
-               [r.trace_increment for r in h2.rows]
-
     def test_rerun_bitwise_identical(self, setup):
         prob, grid, layout, oracle = setup
         cfg = SWRConfig(p=RobinParameter(1.0), max_iters=5, stop_tol=1e-30,

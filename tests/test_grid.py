@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oswr import (BoundaryClosure, CoefficientSet, DomainSpec, FaceClosure,
-                  assemble_step, build_grid, march, problem_preset,
+from oswr import (AxisRange, BoundaryClosure, CoefficientSet, DomainSpec, FaceClosure,
+                  FaceRule, assemble_step, build_grid, march, problem_preset,
                   solve_global)
 from oswr.errors import BadResolution
 from tests.conftest import make_zero_problem
@@ -66,10 +66,9 @@ class TestAssembleStep:
     def test_zero_data_propagates_zero(self):
         prob = make_zero_problem(problem_preset("heat1d"))
         grid = build_grid(prob.domain, 21, 10)
-        closures = lambda k, t: (
-            FaceClosure(kind="dirichlet", values=np.array([0.0])),
-            FaceClosure(kind="dirichlet", values=np.array([0.0])))
-        u = march(prob, grid, closures)
+        whole = AxisRange(0, 20, FaceRule("dirichlet"), FaceRule("dirichlet"))
+        zero = np.zeros((grid.nt + 1, 1))
+        u, = march(prob, grid, [whole], [(zero, zero)])
         assert np.max(np.abs(u)) <= 1e-14
 
 

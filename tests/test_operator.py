@@ -1,21 +1,22 @@
-"""Step assembly against a loop reference, and strip operators against
-per-step assembly: results, shared factorizations, the factor cache cap and
-singular steps."""
+"""Step assembly against a loop reference, and the stack operator against
+per-step assembly and per-strip solves: results, the block-diagonal stacked
+matrix, shared factorizations, the factor cache cap and singular steps."""
 
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import oswr.grid
-from oswr import (BoundaryClosure, CoefficientSet, DecompositionSpec,
-                  FaceClosure, GlobalSolution, InitialGuess, ParabolicProblem,
-                  RobinParameter, StripOperator, SWRConfig, assemble_step,
-                  build_grid, initial_traces, march, problem_preset, run, snap,
-                  solve_global, sweep_once)
-from oswr.engine import strip_operators
+from oswr import (AxisRange, BoundaryClosure, CoefficientSet, DecompositionSpec,
+                  FaceClosure, FaceRule, GlobalSolution, InitialGuess,
+                  ParabolicProblem, RobinParameter, StackOperator, SWRConfig,
+                  assemble_step, build_grid, initial_traces, march, problem_preset,
+                  run, snap, solve_global, solve_subdomain, sweep_once)
 from oswr.errors import SingularSystem
 from oswr.grid import eval_nodes
+from oswr.subdomain import axis_range
 
 
 def _loop_assemble(coeffs, grid, t, bc, u_prev, f_vals, lo, hi):
@@ -119,22 +120,19 @@ def test_assembly_matches_loop_reference(preset, nx, nx_cross, kinds, low_sign):
                            rtol=0.0, atol=1e-9 * np.max(np.abs(rhs)))
 
 
-def _face(kind, data, p, side):
-    return FaceClosure(kind=kind, values=data, p=p.p, sign=p.sign(side))
-
-
-def _per_step_reference(prob, grid, lo, hi, closures):
-    """The march written out with assemble_step(...).solve() at every step."""
-    n, axis, cross = prob.domain.n, grid.axis_nodes()[lo:hi + 1], grid.cross_nodes()
+def _per_step_reference(prob, grid, r, data):
+    """One range's march written out with assemble_step(...).solve() at every step."""
+    n, axis, cross = prob.domain.n, grid.axis_nodes()[r.lo:r.hi + 1], grid.cross_nodes()
     m, J = len(axis), len(cross)
     u = np.empty((grid.nt + 1, m, J))
     u[0] = eval_nodes(prob.g, n, 0.0, axis, cross)
     for k, t in enumerate(grid.times()[1:], start=1):
-        low, high = closures(k, t)
+        low, high = (FaceClosure(face.kind, vals[k], face.p, face.sign)
+                     for face, vals in zip((r.low, r.high), data))
         lateral = ((np.broadcast_to(prob.g(t, cross[0], axis), (m,)),
                     np.broadcast_to(prob.g(t, cross[-1], axis), (m,))) if n == 2 else ())
         system = assemble_step(prob.coeffs, grid, t, BoundaryClosure(low, high, *lateral),
-                               u[k - 1], eval_nodes(prob.f, n, t, axis, cross), lo, hi)
+                               u[k - 1], eval_nodes(prob.f, n, t, axis, cross), r.lo, r.hi)
         u[k] = system.solve().reshape(m, J)
     return u
 
@@ -148,53 +146,100 @@ OPERATOR_GRIDS = [("tvar1d", 15, None, 6), ("heat1d", 15, None, 6), ("tvar2d", 1
 @pytest.mark.parametrize("capped", [True, False], ids=["cap0", "uncapped"])
 def test_operator_matches_per_step_assembly(monkeypatch, preset, nx, nx_cross, nt,
                                             orientation, kinds, capped):
+    # Two overlapping ranges side by side, the second with the face kinds
+    # swapped, each against its own per-step reference.
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 0 if capped else 2 ** 40)
     prob = problem_preset(preset)
     grid = build_grid(prob.domain, nx, nt, nx_cross)
-    lo, hi = 2, nx - 4
     p = RobinParameter(1.3, orientation=orientation)
-    operator = StripOperator(prob, grid, lo, hi, cache_share=1.0)
+    rules = [FaceRule(kind, p.p, p.sign(side)) for kind, side in zip(kinds, ("left", "right"))]
+    ranges = [AxisRange(2, nx - 4, *rules), AxisRange(1, nx - 2, *rules[::-1])]
+    operator = StackOperator(prob, grid, ranges)
     rng = np.random.default_rng(9)
     for _ in range(3):  # the first march prepares the steps, later ones reuse them
-        data = rng.standard_normal((2, grid.nt + 1, grid.nx_cross))
-        closures = lambda k, t: (_face(kinds[0], data[0, k], p, "left"),
-                                 _face(kinds[1], data[1, k], p, "right"))
-        got = march(prob, grid, closures, lo, hi, operator=operator)
-        ref = _per_step_reference(prob, grid, lo, hi, closures)
-        assert np.max(np.abs(got - ref)) <= 1e-12
+        data = rng.standard_normal((len(ranges), 2, grid.nt + 1, grid.nx_cross))
+        got = march(prob, grid, ranges, data, operator)
+        for r, faces, values in zip(ranges, data, got):
+            ref = _per_step_reference(prob, grid, r, faces)
+            assert np.max(np.abs(values - ref)) <= 1e-12
     assert (operator.nbytes == 0) == capped
 
 
-def _tiny_run(preset, nt=6):
+def _tiny_run(preset, nt=6, nx_cross=None):
     prob = problem_preset(preset)
-    grid = build_grid(prob.domain, 31, nt)
+    grid = build_grid(prob.domain, 31 if nx_cross is None else 13, nt, nx_cross)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         layout = snap(DecompositionSpec.uniform(prob.domain, 3, 0.2), grid)
     return prob, grid, layout
 
 
-@pytest.mark.parametrize("preset,per_strip", [("heat1d", 1), ("tvar1d", 6)])
-def test_factorizations_per_strip(preset, per_strip):
+def _stack(prob, grid, layout, p):
+    return StackOperator(prob, grid, [axis_range(e, p) for e in layout.entries])
+
+
+@pytest.mark.parametrize("preset,nx_cross", [("tvar1d", None), ("tvar2d", 7)])
+def test_stacked_matrix_is_block_diagonal(preset, nx_cross):
+    prob, grid, layout = _tiny_run(preset, nt=4, nx_cross=nx_cross)
+    p = RobinParameter(1.0)
+    operator = _stack(prob, grid, layout, p)
+    n, J, cross = prob.domain.n, grid.nx_cross, grid.cross_nodes()
+    for k, t in enumerate(grid.times()[1:], start=1):
+        blocks, rhs = [], []
+        for r in operator.ranges:
+            axis = grid.axis_nodes()[r.lo:r.hi + 1]
+            m = len(axis)
+            low, high = (FaceClosure(face.kind, np.zeros(J), face.p, face.sign)
+                         for face in (r.low, r.high))
+            lateral = ((np.broadcast_to(prob.g(t, cross[0], axis), (m,)),
+                        np.broadcast_to(prob.g(t, cross[-1], axis), (m,))) if n == 2 else ())
+            system = assemble_step(prob.coeffs, grid, t, BoundaryClosure(low, high, *lateral),
+                                   np.zeros((m, J)), eval_nodes(prob.f, n, t, axis, cross),
+                                   r.lo, r.hi)
+            blocks.append(system.to_dense())
+            rhs.append(system.rhs)
+        stacked = operator.system(k)
+        assert np.array_equal(stacked.to_dense(), block_diag(*blocks))
+        assert np.array_equal(stacked.rhs, np.concatenate(rhs))
+
+
+@pytest.mark.parametrize("preset,nx_cross", [("tvar1d", None), ("tvar2d", 7)])
+def test_sweep_matches_per_strip_solves(preset, nx_cross):
+    prob, grid, layout = _tiny_run(preset, nx_cross=nx_cross)
+    p = RobinParameter(1.0)
+    operator = _stack(prob, grid, layout, p)
+    traces = initial_traces(InitialGuess("random-smooth", seed=3), layout, grid, prob)
+    for _ in range(2):  # the second sweep runs on the kept factors
+        sols = sweep_once(prob, grid, layout, traces, p, operator)
+        for entry, sol in zip(layout.entries, sols):
+            ref = solve_subdomain(prob, grid, entry, *traces[entry.index], p)
+            assert (sol.index, sol.i_left) == (ref.index, ref.i_left)
+            assert np.max(np.abs(sol.values - ref.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("preset,per_run", [("heat1d", 1), ("tvar1d", 6)])
+def test_factorizations_per_run(preset, per_run):
     prob, grid, layout = _tiny_run(preset)
     p = RobinParameter(1.0)
-    operators = strip_operators(prob, grid, layout)
+    operator = _stack(prob, grid, layout, p)
     traces = initial_traces(InitialGuess("random-smooth", seed=1), layout, grid, prob)
     for _ in range(3):
-        sweep_once(prob, grid, layout, traces, p, operators=operators)
-    assert [op.factorizations for op in operators] == [per_strip] * layout.count
-    assert all(op.nbytes > 0 for op in operators)
+        sweep_once(prob, grid, layout, traces, p, operator)
+    assert operator.factorizations == per_run
+    assert operator.nbytes > 0
 
 
 def test_cap_zero_refactors_every_step(monkeypatch):
-    monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 0)
     prob, grid, layout = _tiny_run("heat1d")
-    operators = strip_operators(prob, grid, layout)
+    p = RobinParameter(1.0)
+    operator = _stack(prob, grid, layout, p)
+    # The cap is read when the steps are prepared, not when the operator is built.
+    monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 0)
     traces = initial_traces(InitialGuess(), layout, grid, prob)
     for _ in range(3):
-        sweep_once(prob, grid, layout, traces, RobinParameter(1.0), operators=operators)
-    assert [op.factorizations for op in operators] == [3 * grid.nt] * layout.count
-    assert all(op.nbytes == 0 for op in operators)
+        sweep_once(prob, grid, layout, traces, p, operator)
+    assert operator.factorizations == 3 * grid.nt
+    assert operator.nbytes == 0
 
 
 def test_run_history_independent_of_cap(monkeypatch):
@@ -209,23 +254,36 @@ def test_run_history_independent_of_cap(monkeypatch):
     assert rows[0] == rows[2 ** 40]
 
 
-@pytest.mark.parametrize("cap", [0, 2 ** 40], ids=["per-step", "cached"])
-def test_singular_step_raises(monkeypatch, cap):
-    # a = b = 0 and c = -1/dt zero the interior diagonal; ?gbtrf reports the
-    # zero pivot instead of the solve returning inf/nan.
-    monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
-    base, grid, layout = _tiny_run("heat1d")
-    coeffs = CoefficientSet.build(0.0, 0.0, -1.0 / grid.dt)
+def _singular_run(preset, nx_cross=None):
+    # a = b = 0 and c = -1/dt zero the interior diagonal; the factorization
+    # reports the zero pivot instead of the solve returning inf/nan.
+    base, grid, layout = _tiny_run(preset, nx_cross=nx_cross)
+    if nx_cross is None:
+        coeffs = CoefficientSet.build(0.0, 0.0, -1.0 / grid.dt)
+    else:
+        coeffs = CoefficientSet.build([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], -1.0 / grid.dt)
     prob = ParabolicProblem(domain=base.domain, coeffs=coeffs, f=base.f, g=base.g)
-    oracle = GlobalSolution(values=np.zeros((grid.nt + 1, grid.nx_axis, 1)))
+    oracle = GlobalSolution(values=np.zeros((grid.nt + 1, grid.nx_axis, grid.nx_cross)))
     with pytest.raises(SingularSystem, match=r"^sweep 1: singular matrix"):
         run(prob, grid, layout, SWRConfig(p=1.0, max_iters=2), oracle)
 
 
+@pytest.mark.parametrize("cap", [0, 2 ** 40], ids=["per-step", "cached"])
+def test_singular_step_raises(monkeypatch, cap):
+    monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
+    _singular_run("heat1d")  # bandwidth 1: ?gttrf
+
+
+@pytest.mark.parametrize("cap", [0, 2 ** 40], ids=["per-step", "cached"])
+def test_singular_banded_step_raises(monkeypatch, cap):
+    monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
+    _singular_run("heat2d", nx_cross=7)  # bandwidth 8: ?gbtrf
+
+
 def test_march_rejects_operator_of_another_strip():
     prob, grid, _ = _tiny_run("heat1d")
-    operator = StripOperator(prob, grid, 0, 10)
-    closures = lambda k, t: (FaceClosure("dirichlet", np.zeros(1)),
-                             FaceClosure("dirichlet", np.zeros(1)))
+    rule = FaceRule("dirichlet")
+    operator = StackOperator(prob, grid, [AxisRange(0, 10, rule, rule)])
+    zero = np.zeros((grid.nt + 1, 1))
     with pytest.raises(ValueError, match="another problem, grid or axis range"):
-        march(prob, grid, closures, 0, 12, operator=operator)
+        march(prob, grid, [AxisRange(0, 12, rule, rule)], [(zero, zero)], operator)
