@@ -94,9 +94,6 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool = False,
         problem = cfg.build_problem()
         grid = build_grid(problem.domain, cfg.nx_axis, cfg.nt, cfg.nx_cross)
         oracle = solve_global(problem, grid)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=err)
-        return EXIT_VALIDATION
     except OswrError as exc:
         print(f"numerical error: {exc}", file=err)
         return EXIT_NUMERICAL
@@ -121,9 +118,6 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool = False,
                 report = history.contraction(cfg.gamma_max)
             except OswrError:
                 report = None  # run too short for a full window
-        except ValidationError as exc:
-            print(f"run {idx}: validation error: {exc}", file=err)
-            status = max(status, EXIT_VALIDATION)
         except OswrError as exc:
             print(f"run {idx}: numerical error: {exc}", file=err)
             status = max(status, EXIT_NUMERICAL)

@@ -13,11 +13,13 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .decomposition import DecompositionSpec
+from .decomposition import DecompositionSpec, validate
+from .diagnostics import default_gamma
 from .engine import InitialGuess, SWRConfig
-from .errors import ParseError, ValidationError
+from .errors import OswrError, ParseError, ValidationError
+from .grid import build_grid
 from .problem import (PRESET_NAMES, DomainSpec, ParabolicProblem,
-                      problem_from_table, problem_preset)
+                      check_assumptions, problem_from_table, problem_preset)
 from .subdomain import RobinParameter
 
 _SCHEMA = {
@@ -67,17 +69,13 @@ class ExperimentConfig:
     directory: str = "out"
     source_path: Optional[str] = None
 
-    def resolved_gamma(self) -> float:
-        if self.gamma is not None:
-            return self.gamma
-        return 5.0 / (self.beta - self.alpha)
+    def domain(self) -> DomainSpec:
+        return DomainSpec(n=self.n, alpha=self.alpha, beta=self.beta, T=self.T,
+                          cross=self.cross if self.n == 2 else None)
 
     def build_problem(self) -> ParabolicProblem:
         if self.table is not None:
-            domain = DomainSpec(n=self.n, alpha=self.alpha, beta=self.beta,
-                                T=self.T,
-                                cross=self.cross if self.n == 2 else None)
-            return problem_from_table(self.table, domain)
+            return problem_from_table(self.table, self.domain())
         return problem_preset(self.preset, alpha=self.alpha, beta=self.beta,
                               T=self.T,
                               cross=self.cross if self.n == 2 else None)
@@ -98,7 +96,7 @@ class ExperimentConfig:
                                orientation=self.orientation)
         return SWRConfig(p=robin, max_iters=self.max_iters,
                          stop_tol=self.stop_tol, guess=guess,
-                         gamma=self.resolved_gamma(),
+                         gamma=self.gamma,
                          theta=self.theta, record_timing=self.record_timing)
 
     def scheduled_runs(self, sweep: bool) -> List[Tuple[float, float]]:
@@ -118,7 +116,8 @@ class ExperimentConfig:
                     "theta", "gamma_max", "p_values", "overlap_values",
                     "directory"):
             pairs.append((key, repr(getattr(self, key))))
-        pairs.append(("gamma", repr(self.resolved_gamma())))
+        gamma = self.gamma if self.gamma is not None else default_gamma(self.domain())
+        pairs.append(("gamma", repr(gamma)))
         return pairs
 
 
@@ -215,6 +214,14 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Build what the scheduled runs build and report the first failure.
+
+    The domain, the table, the grid, the coefficient assumptions
+    (ellipticity, symmetry), every decomposition of `run` and `sweep` and
+    every SWRConfig are constructed here, so their own checks apply; only
+    checks that no constructor makes are written out.  Snapping to the grid
+    is left to the run (a collapsed overlap is a numerical failure).
+    """
     if cfg.table is None:
         if cfg.preset not in PRESET_NAMES:
             raise ValidationError(
@@ -223,48 +230,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if cfg.n != preset_n:
             raise ValidationError(
                 f"preset {cfg.preset!r} is {preset_n}-dimensional; set n = {preset_n}")
-    elif not os.path.exists(cfg.table):
-        raise ValidationError(f"coefficient table not found: {cfg.table}")
-    if cfg.n not in (1, 2):
-        raise ValidationError("n must be 1 or 2")
-    if not cfg.beta > cfg.alpha:
-        raise ValidationError("beta must exceed alpha")
-    if not cfg.T > 0:
-        raise ValidationError("T must be positive")
-    if cfg.n == 2 and not cfg.cross[1] > cfg.cross[0]:
-        raise ValidationError("cross_hi must exceed cross_lo")
-    if cfg.nx_axis < 3:
-        raise ValidationError("nx_axis must be at least 3")
-    if cfg.nt < 1:
-        raise ValidationError("nt must be at least 1")
-    if cfg.nx_cross is not None and cfg.nx_cross < 3:
-        raise ValidationError("nx_cross must be at least 3")
     if (cfg.a_list is None) != (cfg.b_list is None):
         raise ValidationError("a_list and b_list must be given together")
-    if cfg.a_list is not None and len(cfg.a_list) != len(cfg.b_list):
-        raise ValidationError("a_list and b_list must have equal length")
-    if cfg.a_list is None:
-        if cfg.count < 2:
-            raise ValidationError("count must be at least 2")
-        if not cfg.overlap > 0:
-            raise ValidationError("overlap must be positive")
-    if not cfg.p > 0:
-        raise ValidationError("p must be positive")
-    if cfg.orientation not in ("paper", "outward"):
-        raise ValidationError("orientation must be 'paper' or 'outward'")
-    if cfg.max_iters < 1:
-        raise ValidationError("max_iters must be at least 1")
-    if not cfg.stop_tol > 0:
-        raise ValidationError("stop_tol must be positive")
-    if cfg.guess not in ("zero", "constant", "random-smooth"):
-        raise ValidationError("guess must be zero, constant or random-smooth")
-    if cfg.gamma is not None and not cfg.gamma > 0:
-        raise ValidationError("gamma must be positive")
-    if cfg.theta < 0:
-        raise ValidationError("theta must be nonnegative")
-    if not 0 < cfg.gamma_max:
+    if cfg.a_list is not None and cfg.overlap_values is not None:
+        raise ValidationError("overlap_values cannot be combined with a_list/b_list")
+    if not cfg.gamma_max > 0:
         raise ValidationError("gamma_max must be positive")
-    for name, vals in (("p_values", cfg.p_values),
-                       ("overlap_values", cfg.overlap_values)):
-        if vals is not None and any(v <= 0 for v in vals):
-            raise ValidationError(f"{name} entries must be positive")
+    try:
+        problem = cfg.build_problem()
+        grid = build_grid(problem.domain, cfg.nx_axis, cfg.nt, cfg.nx_cross)
+        check_assumptions(problem.coeffs, grid.times())
+        runs = cfg.scheduled_runs(sweep=False) + cfg.scheduled_runs(sweep=True)
+        for p, overlap in dict.fromkeys(runs):
+            msg = validate(cfg.decomposition_spec(problem.domain, overlap))
+            if msg is not None:
+                raise ValidationError(f"invalid decomposition: {msg}")
+            cfg.swr_config(p)
+    except (ValueError, OSError, OswrError) as exc:
+        raise ValidationError(str(exc)) from exc

@@ -27,13 +27,15 @@ class DecompositionSpec:
 
     def __post_init__(self):
         if self.count < 2:
-            raise ValueError("at least 2 subdomains required")
+            raise ValueError("count must be at least 2")
         if len(self.a) != self.count or len(self.b) != self.count:
             raise ValueError("abscissa lists must have length I")
 
     @classmethod
     def uniform(cls, domain: DomainSpec, count: int, overlap: float) -> "DecompositionSpec":
         """I equal strips with uniform overlap delta around each cut point."""
+        if count < 2:
+            raise ValueError("count must be at least 2")
         if overlap <= 0:
             raise ValueError("overlap must be positive")
         width = domain.axis_length / count

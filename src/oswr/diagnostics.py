@@ -1,14 +1,18 @@
 """Error functionals and empirical convergence diagnostics for the iteration.
 
 Per subdomain and sweep the error e = u_l^k - u (u being the monolithic
-reference) is transformed to eps = e * exp(p x_n); nu is the discrete
-x_n-derivative of eps and Phi = nu^2 * phi(x_n) * varphi(t) with the
-exponential space weight phi(x_n) = exp(-gamma x_n).  The sweep functional
+reference) is transformed to eps = e * exp(p (x_n - alpha)); nu is the
+discrete x_n-derivative of eps and Phi = nu^2 * phi(x_n) * varphi(t) with
+the exponential space weight phi(x_n) = exp(-gamma (x_n - alpha)) and the
+time weight varphi(t) = exp(-theta t).  Measuring x_n from alpha keeps the
+exponentials finite on shifted domains.  The sweep functional that `run()`
+records is unweighted,
 
-    E_k = max_l  sup |nu|^2 * varphi(t)        (space weight == 1)
+    E_k = max_l  sup |nu|^2,
 
-should contract geometrically over windows of I sweeps, Phi should attain
-its maximum on the parabolic boundary, and sup|e| should decay to zero.
+so theta and gamma enter Phi only.  E_k should contract geometrically over
+windows of I sweeps, Phi should attain its maximum on the parabolic
+boundary, and sup|e| should decay to zero.
 """
 
 from __future__ import annotations
@@ -85,11 +89,11 @@ def compute_error_fields(sol: SubdomainSolution, oracle: GlobalSolution,
     if ref.shape != sol.values.shape:
         raise ShapeMismatch(
             f"oracle restriction {ref.shape} != solution {sol.values.shape}")
-    axis = grid.axis_nodes()[sol.i_left:sol.i_left + m]
+    xn = grid.axis_nodes()[sol.i_left:sol.i_left + m] - grid.domain.alpha
     e = sol.values - ref
-    eps = e * np.exp(p.p * axis)[None, :, None]
+    eps = e * np.exp(p.p * xn)[None, :, None]
     nu = axis_derivative(eps, grid.hx_axis)
-    w_space = np.exp(-weights.gamma * axis)[None, :, None]
+    w_space = np.exp(-weights.gamma * xn)[None, :, None]
     w_time = weights.time_weight(grid.nt)[:, None, None]
     phi = nu ** 2 * w_space * w_time
     return ErrorFields(subdomain=sol.index, e=e, eps=eps, nu=nu, phi=phi)
@@ -97,7 +101,8 @@ def compute_error_fields(sol: SubdomainSolution, oracle: GlobalSolution,
 
 def compute_E(fields: Sequence[ErrorFields], grid: SpaceTimeGrid,
               weights: Optional[WeightSpec] = None) -> float:
-    """max over subdomains of sup nu^2 * varphi (space weight identically 1)."""
+    """max over subdomains of sup nu^2; times varphi when weights are given
+    (run() gives none, so its E_k is unweighted)."""
     w_time = (weights.time_weight(grid.nt) if weights is not None
               else np.ones(grid.nt + 1))
     return max(float(np.max(f.nu ** 2 * w_time[:, None, None])) for f in fields)

@@ -90,6 +90,10 @@ class SWRConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
+        if self.gamma is not None and not self.gamma > 0:
+            raise ValueError("gamma must be positive")
+        if not self.theta >= 0:
+            raise ValueError("theta must be nonnegative")
 
 
 def _dirichlet_trace(problem: ParabolicProblem, grid: SpaceTimeGrid,

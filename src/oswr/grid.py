@@ -79,10 +79,11 @@ def build_grid(domain: DomainSpec, nx_axis: int, nt: int,
         raise BadResolution("nx_axis must be at least 3")
     if nt < 1:
         raise BadResolution("nt must be at least 1")
-    if domain.n == 2:
-        if nx_cross is None or nx_cross < 3:
-            raise BadResolution("nx_cross must be at least 3 for n=2")
-    else:
+    if domain.n == 2 and nx_cross is None:
+        raise BadResolution("nx_cross is required for n=2")
+    if nx_cross is not None and nx_cross < 3:
+        raise BadResolution("nx_cross must be at least 3")
+    if domain.n == 1:
         nx_cross = 1
     return SpaceTimeGrid(domain=domain, nx_axis=nx_axis, nt=nt, nx_cross=nx_cross)
 

@@ -2,6 +2,8 @@
 
 import csv
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,8 @@ def write(tmp_path, text, name="exp.ini"):
 class TestLoadConfig:
     def test_defaults_filled(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL))
-        assert cfg.resolved_gamma() == pytest.approx(5.0)  # 5/(beta-alpha)
+        assert cfg.gamma is None  # run() applies 5/(beta-alpha)
+        assert dict(cfg.as_items())["gamma"] == repr(5.0)
         assert cfg.guess == "zero"
         assert cfg.nx_axis == 101 and cfg.nt == 50
         assert cfg.orientation == "outward"
@@ -205,3 +208,68 @@ nt = 4
             "theta = 10.0", "theta = 10.0\ngamma_max = 1e-9"))
         assert main(["run", path]) == EXIT_CONTRACTION
         assert os.path.exists("out/history.csv")
+
+
+TABLE_1D = "t,a11,b1,c\n0,{a},0,0\n1,{a},0,0\n"
+
+# (config text, table text or None, expected message).  Each config once
+# passed `check` and then crashed or failed numerically in `run`/`sweep`.
+# "{table}" in the config stands for the path of the table file.
+CONFIG_CASES = {
+    "overlap-wider-than-strip": (
+        MINIMAL.replace("count = 2", "count = 4").replace("overlap = 0.2", "overlap = 0.3"),
+        None, "overlap must be smaller than the strip width"),
+    "single-entry-lists": (
+        "[problem]\npreset = heat1d\n\n[decomposition]\na_list = 0.0\nb_list = 1.0\n",
+        None, "count must be at least 2"),
+    "bad-table-header": (
+        "[problem]\ntable = {table}\n", "t,a11,b2,c\n0,1,0,0\n1,1,0,0\n",
+        "1D coefficient table header must be t,a11,b1,c"),
+    "sweep-overlap-wider-than-strip": (
+        MINIMAL + "\n[sweep]\noverlap_values = 0.2, 0.6\n",
+        None, "overlap must be smaller than the strip width"),
+    "non-elliptic-table": (
+        "[problem]\ntable = {table}\n", TABLE_1D.format(a=-1),
+        "smallest diffusion eigenvalue estimate -1 <= 0"),
+    "2d-without-nx_cross": (
+        "[problem]\npreset = tvar2d\nn = 2\n", None,
+        "nx_cross is required for n=2"),
+    "non-interleaving-lists": (
+        "[problem]\npreset = heat1d\n\n[decomposition]\n"
+        "a_list = 0.0, 0.3, 0.5\nb_list = 0.6, 0.7, 1.0\n",
+        None, "invalid decomposition: b_1 < a_3 fails"),
+}
+
+
+class TestOneValidationPath:
+    @pytest.mark.parametrize("verb", ["check", "run", "sweep"])
+    @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+    def test_rejected_with_one_line(self, tmp_path, monkeypatch, capsys, case, verb):
+        monkeypatch.chdir(tmp_path)
+        text, table, message = CONFIG_CASES[case]
+        if table is not None:
+            text = text.format(table=write(tmp_path, table, name="coeffs.csv"))
+        if verb == "sweep" and "[sweep]" not in text:
+            text += "\n[sweep]\np_values = 0.5, 1.0\n"
+        path = write(tmp_path, text)
+        assert main([verb, path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not os.path.exists("out")
+
+    def test_elliptic_table_accepted(self, tmp_path):
+        table = write(tmp_path, TABLE_1D.format(a=1), name="coeffs.csv")
+        path = write(tmp_path, f"[problem]\ntable = {table}\n")
+        assert main(["check", path]) == EXIT_OK
+
+    def test_overlap_values_with_explicit_lists_rejected(self, tmp_path):
+        path = write(tmp_path, "[decomposition]\na_list = 0.0, 0.4\n"
+                               "b_list = 0.6, 1.0\n\n[sweep]\noverlap_values = 0.1\n")
+        with pytest.raises(ValidationError, match="overlap_values cannot be combined"):
+            load_config(path)
+
+    def test_readme_example_checks(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S)
+        assert block is not None
+        path = write(tmp_path, block.group(1))
+        assert main(["check", path]) == EXIT_OK

@@ -37,6 +37,12 @@ class TestValidate:
         assert spec.b == pytest.approx((0.6, 1.0))
 
 
+    @pytest.mark.parametrize("count", [1, 0, -1])
+    def test_uniform_needs_two_strips(self, count):
+        with pytest.raises(ValueError, match="count must be at least 2"):
+            DecompositionSpec.uniform(UNIT, count, 0.2)
+
+
 class TestSnap:
     def test_exact_node(self):
         grid = build_grid(UNIT, 11, 4)

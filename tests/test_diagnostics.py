@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oswr import (GlobalSolution, RobinParameter, SubdomainSolution,
-                  WeightSpec, build_grid, compute_E, compute_error_fields,
-                  contraction_report, default_gamma, phi_boundary_check,
-                  pointwise_error_trend, problem_preset)
+from oswr import (DecompositionSpec, GlobalSolution, RobinParameter, SWRConfig,
+                  SubdomainSolution, WeightSpec, build_grid, compute_E,
+                  compute_error_fields, contraction_report, default_gamma,
+                  phi_boundary_check, pointwise_error_trend, problem_preset, run,
+                  snap, solve_global)
 from oswr.diagnostics import (HISTORY_HEADER, ErrorFields, IterationHistory,
                               IterationRecord, axis_derivative)
 from oswr.errors import ShapeMismatch, TooShort
@@ -232,3 +233,23 @@ class TestWeightSpec:
         w = WeightSpec(gamma=1.0, varphi=np.ones(4))
         with pytest.raises(ShapeMismatch):
             w.time_weight(10)
+
+
+def _shifted_run(alpha):
+    # heat1d on (alpha, alpha + 1): the data are translates of the unit case.
+    prob = problem_preset("heat1d", alpha=alpha, beta=alpha + 1.0)
+    grid = build_grid(prob.domain, 41, 10)
+    layout = snap(DecompositionSpec.uniform(prob.domain, 2, 0.2), grid)
+    config = SWRConfig(p=RobinParameter(10.0), max_iters=12, stop_tol=1e-30)
+    return run(prob, grid, layout, config, solve_global(prob, grid))
+
+
+def test_error_diagnostics_finite_on_shifted_domain():
+    # exp(p x_n) with x_n near 100 overflows; measured from alpha it does not.
+    shifted, unit = _shifted_run(100.0), _shifted_run(0.0)
+    assert len(shifted.rows) == len(unit.rows) == 12
+    E_shift, E_unit = np.array(shifted.E_sequence()), np.array(unit.E_sequence())
+    assert np.all(np.isfinite(E_shift))
+    assert np.allclose(E_shift, E_unit, rtol=1e-8, atol=0.0)
+    assert ([r.phi_boundary_ok for r in shifted.rows]
+            == [r.phi_boundary_ok for r in unit.rows])

@@ -52,6 +52,17 @@ class TestInitialGuess:
         assert np.all(traces[1][0].values == 0.0)
 
 
+class TestSWRConfig:
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(theta=-1.0), "theta must be nonnegative"),
+        (dict(gamma=-1.0), "gamma must be positive"),
+        (dict(gamma=0.0), "gamma must be positive"),
+    ])
+    def test_rejects_bad_weights(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SWRConfig(p=RobinParameter(1.0), **kwargs)
+
+
 class TestZeroFixedPoint:
     def test_terminates_first_sweep(self, setup):
         _, grid, layout, _ = setup

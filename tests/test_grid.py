@@ -28,6 +28,13 @@ class TestBuildGrid:
         with pytest.raises(BadResolution):
             build_grid(UNIT, nx, nt)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_cross_count_rejected(self, n):
+        dom = DomainSpec(n=n, alpha=0.0, beta=1.0, T=1.0,
+                         cross=(0.0, 1.0) if n == 2 else None)
+        with pytest.raises(BadResolution, match="nx_cross must be at least 3"):
+            build_grid(dom, 11, 10, nx_cross=2)
+
     def test_2d_requires_cross_count(self):
         dom = DomainSpec(n=2, alpha=0.0, beta=1.0, T=1.0, cross=(0.0, 1.0))
         with pytest.raises(BadResolution):
