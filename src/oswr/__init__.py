@@ -7,8 +7,8 @@ from .diagnostics import (ContractionReport, ErrorFields, IterationHistory,
                           contraction_report, default_gamma, phi_boundary_check,
                           pointwise_error_trend)
 from .engine import InitialGuess, SWRConfig, exchange, initial_traces, run, sweep_once
-from .grid import (AxisRange, BandedSystem, BoundaryClosure, FaceClosure, FaceRule,
-                   SpaceTimeGrid, StackOperator, assemble_step, build_grid, march)
+from .grid import (AxisRange, BandedSystem, FaceRule, SpaceTimeGrid, StackOperator,
+                   assemble_step, build_grid, march)
 from .oracle import GlobalSolution, solve_global
 from .problem import (CoefficientSet, DomainSpec, EllipticityReport,
                       ManufacturedSolution, ParabolicProblem, check_assumptions,
@@ -20,10 +20,10 @@ from .subdomain import (RobinParameter, SubdomainSolution, TraceData,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisRange", "BandedSystem", "BoundaryClosure", "CoefficientSet", "ContractionReport",
+    "AxisRange", "BandedSystem", "CoefficientSet", "ContractionReport",
     "DecompositionSpec", "DomainSpec", "EllipticityReport", "ErrorFields",
     "ExperimentConfig", "load_config", "validate_config",
-    "FaceClosure", "FaceRule", "GlobalSolution", "InitialGuess", "IterationHistory",
+    "FaceRule", "GlobalSolution", "InitialGuess", "IterationHistory",
     "ManufacturedSolution", "ParabolicProblem", "RobinParameter", "SWRConfig",
     "SpaceTimeGrid", "StackOperator", "SubdomainEntry", "SubdomainLayout", "SubdomainSolution",
     "TraceData", "WeightSpec", "assemble_step", "build_grid", "check_assumptions",

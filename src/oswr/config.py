@@ -168,8 +168,9 @@ def load_config(path: str) -> ExperimentConfig:
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ValidationError(f"unknown section [{section}]")
+        known = {key.lower() for key in _SCHEMA[section]}  # configparser lowercases keys
         for key in parser.options(section):
-            if key not in _SCHEMA[section]:
+            if key not in known:
                 raise ValidationError(f"unknown key '{key}' in section [{section}]")
 
     cfg = ExperimentConfig(source_path=path)
@@ -242,7 +243,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         check_assumptions(problem.coeffs, grid.times())
         runs = cfg.scheduled_runs(sweep=False) + cfg.scheduled_runs(sweep=True)
         for p, overlap in dict.fromkeys(runs):
-            msg = validate(cfg.decomposition_spec(problem.domain, overlap))
+            msg = validate(cfg.decomposition_spec(problem.domain, overlap), problem.domain)
             if msg is not None:
                 raise ValidationError(f"invalid decomposition: {msg}")
             cfg.swr_config(p)

@@ -50,11 +50,16 @@ class DecompositionSpec:
         return tuple(self.b[l] - self.a[l + 1] for l in range(self.count - 1))
 
 
-def validate(spec: DecompositionSpec) -> Optional[str]:
-    """None if the interleaving chain holds; otherwise the first violation."""
+def validate(spec: DecompositionSpec, domain: DomainSpec) -> Optional[str]:
+    """None if the strips span the domain and interleave; otherwise the
+    first violation."""
     a, b, I = spec.a, spec.b, spec.count
-    # Chain alpha = a_1 < a_2 < b_1 < a_3 < b_2 < ... < a_I < b_{I-1} < b_I
+    # Chain alpha = a_1 < a_2 < b_1 < a_3 < b_2 < ... < a_I < b_{I-1} < b_I = beta
     # (1-based names in the messages to match the usual notation).
+    if a[0] != domain.alpha:
+        return f"a_1 = alpha fails ({a[0]:g} != {domain.alpha:g})"
+    if b[-1] != domain.beta:
+        return f"b_{I} = beta fails ({b[-1]:g} != {domain.beta:g})"
     for l in range(I - 1):
         if not a[l] < a[l + 1]:
             return f"a_{l + 1} < a_{l + 2} fails"
@@ -106,10 +111,11 @@ def _snap_index(x: float, alpha: float, h: float, nmax: int, enlarge_down: bool)
 def snap(spec: DecompositionSpec, grid: SpaceTimeGrid) -> SubdomainLayout:
     """Map interface abscissas to the nearest grid nodes.
 
-    Raises SnapFailure when an abscissa is farther than h/2 from any node or
-    a snapped overlap collapses below one grid cell.
+    Raises SnapFailure when the strips do not span the grid's domain or do
+    not interleave (see validate), when an abscissa is farther than h/2
+    from any node, or when a snapped overlap collapses below one grid cell.
     """
-    msg = validate(spec)
+    msg = validate(spec, grid.domain)
     if msg is not None:
         raise SnapFailure(f"invalid decomposition: {msg}")
     h = grid.hx_axis
@@ -131,7 +137,6 @@ def snap(spec: DecompositionSpec, grid: SpaceTimeGrid) -> SubdomainLayout:
                 warnings.warn(f"interface abscissa {x} snapped to node with shift {shift:g}",
                               stacklevel=2)
             shifts.append(shift)
-    ia[0], ib[-1] = 0, nmax
     for l in range(spec.count - 1):
         if ib[l] - ia[l + 1] < 1:
             raise SnapFailure(f"snapped overlap between strips {l + 1} and {l + 2} "

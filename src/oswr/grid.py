@@ -1,4 +1,4 @@
-"""Uniform space-time grid, backward-Euler step assembly and the stack operator.
+"""Uniform space-time grid, backward-Euler step matrices and the stack operator.
 
 One implicit step solves  (I/dt + L_h(t_next)) u_next = u_prev/dt + f(t_next)
 with L_h the centered second-order discretization of
@@ -11,11 +11,13 @@ Unknowns are all nodes of the (local) box, ordered axis-major
 (index = i_axis * ncross + j_cross); Dirichlet nodes carry identity rows so
 the band structure is uniform.
 
-The step matrices depend on t_next and the face rules only, never on the
-iterate.  A StackOperator places the step matrices of several axis node
-ranges (the strips of one sweep, which are independent within it)
-block-diagonally in one band and factors each distinct one once; every
-later march costs one right-hand-side build for all steps and one LAPACK
+A step's matrix depends on the coefficient values at t_next and the face
+rules only, never on the iterate or the data.  A StackOperator places the
+step matrices of several axis node ranges (the strips of one sweep, which
+are independent within it) block-diagonally in one band.  It evaluates f
+(and the lateral g) once on the whole space-time grid, assembles and
+factors each distinct step matrix once, and applies the face data in one
+right-hand-side build for all steps; every march then costs one LAPACK
 solve per step.
 """
 
@@ -88,14 +90,16 @@ def build_grid(domain: DomainSpec, nx_axis: int, nt: int,
     return SpaceTimeGrid(domain=domain, nx_axis=nx_axis, nt=nt, nx_cross=nx_cross)
 
 
-def eval_nodes(fn, n: int, t: float, axis: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """Evaluate a space-time callable on a node box, returning (m, ncross)."""
-    m, J = len(axis), len(cross)
-    if n == 1:
-        vals = np.asarray(fn(t, axis), dtype=float)
-        return np.broadcast_to(vals, (m,)).reshape(m, 1).copy()
-    vals = np.asarray(fn(t, cross[None, :], axis[:, None]), dtype=float)
-    return np.broadcast_to(vals, (m, J)).copy()
+def eval_nodes(fn, grid: SpaceTimeGrid, times: np.ndarray) -> np.ndarray:
+    """Evaluate a space-time callable at every node and the given times in
+    one call, returning (len(times), nx_axis, ncross)."""
+    axis, shape = grid.axis_nodes(), (len(times), grid.nx_axis, grid.nx_cross)
+    if grid.domain.n == 1:
+        vals = np.broadcast_to(np.asarray(fn(times[:, None], axis), dtype=float), shape[:2])
+    else:
+        vals = np.broadcast_to(np.asarray(fn(times[:, None, None], grid.cross_nodes(),
+                                             axis[:, None]), dtype=float), shape)
+    return vals.reshape(shape).copy()
 
 
 def eval_plane(fn, grid: SpaceTimeGrid, xn: float) -> np.ndarray:
@@ -110,34 +114,17 @@ def eval_plane(fn, grid: SpaceTimeGrid, xn: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FaceClosure:
-    """Closure of one axis face for a single time step.
-
-    kind 'dirichlet': values are prescribed solution values over the cross
-    nodes.  kind 'robin': values are the data of  sign * du/dx_n + p u = data.
-    """
-
-    kind: str
-    values: np.ndarray
-    p: float = 0.0
-    sign: float = 1.0
-
-
-@dataclass(frozen=True)
-class BoundaryClosure:
-    low: FaceClosure
-    high: FaceClosure
-    lateral_low: Optional[np.ndarray] = None   # (m,) Dirichlet values at j=0
-    lateral_high: Optional[np.ndarray] = None  # (m,) Dirichlet values at j=J-1
-
-
-class FaceRule(NamedTuple):
+class FaceRule:
     """How one axis face is closed: kind 'dirichlet' (prescribed values) or
     'robin' (data of sign * du/dx_n + p u)."""
 
     kind: str
     p: float = 0.0
     sign: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("dirichlet", "robin"):
+            raise ValueError(f"unknown face closure kind '{self.kind}'")
 
 
 class AxisRange(NamedTuple):
@@ -260,7 +247,7 @@ def _coefficient_values(coeffs: CoefficientSet, t: float) -> Tuple[float, ...]:
 
 
 def _robin_data_coefficients(values: Tuple[float, ...], grid: SpaceTimeGrid,
-                             face: FaceClosure, low: bool) -> Tuple[float, float]:
+                             face: FaceRule, low: bool) -> Tuple[float, float]:
     """Factors of data[j] and of data[j+1] - data[j-1] in a Robin face row."""
     a_ax, b_ax, _, _, a_mx, _ = values
     s, h = face.sign, grid.hx_axis
@@ -270,50 +257,16 @@ def _robin_data_coefficients(values: Tuple[float, ...], grid: SpaceTimeGrid,
     return 2.0 * a_ax / (s * h) - b_ax / s, mixed
 
 
-def _face_values(face: FaceClosure, J: int) -> np.ndarray:
-    vals = np.atleast_1d(np.asarray(face.values, dtype=float))
-    if vals.shape != (J,):
-        raise ValueError("face closure values must have one entry per cross node")
-    return vals
+def assemble_step(values: Tuple[float, ...], grid: SpaceTimeGrid,
+                  ranges: Sequence[AxisRange], ab: Optional[np.ndarray] = None) -> np.ndarray:
+    """The step matrix of the axis ranges, placed block-diagonally in one
+    band in scipy solve_banded layout, (2*bw + 1, N).
 
-
-def _face_rhs(rhs: np.ndarray, rows, face: FaceClosure, vals: np.ndarray, n: int,
-              coefs: Optional[Tuple[float, float]]) -> None:
-    """Put one axis face's data into its rows of the right-hand side.
-
-    The Robin rows must already hold u_prev/dt + f.
+    `values` are the coefficient values at t_next (see _coefficient_values).
+    `ab`, if given, is a zeroed (2*bw + 1, N) array (or view) that receives
+    the matrix in place of a new one.
     """
-    inner = vals[1:-1] if n == 2 else vals
-    if face.kind == "dirichlet":
-        rhs[rows] = inner
-        return
-    data, mixed = coefs
-    rhs[rows] += data * inner
-    if n == 2:
-        rhs[rows] += mixed * (vals[2:] - vals[:-2])
-
-
-def assemble_step(coeffs: CoefficientSet, grid: SpaceTimeGrid, t_next: float,
-                  bc: BoundaryClosure, u_prev: np.ndarray, f_vals: np.ndarray,
-                  axis_lo: int = 0, axis_hi: Optional[int] = None,
-                  ab: Optional[np.ndarray] = None) -> BandedSystem:
-    """Assemble one implicit step on axis nodes [axis_lo, axis_hi].
-
-    u_prev and f_vals have shape (m, ncross) over the local box; the
-    returned system's solution is u_next flattened axis-major.  `ab`, if
-    given, is a zeroed (2*bw + 1, N) array (or view) that receives the
-    matrix in place of a new one.
-    """
-    n = coeffs.n
-    if axis_hi is None:
-        axis_hi = grid.nx_axis - 1
-    m = axis_hi - axis_lo + 1
-    J = grid.nx_cross
-    N = m * J
-    h = grid.hx_axis
-    dt = grid.dt
-
-    values = _coefficient_values(coeffs, t_next)
+    n, J, h, dt = grid.domain.n, grid.nx_cross, grid.hx_axis, grid.dt
     a_ax, b_ax, cc, a_cr, a_mx, b_cr = values
     if n == 2:
         hc = grid.hx_cross
@@ -333,54 +286,47 @@ def assemble_step(coeffs: CoefficientSet, grid: SpaceTimeGrid, t_next: float,
         up_cr = dn_cr = corner = 0.0
 
     if ab is None:
-        ab = np.zeros((2 * bw + 1, N))
-    rhs = (u_prev / dt + f_vals).reshape(N).astype(float)
-
-    # Constant diagonals (boundary rows are overwritten afterwards).
-    ab[bw, :] = diag
-    ab[bw - J, J:] = up_ax
-    ab[bw + J, :-J] = dn_ax
-    if n == 2:
-        ab[bw - 1, 1:] = up_cr
-        ab[bw + 1, :-1] = dn_cr
-        ab[bw - (J + 1), J + 1:] = corner
-        ab[bw + (J + 1), :-(J + 1)] = corner
-        ab[bw - (J - 1), J - 1:] = -corner
-        ab[bw + (J - 1), :-(J - 1)] = -corner
-
-    # Lateral faces (n=2): Dirichlet along the whole axis range, corners
-    # included (lateral data wins at corners).
-    if n == 2:
-        lateral = np.arange(0, N, J)
-        _identity_rows(ab, bw, np.concatenate([lateral, lateral + J - 1]))
-        rhs[lateral] = bc.lateral_low
-        rhs[lateral + J - 1] = bc.lateral_high
-
+        ab = np.zeros((2 * bw + 1, sum(r.hi - r.lo + 1 for r in ranges) * J))
     j_interior = np.arange(1, J - 1) if n == 2 else np.arange(1)
-    for face, low in ((bc.low, True), (bc.high, False)):
-        vals = _face_values(face, J)
-        rows = (0 if low else m - 1) * J + j_interior
-        coefs = None
-        if face.kind == "dirichlet":
-            _identity_rows(ab, bw, rows)
-        elif face.kind == "robin":
+    stop = 0
+    for r in ranges:
+        m = r.hi - r.lo + 1
+        start, stop = stop, stop + m * J
+        block = ab[:, start:stop]  # a view: the range's diagonal block
+
+        # Constant diagonals (boundary rows are overwritten afterwards).
+        block[bw, :] = diag
+        block[bw - J, J:] = up_ax
+        block[bw + J, :-J] = dn_ax
+        if n == 2:
+            block[bw - 1, 1:] = up_cr
+            block[bw + 1, :-1] = dn_cr
+            block[bw - (J + 1), J + 1:] = corner
+            block[bw + (J + 1), :-(J + 1)] = corner
+            block[bw - (J - 1), J - 1:] = -corner
+            block[bw + (J - 1), :-(J - 1)] = -corner
+            # Lateral faces: Dirichlet along the whole axis range, corners
+            # included (lateral data wins at corners).
+            lateral = np.arange(0, m * J, J)
+            _identity_rows(block, bw, np.concatenate([lateral, lateral + J - 1]))
+
+        for face, low in ((r.low, True), (r.high, False)):
+            rows = (0 if low else m - 1) * J + j_interior
+            if face.kind == "dirichlet":
+                _identity_rows(block, bw, rows)
+                continue
             p, s = face.p, face.sign
             # Ghost elimination: s*(u_inner - u_ghost)/(2h) + p*u_face = data
             # (low face; mirrored for the high face).
             drift = -2.0 * a_ax * p / (s * h) if low else 2.0 * a_ax * p / (s * h)
             inner = J if low else -J  # axis neighbor kept in the stencil
-            _clear_rows(ab, bw, rows)
-            ab[bw, rows] = diag + drift - b_ax * p / s
-            ab[bw - inner, rows + inner] = -2.0 * a_ax / h ** 2
+            _clear_rows(block, bw, rows)
+            block[bw, rows] = diag + drift - b_ax * p / s
+            block[bw - inner, rows + inner] = -2.0 * a_ax / h ** 2
             if n == 2:
-                ab[bw - 1, rows + 1] = up_cr + a_mx * p / (s * hc)
-                ab[bw + 1, rows - 1] = dn_cr - a_mx * p / (s * hc)
-            coefs = _robin_data_coefficients(values, grid, face, low)
-        else:
-            raise ValueError(f"unknown face closure kind '{face.kind}'")
-        _face_rhs(rhs, rows, face, vals, n, coefs)
-
-    return BandedSystem(bandwidth=bw, ab=ab, rhs=rhs)
+                block[bw - 1, rows + 1] = up_cr + a_mx * p / (s * hc)
+                block[bw + 1, rows - 1] = dn_cr - a_mx * p / (s * hc)
+    return ab
 
 
 class StackOperator:
@@ -388,14 +334,21 @@ class StackOperator:
 
     Step k's matrix is the ranges' step-k matrices placed block-diagonally
     in one band, so one LAPACK solve advances every range by one step.  A
-    step's matrix, forcing and lateral data depend on t_k and the face rules
-    only, never on the iterate.  The first march assembles every step with
-    zero u_prev and zero face data, keeps that static right-hand side,
-    (nt+1, N), and the Robin data factors, and factors each distinct matrix
-    (steps with equal coefficient values share one).  Factors are kept while
-    they fit in FACTOR_CACHE_BYTES, read when a step is prepared; a step
-    whose factors do not fit is assembled and factored again at every use,
-    so results do not depend on the cap.
+    step's matrix depends on the coefficient values at t_k and the face
+    rules only, never on the iterate or the data.  The first march prepares
+    every step at once:
+
+    - node data, once: f on the whole (nt+1) x axis x cross grid in one
+      call (and g on the two lateral planes in 2D), sliced into the static
+      right-hand side (nt+1, N), whose Dirichlet face rows rhs() overwrites
+      with the face data; u0 from g at t=0 the same way;
+    - the Robin data factors of every step;
+    - one assembly and factorization per distinct coefficient key (steps
+      with equal values share one).
+
+    Factors are kept while they fit in FACTOR_CACHE_BYTES, read when the
+    steps are prepared; a step whose factors do not fit is assembled and
+    factored again at every use, so results do not depend on the cap.
     """
 
     def __init__(self, problem: ParabolicProblem, grid: SpaceTimeGrid,
@@ -417,77 +370,63 @@ class StackOperator:
         self._faces = []  # (rows, rule, is low face) per face, range by range
         for r, rows in zip(self.ranges, self.slices):
             for face, low in ((r.low, True), (r.high, False)):
-                if face.kind not in ("dirichlet", "robin"):
-                    raise ValueError(f"unknown face closure kind '{face.kind}'")
                 first = rows.start if low else rows.stop - J
                 face_rows = slice(first + j0, first + j1)
                 if face.kind == "dirichlet":
                     self.takes_prev[face_rows] = 0.0
                 self._faces.append((face_rows, face, low))
+        self.u0 = None        # (N,), filled by the first march
         self._static = None   # (nt+1, N), filled by the first march
         self._coefs = None    # per face: Robin data factors, (2, nt+1)
         self._keys = None     # per step: the coefficient values at t_k
         self._lus = {}        # coefficient values -> factors kept
-        axis, cross = grid.axis_nodes(), grid.cross_nodes()
-        self.u0 = np.concatenate([eval_nodes(problem.g, n, 0.0, axis[r.lo:r.hi + 1], cross)
-                                  .reshape(-1) for r in self.ranges])
 
-    def system(self, k: int) -> BandedSystem:
-        """Step k's stacked matrix and static right-hand side, assembled afresh."""
-        work, rhs = self._assemble(k)
-        return BandedSystem(bandwidth=self.bandwidth, ab=work[self.bandwidth:], rhs=rhs)
+    def _stack(self, nodes: np.ndarray) -> np.ndarray:
+        """Whole-grid node values (..., nx_axis, ncross) as the ranges'
+        unknowns side by side, (..., N)."""
+        lead = nodes.shape[:-2]
+        return np.concatenate([nodes[..., r.lo:r.hi + 1, :].reshape(lead + (-1,))
+                               for r in self.ranges], axis=-1)
 
-    def _assemble(self, k: int, node_data: bool = True) -> Tuple[np.ndarray, np.ndarray]:
-        """Step k's matrix, in rows bw: of a fresh (3*bw + 1, N) Fortran
-        array, and its static right-hand side (zero without node data)."""
-        problem, grid, bw = self.problem, self.grid, self.bandwidth
-        n, t, J = problem.domain.n, grid.times()[k], grid.nx_cross
-        cross, axis = grid.cross_nodes(), grid.axis_nodes()
+    def _factor(self, values: Tuple[float, ...]) -> Union[BandedLU, TridiagonalLU]:
+        """Assemble and factor the step matrix of these coefficient values."""
+        bw = self.bandwidth
         work = np.zeros((3 * bw + 1, self.size), order="F")
-        rhs = np.empty(self.size)
-        zero_face = np.zeros(J)
-        for r, rows in zip(self.ranges, self.slices):
-            nodes = axis[r.lo:r.hi + 1]
-            m = len(nodes)
-            f_vals = (eval_nodes(problem.f, n, t, nodes, cross) if node_data
-                      else np.zeros((m, J)))
-            lateral = ()
-            if n == 2:
-                lateral = tuple(
-                    np.broadcast_to(np.asarray(problem.g(t, x, nodes), dtype=float), (m,))
-                    if node_data else np.zeros(m) for x in (cross[0], cross[-1]))
-            bc = BoundaryClosure(FaceClosure(r.low.kind, zero_face, r.low.p, r.low.sign),
-                                 FaceClosure(r.high.kind, zero_face, r.high.p, r.high.sign),
-                                 *lateral)
-            rhs[rows] = assemble_step(problem.coeffs, grid, t, bc, np.zeros((m, J)), f_vals,
-                                      r.lo, r.hi, ab=work[bw:, rows]).rhs
-        return work, rhs
-
-    def _factor(self, work: np.ndarray) -> Union[BandedLU, TridiagonalLU]:
-        lu = _factor_band(work, self.bandwidth)
+        assemble_step(values, self.grid, self.ranges, work[bw:])
+        lu = _factor_band(work, bw)
         self.factorizations += 1
         return lu
 
     def _prepare(self) -> None:
-        problem, grid, nt = self.problem, self.grid, self.grid.nt
-        static = np.zeros((nt + 1, self.size))
-        coefs = np.zeros((len(self._faces), 2, nt + 1))
-        keys: List[Optional[tuple]] = [None] * (nt + 1)
+        problem, grid = self.problem, self.grid
+        times = grid.times()
+        nodes = eval_nodes(problem.f, grid, times)
+        if problem.domain.n == 2:
+            cross, axis = grid.cross_nodes(), grid.axis_nodes()
+            for j in (0, -1):
+                nodes[:, :, j] = problem.g(times[:, None], cross[j], axis)
+        static = self._stack(nodes)
+        self.u0 = self._stack(eval_nodes(problem.g, grid, times[:1])[0])
+
+        keys: List[Optional[tuple]] = [None] + [
+            _coefficient_values(problem.coeffs, t) for t in times[1:]]
+        coefs = np.zeros((len(self._faces), 2, grid.nt + 1))
+        for i, (_, face, low) in enumerate(self._faces):
+            if face.kind == "robin":
+                for k in range(1, grid.nt + 1):
+                    coefs[i, :, k] = _robin_data_coefficients(keys[k], grid, face, low)
         # An upper bound on one step's factor bytes, known before factoring.
         step_bytes = (3 * self.bandwidth + 1) * self.size * 8 + self.size * 4
-        for k in range(1, nt + 1):
-            work, static[k] = self._assemble(k)
-            keys[k] = values = _coefficient_values(problem.coeffs, grid.times()[k])
-            for i, (_, face, low) in enumerate(self._faces):
-                if face.kind == "robin":
-                    coefs[i, :, k] = _robin_data_coefficients(values, grid, face, low)
-            if values not in self._lus and self.nbytes + step_bytes <= FACTOR_CACHE_BYTES:
-                lu = self._lus[values] = self._factor(work)
-                self.nbytes += lu.nbytes
+        for values in dict.fromkeys(keys[1:]):
+            if self.nbytes + step_bytes > FACTOR_CACHE_BYTES:
+                break
+            lu = self._lus[values] = self._factor(values)
+            self.nbytes += lu.nbytes
         self._static, self._coefs, self._keys = static, coefs, keys
 
     def rhs(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Every step's right-hand side for zero u_prev, (nt+1, N).
+        """Every step's right-hand side for zero u_prev, (nt+1, N); row 0 is
+        not used.
 
         faces[i] holds the (nt+1, ncross) data of range i's low and high
         face: solution values on a Dirichlet face, Robin data on a Robin one.
@@ -510,9 +449,10 @@ class StackOperator:
 
     def factors(self, k: int) -> Union[BandedLU, TridiagonalLU]:
         """Step k's LU factors: the kept ones, or made afresh; after rhs()."""
-        lu = self._lus.get(self._keys[k])
+        values = self._keys[k]
+        lu = self._lus.get(values)
         if lu is None:
-            lu = self._factor(self._assemble(k, node_data=False)[0])
+            lu = self._factor(values)
         return lu
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oswr import load_config
+from oswr import build_grid, load_config
 from oswr.cli import (EXIT_CONTRACTION, EXIT_NUMERICAL, EXIT_OK,
                       EXIT_VALIDATION, main, run_experiment)
 from oswr.errors import ParseError, ValidationError
@@ -77,6 +77,17 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.p_values == [0.5, 1.0, 2.0, 4.0]
         assert len(cfg.scheduled_runs(sweep=True)) == 4
+
+    def test_time_horizon_settable(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write(tmp_path, _fast(MINIMAL.replace("preset = heat1d",
+                                                     "preset = heat1d\nT = 2")))
+        assert main(["check", path]) == EXIT_OK
+        cfg = load_config(path)
+        grid = build_grid(cfg.build_problem().domain, cfg.nx_axis, cfg.nt, cfg.nx_cross)
+        assert grid.dt == 2.0 / 20
+        assert main(["run", path]) == EXIT_OK
+        assert "  T = 2.0\n" in Path("out/meta").read_text()
 
     def test_explicit_lists(self, tmp_path):
         path = write(tmp_path, """\
@@ -238,6 +249,14 @@ CONFIG_CASES = {
         "[problem]\npreset = heat1d\n\n[decomposition]\n"
         "a_list = 0.0, 0.3, 0.5\nb_list = 0.6, 0.7, 1.0\n",
         None, "invalid decomposition: b_1 < a_3 fails"),
+    "lists-inside-the-domain": (
+        "[problem]\npreset = heat1d\n\n[decomposition]\n"
+        "a_list = 0.2, 0.4\nb_list = 0.6, 0.8\n",
+        None, "invalid decomposition: a_1 = alpha fails (0.2 != 0)"),
+    "lists-short-of-beta": (
+        "[problem]\npreset = heat1d\n\n[decomposition]\n"
+        "a_list = 0.0, 0.4\nb_list = 0.6, 0.8\n",
+        None, "invalid decomposition: b_2 = beta fails (0.8 != 1)"),
 }
 
 

@@ -1,5 +1,6 @@
 """Strip decomposition validation and node snapping."""
 
+import re
 import warnings
 
 import numpy as np
@@ -16,26 +17,43 @@ UNIT = DomainSpec(n=1, alpha=0.0, beta=1.0, T=1.0)
 class TestValidate:
     def test_two_strips_ok(self):
         spec = DecompositionSpec(count=2, a=(0.0, 0.4), b=(0.6, 1.0))
-        assert validate(spec) is None
+        assert validate(spec, UNIT) is None
         assert spec.overlaps() == pytest.approx((0.2,))
 
     def test_three_strips_ok(self):
         spec = DecompositionSpec(count=3, a=(0.0, 0.3, 0.6), b=(0.4, 0.7, 1.0))
-        assert validate(spec) is None
+        assert validate(spec, UNIT) is None
 
     def test_empty_overlap_named(self):
         spec = DecompositionSpec(count=2, a=(0.0, 0.6), b=(0.5, 1.0))
-        assert validate(spec) == "a_2 < b_1 fails"
+        assert validate(spec, UNIT) == "a_2 < b_1 fails"
 
     def test_non_adjacent_overlap_named(self):
         spec = DecompositionSpec(count=3, a=(0.0, 0.2, 0.35), b=(0.4, 0.8, 1.0))
-        assert validate(spec) == "b_1 < a_3 fails"
+        assert validate(spec, UNIT) == "b_1 < a_3 fails"
 
     def test_uniform_constructor(self):
         spec = DecompositionSpec.uniform(UNIT, 2, 0.2)
         assert spec.a == pytest.approx((0.0, 0.4))
         assert spec.b == pytest.approx((0.6, 1.0))
 
+
+    @pytest.mark.parametrize("a,b,message", [
+        ((0.2, 0.4), (0.6, 1.0), "a_1 = alpha fails (0.2 != 0)"),
+        ((0.0, 0.4), (0.6, 0.8), "b_2 = beta fails (0.8 != 1)"),
+        ((0.2, 0.4), (0.6, 0.8), "a_1 = alpha fails (0.2 != 0)"),
+    ])
+    def test_ends_must_be_domain_ends(self, a, b, message):
+        spec = DecompositionSpec(count=2, a=a, b=b)
+        assert validate(spec, UNIT) == message
+        with pytest.raises(SnapFailure, match=re.escape(message)):
+            snap(spec, build_grid(UNIT, 11, 4))
+
+    def test_ends_on_shifted_domain(self):
+        dom = DomainSpec(n=1, alpha=100.0, beta=101.0, T=1.0)
+        assert validate(DecompositionSpec.uniform(dom, 3, 0.1), dom) is None
+        assert validate(DecompositionSpec(count=2, a=(0.0, 100.4), b=(100.6, 101.0)),
+                        dom) == "a_1 = alpha fails (0 != 100)"
 
     @pytest.mark.parametrize("count", [1, 0, -1])
     def test_uniform_needs_two_strips(self, count):
@@ -94,7 +112,7 @@ def test_uniform_spec_snaps_to_full_cover(count, overlap_cells, nx):
     if overlap >= 1.0 / count:
         return  # constructor precondition
     spec = DecompositionSpec.uniform(UNIT, count, overlap)
-    assert validate(spec) is None
+    assert validate(spec, UNIT) is None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         layout = snap(spec, grid)

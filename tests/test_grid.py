@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from oswr import (AxisRange, BoundaryClosure, CoefficientSet, DomainSpec, FaceClosure,
-                  FaceRule, assemble_step, build_grid, march, problem_preset,
-                  solve_global)
+from oswr import (AxisRange, BandedSystem, DomainSpec, FaceRule, assemble_step,
+                  build_grid, march, problem_preset, solve_global)
 from oswr.errors import BadResolution
 from tests.conftest import make_zero_problem
 
@@ -42,33 +41,31 @@ class TestBuildGrid:
 
 
 class TestAssembleStep:
-    def _dirichlet_bc(self, lo=0.0, hi=0.0):
-        return BoundaryClosure(
-            low=FaceClosure(kind="dirichlet", values=np.array([lo])),
-            high=FaceClosure(kind="dirichlet", values=np.array([hi])))
+    # Coefficient values are (a_nn, b_n, c, a_11, a_12, b_1), the last three 0 for n=1.
+    DIRICHLET = FaceRule("dirichlet")
 
     def test_interior_row_heat(self):
         # a=1, b=0, c=0, h=0.1, dt=0.1: interior row is
         # [-a/h^2, 1/dt + 2a/h^2, -a/h^2] = [-100, 210, -100].
         grid = build_grid(UNIT, 11, 10)
-        coeffs = CoefficientSet.build(1.0, 0.0, 0.0)
-        u_prev = np.zeros((11, 1))
-        f_vals = np.zeros((11, 1))
-        system = assemble_step(coeffs, grid, 0.1, self._dirichlet_bc(),
-                               u_prev, f_vals)
-        dense = system.to_dense()
+        whole = AxisRange(0, 10, self.DIRICHLET, self.DIRICHLET)
+        ab = assemble_step((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), grid, [whole])
+        dense = BandedSystem(bandwidth=1, ab=ab, rhs=np.zeros(11)).to_dense()
         assert np.allclose(dense[5, 4:7], [-100.0, 210.0, -100.0])
 
     def test_scalar_backward_euler(self):
         # With a=b=0 and c=1 the single interior unknown decouples and one
         # step is u_next = u_prev / (1 + dt).
         grid = build_grid(DomainSpec(n=1, alpha=0.0, beta=1.0, T=1.0), 3, 10)
-        coeffs = CoefficientSet.build(0.0, 0.0, 1.0)
-        u_prev = np.array([[0.0], [1.0], [0.0]])
-        system = assemble_step(coeffs, grid, grid.dt, self._dirichlet_bc(),
-                               u_prev, np.zeros((3, 1)))
-        u_next = system.solve()
+        whole = AxisRange(0, 2, self.DIRICHLET, self.DIRICHLET)
+        ab = assemble_step((0.0, 0.0, 1.0, 0.0, 0.0, 0.0), grid, [whole])
+        rhs = np.array([0.0, 1.0, 0.0]) / grid.dt  # u_prev/dt, zero Dirichlet data
+        u_next = BandedSystem(bandwidth=1, ab=ab, rhs=rhs).solve()
         assert u_next[1] == pytest.approx(1.0 / (1.0 + grid.dt))
+
+    def test_unknown_face_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown face closure kind 'neumann'"):
+            FaceRule("neumann")
 
     def test_zero_data_propagates_zero(self):
         prob = make_zero_problem(problem_preset("heat1d"))

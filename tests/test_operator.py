@@ -1,27 +1,48 @@
 """Step assembly against a loop reference, and the stack operator against
 per-step assembly and per-strip solves: results, the block-diagonal stacked
-matrix, shared factorizations, the factor cache cap and singular steps."""
+matrix and static right-hand side, shared factorizations, the factor cache
+cap and singular steps."""
 
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, solve_banded
 
 import oswr.grid
-from oswr import (AxisRange, BoundaryClosure, CoefficientSet, DecompositionSpec,
-                  FaceClosure, FaceRule, GlobalSolution, InitialGuess,
-                  ParabolicProblem, RobinParameter, StackOperator, SWRConfig,
-                  assemble_step, build_grid, initial_traces, march, problem_preset,
-                  run, snap, solve_global, solve_subdomain, sweep_once)
+from oswr import (AxisRange, BandedSystem, CoefficientSet, DecompositionSpec,
+                  FaceRule, GlobalSolution, InitialGuess, ParabolicProblem,
+                  RobinParameter, StackOperator, SWRConfig, assemble_step, build_grid,
+                  initial_traces, march, problem_from_table, problem_preset, run, snap,
+                  solve_global, solve_subdomain, sweep_once)
 from oswr.errors import SingularSystem
-from oswr.grid import eval_nodes
+from oswr.grid import _coefficient_values
 from oswr.subdomain import axis_range
 
 
-def _loop_assemble(coeffs, grid, t, bc, u_prev, f_vals, lo, hi):
-    """Row-by-row assembly: the reference for the vectorized row patches."""
-    n, m, J = coeffs.n, hi - lo + 1, grid.nx_cross
+def _nodes(fn, grid, t, r):
+    """fn at time t on the nodes of range r, (m, ncross), one call per step."""
+    axis, cross = grid.axis_nodes()[r.lo:r.hi + 1], grid.cross_nodes()
+    m, J = len(axis), len(cross)
+    if grid.domain.n == 1:
+        return np.broadcast_to(np.asarray(fn(t, axis), dtype=float), (m,)).reshape(m, 1)
+    return np.broadcast_to(np.asarray(fn(t, cross[None, :], axis[:, None]), dtype=float),
+                           (m, J))
+
+
+def _lateral(prob, grid, t, r):
+    """g at time t on the two lateral planes of range r (n=2), or ()."""
+    if prob.domain.n == 1:
+        return ()
+    axis, cross = grid.axis_nodes()[r.lo:r.hi + 1], grid.cross_nodes()
+    return tuple(np.broadcast_to(prob.g(t, x, axis), axis.shape) for x in (cross[0], cross[-1]))
+
+
+def _loop_assemble(coeffs, grid, t, r, face_vals, lateral, u_prev, f_vals):
+    """Row-by-row assembly of one range's step: the reference for the
+    vectorized row patches.  face_vals holds the low and high face data at
+    t, lateral the (m,) g values at j=0 and j=J-1 (n=2)."""
+    n, m, J = coeffs.n, r.hi - r.lo + 1, grid.nx_cross
     N, h, dt = m * J, grid.hx_axis, grid.dt
     a_ax, b_ax, cc = (float(coeffs.a[n - 1][n - 1](t)), float(coeffs.b[n - 1](t)),
                       float(coeffs.c(t)))
@@ -65,29 +86,29 @@ def _loop_assemble(coeffs, grid, t, bc, u_prev, f_vals, lo, hi):
 
     if n == 2:
         for i in range(m):
-            dirichlet(i * J, bc.lateral_low[i])
-            dirichlet(i * J + J - 1, bc.lateral_high[i])
-    for face, low in ((bc.low, True), (bc.high, False)):
+            dirichlet(i * J, lateral[0][i])
+            dirichlet(i * J + J - 1, lateral[1][i])
+    for face, vals, low in ((r.low, face_vals[0], True), (r.high, face_vals[1], False)):
         i0, inner = (0, 1) if low else (m - 1, m - 2)
-        vals = np.atleast_1d(face.values)
+        vals = np.atleast_1d(vals)
         for j in (range(1, J - 1) if n == 2 else range(J)):
-            r = i0 * J + j
+            row = i0 * J + j
             if face.kind == "dirichlet":
-                dirichlet(r, vals[j])
+                dirichlet(row, vals[j])
                 continue
             p, s = face.p, face.sign
             drift = -2.0 * a_ax * p / (s * h) if low else 2.0 * a_ax * p / (s * h)
-            clear(r)
-            put(r, r, diag + drift - b_ax * p / s)
-            put(r, inner * J + j, -2.0 * a_ax / h ** 2)
+            clear(row)
+            put(row, row, diag + drift - b_ax * p / s)
+            put(row, inner * J + j, -2.0 * a_ax / h ** 2)
             if n == 2:
-                put(r, r + 1, up_cr + a_mx * p / (s * hc))
-                put(r, r - 1, dn_cr - a_mx * p / (s * hc))
+                put(row, row + 1, up_cr + a_mx * p / (s * hc))
+                put(row, row - 1, dn_cr - a_mx * p / (s * hc))
             coef = (2.0 * a_ax / (s * h) + b_ax / s) if low else (2.0 * a_ax / (s * h) - b_ax / s)
-            rhs[r] = (u_prev[i0, j] / dt + f_vals[i0, j]
-                      + (-coef if low else coef) * vals[j])
+            rhs[row] = (u_prev[i0, j] / dt + f_vals[i0, j]
+                        + (-coef if low else coef) * vals[j])
             if n == 2:
-                rhs[r] += (a_mx / (s * hc)) * (vals[j + 1] - vals[j - 1])
+                rhs[row] += (a_mx / (s * hc)) * (vals[j + 1] - vals[j - 1])
     return ab, rhs
 
 
@@ -103,37 +124,44 @@ def test_assembly_matches_loop_reference(preset, nx, nx_cross, kinds, low_sign):
     prob = problem_preset(preset)
     grid = build_grid(prob.domain, nx, 6, nx_cross)
     rng = np.random.default_rng(5)
-    J = grid.nx_cross
+    J, bw = grid.nx_cross, (grid.nx_cross + 1 if nx_cross else 1)
     for lo, hi in ((0, nx - 1), (2, nx - 3)):
         m = hi - lo + 1
-        bc = BoundaryClosure(
-            FaceClosure(kinds[0], rng.standard_normal(J), p=1.7, sign=low_sign),
-            FaceClosure(kinds[1], rng.standard_normal(J), p=0.9),
-            *((rng.standard_normal(m), rng.standard_normal(m)) if J > 1 else ()))
-        u_prev, f_vals = rng.standard_normal((m, J)), rng.standard_normal((m, J))
-        system = assemble_step(prob.coeffs, grid, 0.37, bc, u_prev, f_vals, lo, hi)
-        ab, rhs = _loop_assemble(prob.coeffs, grid, 0.37, bc, u_prev, f_vals, lo, hi)
-        assert np.array_equal(system.ab, ab)
-        assert np.array_equal(system.rhs, rhs)
-        # to_dense() reads the solve_banded layout: the dense system is solved.
-        assert np.allclose(system.to_dense() @ system.solve(), system.rhs,
-                           rtol=0.0, atol=1e-9 * np.max(np.abs(rhs)))
+        r = AxisRange(lo, hi, FaceRule(kinds[0], 1.7, low_sign), FaceRule(kinds[1], 0.9))
+        zero = np.zeros((m, J))
+        # The band at a time between grid times.
+        ab = assemble_step(_coefficient_values(prob.coeffs, 0.37), grid, [r])
+        ref, _ = _loop_assemble(prob.coeffs, grid, 0.37, r, np.zeros((2, J)),
+                                np.zeros((2, m)), zero, zero)
+        assert np.array_equal(ab, ref)
+        # Every step: the band, and the right-hand side for zero u_prev with
+        # random face data.
+        faces = rng.standard_normal((2, grid.nt + 1, J))
+        rhs = StackOperator(prob, grid, [r]).rhs([faces])
+        for k, t in enumerate(grid.times()[1:], start=1):
+            ab = assemble_step(_coefficient_values(prob.coeffs, t), grid, [r])
+            ref, ref_rhs = _loop_assemble(prob.coeffs, grid, t, r, faces[:, k],
+                                          _lateral(prob, grid, t, r), zero,
+                                          _nodes(prob.f, grid, t, r))
+            assert np.array_equal(ab, ref)
+            assert np.array_equal(rhs[k], ref_rhs)
+            # to_dense() reads the solve_banded layout: the dense system is solved.
+            system = BandedSystem(bandwidth=bw, ab=ab, rhs=rhs[k])
+            assert np.allclose(system.to_dense() @ system.solve(), system.rhs,
+                               rtol=0.0, atol=1e-9 * np.max(np.abs(ref_rhs)))
 
 
 def _per_step_reference(prob, grid, r, data):
-    """One range's march written out with assemble_step(...).solve() at every step."""
-    n, axis, cross = prob.domain.n, grid.axis_nodes()[r.lo:r.hi + 1], grid.cross_nodes()
-    m, J = len(axis), len(cross)
+    """One range's march written out with _loop_assemble and a banded solve
+    at every step."""
+    m, J = r.hi - r.lo + 1, grid.nx_cross
+    bw = J + 1 if prob.domain.n == 2 else 1
     u = np.empty((grid.nt + 1, m, J))
-    u[0] = eval_nodes(prob.g, n, 0.0, axis, cross)
+    u[0] = _nodes(prob.g, grid, 0.0, r)
     for k, t in enumerate(grid.times()[1:], start=1):
-        low, high = (FaceClosure(face.kind, vals[k], face.p, face.sign)
-                     for face, vals in zip((r.low, r.high), data))
-        lateral = ((np.broadcast_to(prob.g(t, cross[0], axis), (m,)),
-                    np.broadcast_to(prob.g(t, cross[-1], axis), (m,))) if n == 2 else ())
-        system = assemble_step(prob.coeffs, grid, t, BoundaryClosure(low, high, *lateral),
-                               u[k - 1], eval_nodes(prob.f, n, t, axis, cross), r.lo, r.hi)
-        u[k] = system.solve().reshape(m, J)
+        ab, rhs = _loop_assemble(prob.coeffs, grid, t, r, data[:, k], _lateral(prob, grid, t, r),
+                                 u[k - 1], _nodes(prob.f, grid, t, r))
+        u[k] = solve_banded((bw, bw), ab, rhs).reshape(m, J)
     return u
 
 
@@ -183,22 +211,21 @@ def test_stacked_matrix_is_block_diagonal(preset, nx_cross):
     prob, grid, layout = _tiny_run(preset, nt=4, nx_cross=nx_cross)
     p = RobinParameter(1.0)
     operator = _stack(prob, grid, layout, p)
-    n, J, cross = prob.domain.n, grid.nx_cross, grid.cross_nodes()
+    J, bw = grid.nx_cross, operator.bandwidth
+    zero = np.zeros((grid.nt + 1, J))
+    static = operator.rhs([(zero, zero)] * len(operator.ranges))
     for k, t in enumerate(grid.times()[1:], start=1):
         blocks, rhs = [], []
         for r in operator.ranges:
-            axis = grid.axis_nodes()[r.lo:r.hi + 1]
-            m = len(axis)
-            low, high = (FaceClosure(face.kind, np.zeros(J), face.p, face.sign)
-                         for face in (r.low, r.high))
-            lateral = ((np.broadcast_to(prob.g(t, cross[0], axis), (m,)),
-                        np.broadcast_to(prob.g(t, cross[-1], axis), (m,))) if n == 2 else ())
-            system = assemble_step(prob.coeffs, grid, t, BoundaryClosure(low, high, *lateral),
-                                   np.zeros((m, J)), eval_nodes(prob.f, n, t, axis, cross),
-                                   r.lo, r.hi)
-            blocks.append(system.to_dense())
-            rhs.append(system.rhs)
-        stacked = operator.system(k)
+            m = r.hi - r.lo + 1
+            ab, b = _loop_assemble(prob.coeffs, grid, t, r, np.zeros((2, J)),
+                                   _lateral(prob, grid, t, r),
+                                   np.zeros((m, J)), _nodes(prob.f, grid, t, r))
+            blocks.append(BandedSystem(bandwidth=bw, ab=ab, rhs=b).to_dense())
+            rhs.append(b)
+        stacked = BandedSystem(
+            bandwidth=bw, rhs=static[k],
+            ab=assemble_step(_coefficient_values(prob.coeffs, t), grid, operator.ranges))
         assert np.array_equal(stacked.to_dense(), block_diag(*blocks))
         assert np.array_equal(stacked.rhs, np.concatenate(rhs))
 
@@ -240,6 +267,25 @@ def test_cap_zero_refactors_every_step(monkeypatch):
         sweep_once(prob, grid, layout, traces, p, operator)
     assert operator.factorizations == 3 * grid.nt
     assert operator.nbytes == 0
+
+
+def test_equal_steps_share_factors(monkeypatch, tmp_path):
+    # a11 is 1 up to t = 0.55 and 2 from t = 0.6 on, so the six steps have
+    # two distinct matrices.
+    table = tmp_path / "plateaus.csv"
+    table.write_text("t,a11,b1,c\n0,1,0.5,1\n0.55,1,0.5,1\n0.6,2,0.5,1\n1,2,0.5,1\n")
+    base, grid, layout = _tiny_run("heat1d")
+    prob = problem_from_table(str(table), base.domain)
+    p = RobinParameter(1.0)
+    traces = initial_traces(InitialGuess("random-smooth", seed=2), layout, grid, prob)
+    sols = {}
+    for cap in (0, 2 ** 40):
+        monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
+        operator = _stack(prob, grid, layout, p)
+        for _ in range(3):
+            sols[cap] = sweep_once(prob, grid, layout, traces, p, operator)
+        assert operator.factorizations == (2 if cap else 3 * grid.nt)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(sols[0], sols[2 ** 40]))
 
 
 def test_run_history_independent_of_cap(monkeypatch):
