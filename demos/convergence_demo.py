@@ -25,14 +25,16 @@ def demo(orientation):
                        max_iters=25, stop_tol=1e-24,
                        guess=InitialGuess(kind="random-smooth", seed=7))
     history = run(problem, grid, layout, config, oracle)
+    report = history.contraction()
+    # The ratio of row k ends the window of E_{k-I}..E_{k-1}; the first I
+    # rows have none.
+    ratios = [None] * report.window + list(report.ratios)
 
     print(f"\norientation = {orientation!r}")
     print(f"{'k':>3} {'E_k':>12} {'ratio':>8} {'sup|e|':>12}")
-    for row in history.rows:
-        gamma = history.gamma_for_row(row.k)
+    for row, gamma in zip(history.rows, ratios):
         ratio = f"{gamma:8.4f}" if gamma is not None else "       -"
         print(f"{row.k:3d} {row.E:12.3e} {ratio} {row.sup_e_max:12.3e}")
-    report = history.contraction()
     print(f"verdict: {report.verdict}, geometric-mean ratio "
           f"{report.geometric_mean:.4f} (terminated: {history.termination})")
 

@@ -5,9 +5,10 @@ Verbs:
     oswr sweep <config.ini>   Cartesian sweep over p_values / overlap_values
     oswr check <config.ini>   validate the config and exit
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure,
-4 contraction verdict failure.  Each run writes `history.csv` and a `meta`
-text file into its own directory; `summary.csv` collects one row per run.
+Exit codes: 0 success, 2 validation failure, 3 numerical failure (a
+non-finite E_k among them), 4 contraction verdict failure.  Each run writes
+`history.csv` and a `meta` text file into its own directory; `summary.csv`
+collects one row per run.
 """
 
 from __future__ import annotations
@@ -114,6 +115,8 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool = False,
             layout = snap(spec, grid)
             history = swr_run(problem, grid, layout, cfg.swr_config(p), oracle)
             termination = history.termination
+            if termination == "nonfinite_E":
+                raise OswrError(f"E_k is not finite at sweep {len(history.rows)}")
             try:
                 report = history.contraction(cfg.gamma_max)
             except OswrError:

@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .decomposition import SubdomainEntry
 from .errors import ShapeMismatch, TooShort
 from .grid import SpaceTimeGrid
 from .oracle import GlobalSolution
@@ -41,7 +40,7 @@ def default_gamma(domain: DomainSpec) -> float:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Space weight exp(-gamma x_n) and strictly positive time weight samples."""
+    """Space weight exp(-gamma x_n) and finite nonnegative time weight samples."""
 
     gamma: float
     varphi: Optional[np.ndarray] = None  # (nt+1,), defaults to ones
@@ -49,8 +48,10 @@ class WeightSpec:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.varphi is not None and not np.all(np.asarray(self.varphi) > 0):
-            raise ValueError("time weight samples must be strictly positive")
+        if self.varphi is not None:
+            v = np.asarray(self.varphi, dtype=float)
+            if not np.all(np.isfinite(v) & (v >= 0)):
+                raise ValueError("time weight samples must be finite and nonnegative")
 
     def time_weight(self, nt: int) -> np.ndarray:
         if self.varphi is None:
@@ -72,11 +73,9 @@ def axis_derivative(arr: np.ndarray, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ErrorFields:
-    """e, eps, nu, Phi on one subdomain grid (nt+1, m, ncross)."""
+    """e, nu, Phi on one subdomain grid (nt+1, m, ncross)."""
 
-    subdomain: int
     e: np.ndarray
-    eps: np.ndarray
     nu: np.ndarray
     phi: np.ndarray
 
@@ -96,16 +95,13 @@ def compute_error_fields(sol: SubdomainSolution, oracle: GlobalSolution,
     w_space = np.exp(-weights.gamma * xn)[None, :, None]
     w_time = weights.time_weight(grid.nt)[:, None, None]
     phi = nu ** 2 * w_space * w_time
-    return ErrorFields(subdomain=sol.index, e=e, eps=eps, nu=nu, phi=phi)
+    return ErrorFields(e=e, nu=nu, phi=phi)
 
 
-def compute_E(fields: Sequence[ErrorFields], grid: SpaceTimeGrid,
-              weights: Optional[WeightSpec] = None) -> float:
-    """max over subdomains of sup nu^2; times varphi when weights are given
-    (run() gives none, so its E_k is unweighted)."""
-    w_time = (weights.time_weight(grid.nt) if weights is not None
-              else np.ones(grid.nt + 1))
-    return max(float(np.max(f.nu ** 2 * w_time[:, None, None])) for f in fields)
+def compute_E(fields: Sequence[ErrorFields]) -> float:
+    """max over subdomains of sup nu^2 (unweighted)."""
+    m = float(np.max([np.max(np.abs(f.nu)) for f in fields]))
+    return m * m
 
 
 @dataclass(frozen=True)
@@ -113,8 +109,6 @@ class PhiBoundaryResult:
     ok: bool
     interior_max: float
     boundary_max: float
-    interior_argmax: Tuple[int, int, int]
-    boundary_argmax: Tuple[int, int, int]
 
 
 def phi_boundary_check(fields: ErrorFields,
@@ -122,28 +116,20 @@ def phi_boundary_check(fields: ErrorFields,
     """True iff Phi's maximum sits on the parabolic boundary.
 
     The parabolic boundary is the t=0 slice plus the interface planes and,
-    for n=2, the lateral faces; the final-time slice is interior.
+    for n=2, the lateral faces; the final-time slice is interior.  A nan or
+    inf anywhere in Phi fails the check.
     """
     phi = fields.phi
-    nt1, m, J = phi.shape
-    mask = np.zeros(phi.shape, dtype=bool)
-    mask[0, :, :] = True
-    mask[:, 0, :] = True
-    mask[:, -1, :] = True
-    if J > 1:
-        mask[:, :, 0] = True
-        mask[:, :, -1] = True
-    boundary_max = float(np.max(phi[mask]))
-    interior = np.where(mask, -np.inf, phi)
+    faces = [phi[0], phi[:, 0], phi[:, -1]]
+    if phi.shape[2] > 1:
+        faces += [phi[..., 0], phi[..., -1]]
+        interior = phi[1:, 1:-1, 1:-1]
+    else:
+        interior = phi[1:, 1:-1, :]
+    boundary_max = float(np.max([np.max(f) for f in faces]))
     interior_max = float(np.max(interior))
-    if not np.isfinite(interior_max):
-        interior_max = 0.0
-    b_idx = np.unravel_index(int(np.argmax(np.where(mask, phi, -np.inf))), phi.shape)
-    i_idx = np.unravel_index(int(np.argmax(interior)), phi.shape)
     ok = interior_max <= boundary_max * (1.0 + rel_tol) + abs_tol
-    return PhiBoundaryResult(ok=ok, interior_max=interior_max, boundary_max=boundary_max,
-                             interior_argmax=tuple(int(v) for v in i_idx),
-                             boundary_argmax=tuple(int(v) for v in b_idx))
+    return PhiBoundaryResult(ok=ok, interior_max=interior_max, boundary_max=boundary_max)
 
 
 @dataclass(frozen=True)
@@ -160,11 +146,9 @@ class ContractionReport:
         return [r for r in self.ratios[self.window:] if r is not None]
 
 
-def contraction_report(E: Sequence[float], window: int,
-                       gamma_max: float = 0.99) -> ContractionReport:
-    E = [float(v) for v in E]
-    if len(E) < 2 * window:
-        raise TooShort(f"need at least {2 * window} sweeps, got {len(E)}")
+def _window_ratios(E: Sequence[float], window: int) -> List[Optional[float]]:
+    """E[k + window] / max(E[k:k + window]) for each full window; None for
+    0/0, inf for x/0."""
     ratios: List[Optional[float]] = []
     for k in range(len(E) - window):
         denom = max(E[k:k + window])
@@ -173,6 +157,15 @@ def contraction_report(E: Sequence[float], window: int,
             ratios.append(None if num == 0.0 else math.inf)
         else:
             ratios.append(num / denom)
+    return ratios
+
+
+def contraction_report(E: Sequence[float], window: int,
+                       gamma_max: float = 0.99) -> ContractionReport:
+    E = [float(v) for v in E]
+    if len(E) < 2 * window:
+        raise TooShort(f"need at least {2 * window} sweeps, got {len(E)}")
+    ratios = _window_ratios(E, window)
     judged = [r for r in ratios[window:] if r is not None]
     if not judged:
         verdict = "converged"
@@ -226,27 +219,15 @@ class IterationHistory:
     def E_sequence(self) -> List[float]:
         return [r.E for r in self.rows]
 
-    def sup_e_sequence(self) -> List[float]:
-        return [r.sup_e_max for r in self.rows]
-
-    def gamma_for_row(self, k: int) -> Optional[float]:
-        """Window ratio ending at sweep k (1-based), if a full window exists."""
-        E = self.E_sequence()
-        if k <= self.window:
-            return None
-        denom = max(E[k - 1 - self.window:k - 1])
-        if denom == 0.0:
-            return None
-        return E[k - 1] / denom
-
     def contraction(self, gamma_max: float = 0.99) -> ContractionReport:
         return contraction_report(self.E_sequence(), self.window, gamma_max)
 
     def write_csv(self, stream) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(HISTORY_HEADER)
-        for r in self.rows:
-            gamma = self.gamma_for_row(r.k)
+        # The first `window` rows have no full window before them.
+        ratios = [None] * self.window + _window_ratios(self.E_sequence(), self.window)
+        for r, gamma in zip(self.rows, ratios):
             writer.writerow([
                 r.k,
                 repr(r.E),

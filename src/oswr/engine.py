@@ -12,6 +12,7 @@ later ones.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -92,8 +93,8 @@ class SWRConfig:
             raise ValueError("stop_tol must be positive")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if not self.theta >= 0:
-            raise ValueError("theta must be nonnegative")
+        if not 0 <= self.theta < math.inf:
+            raise ValueError("theta must be nonnegative and finite")
 
 
 def _dirichlet_trace(problem: ParabolicProblem, grid: SpaceTimeGrid,
@@ -178,7 +179,8 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
         config: SWRConfig, oracle: GlobalSolution,
         on_sweep: Optional[Callable[[int, List[SubdomainSolution]], None]] = None,
         ) -> IterationHistory:
-    """Iterate until E_k <= stop_tol or max_iters; returns the diagnostics rows.
+    """Iterate until E_k <= stop_tol, a non-finite E_k or max_iters; returns
+    the diagnostics rows, with the reason in `termination`.
 
     The oracle is used for error metrics only and never enters the
     iteration's dataflow.
@@ -196,11 +198,13 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
             solutions = sweep_once(problem, grid, layout, traces, config.p, operator)
         except OswrError as exc:
             raise type(exc)(f"sweep {k}: {exc}") from exc
-        fields = [compute_error_fields(sol, oracle, config.p, weights, grid)
-                  for sol in solutions]
-        E = compute_E(fields, grid)
-        sup_e = tuple(float(np.max(np.abs(f.e))) for f in fields)
-        phi_ok = all(phi_boundary_check(f).ok for f in fields)
+        # exp(p (x_n - alpha)) can overflow; a non-finite E_k ends the run.
+        with np.errstate(over="ignore", invalid="ignore"):
+            fields = [compute_error_fields(sol, oracle, config.p, weights, grid)
+                      for sol in solutions]
+            E = compute_E(fields)
+            sup_e = tuple(float(np.max(np.abs(f.e))) for f in fields)
+            phi_ok = all(phi_boundary_check(f).ok for f in fields)
         new_traces = exchange(solutions, layout, grid, config.p, traces)
         increment = _trace_increment(new_traces, traces)
         wall_ms = (time.perf_counter() - t0) * 1000.0 if config.record_timing else 0.0
@@ -210,6 +214,9 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
         if on_sweep is not None:
             on_sweep(k, solutions)
         traces = new_traces
+        if not math.isfinite(E):
+            history.termination = "nonfinite_E"
+            return history
         if E <= config.stop_tol:
             history.termination = "stop_tol"
             return history

@@ -54,7 +54,7 @@ class CaseRun:
             fields = [compute_error_fields(s, self.oracle, p, weights,
                                            self.grid) for s in sols]
             self.sup_e.append(max(float(np.max(np.abs(f.e))) for f in fields))
-            self.E.append(compute_E(fields, self.grid))
+            self.E.append(compute_E(fields))
             if k <= 20:
                 self.phi_ok_20.append(
                     all(phi_boundary_check(f).ok for f in fields))

@@ -220,6 +220,37 @@ nt = 4
         assert main(["run", path]) == EXIT_CONTRACTION
         assert os.path.exists("out/history.csv")
 
+    def test_time_weight_underflow_runs(self, tmp_path, monkeypatch):
+        # exp(-theta t) underflows to 0 at theta = 800; E_k has no time
+        # weight, so its column equals the theta = 0 run's.
+        monkeypatch.chdir(tmp_path)
+        columns = {}
+        for theta in ("800", "0"):
+            path = write(tmp_path, _fast(MINIMAL).replace(
+                "theta = 10.0", f"theta = {theta}\n\n[output]\ndirectory = out{theta}"))
+            assert main(["check", path]) == EXIT_OK
+            assert main(["run", path]) == EXIT_OK
+            with open(f"out{theta}/history.csv") as fh:
+                columns[theta] = [row["E_k"] for row in csv.DictReader(fh)]
+        assert columns["800"] == columns["0"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_E_exit(self, tmp_path, monkeypatch, capsys):
+        # p = 800 overflows E_k in the first sweep: exit 3 with one line, no
+        # contraction verdict, and the history still on disk.
+        monkeypatch.chdir(tmp_path)
+        path = write(tmp_path, _fast(MINIMAL.replace("p = 1.0", "p = 800")))
+        assert main(["run", path]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == \
+            "run 0: numerical error: E_k is not finite at sweep 1\n"
+        with open("out/history.csv") as fh:
+            assert len(list(csv.reader(fh))) == 2
+        with open("out/summary.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["termination"] == "nonfinite_E"
+        assert row["verdict"] == ""
+        assert "  termination = nonfinite_E\n" in Path("out/meta").read_text()
+
 
 TABLE_1D = "t,a11,b1,c\n0,{a},0,0\n1,{a},0,0\n"
 
@@ -253,6 +284,9 @@ CONFIG_CASES = {
         "[problem]\npreset = heat1d\n\n[decomposition]\n"
         "a_list = 0.2, 0.4\nb_list = 0.6, 0.8\n",
         None, "invalid decomposition: a_1 = alpha fails (0.2 != 0)"),
+    "infinite-theta": (
+        MINIMAL + "\n[diagnostics]\ntheta = inf\n",
+        None, "theta must be nonnegative and finite"),
     "lists-short-of-beta": (
         "[problem]\npreset = heat1d\n\n[decomposition]\n"
         "a_list = 0.0, 0.4\nb_list = 0.6, 0.8\n",

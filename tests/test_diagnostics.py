@@ -1,6 +1,7 @@
 """Error functionals, contraction analysis and history serialization."""
 
 import io
+import math
 import types
 
 import numpy as np
@@ -45,19 +46,18 @@ class TestComputeErrorFields:
         sol = _sol(oracle.values[:, 3:15, :], i_left=3)
         f = compute_error_fields(sol, oracle, RobinParameter(1.0),
                                  WeightSpec(gamma=5.0), grid)
-        for arr in (f.e, f.eps, f.nu, f.phi):
+        for arr in (f.e, f.nu, f.phi):
             assert np.max(np.abs(arr)) == 0.0
 
     def test_exponential_error_flattens(self, grid):
-        # e = exp(-p x_n) makes eps identically one, so nu vanishes to
-        # truncation level.
+        # e = exp(-p x_n) makes eps = e exp(p x_n) identically one, so nu
+        # vanishes to truncation level.
         p = RobinParameter(2.0)
         axis = grid.axis_nodes()
         vals = np.exp(-p.p * axis)[None, :, None] * np.ones((grid.nt + 1, 1, 1))
         oracle = GlobalSolution(values=np.zeros_like(vals))
         f = compute_error_fields(_sol(vals), oracle, p, WeightSpec(gamma=1.0),
                                  grid)
-        assert np.allclose(f.eps, 1.0, atol=1e-12)
         assert np.max(np.abs(f.nu)) <= grid.hx_axis ** 2
 
     def test_linear_error_unit_derivative(self, grid):
@@ -79,66 +79,147 @@ class TestComputeErrorFields:
                                  WeightSpec(gamma=1.0), grid)
 
 
-class TestComputeE:
-    def _fields(self, nu, grid):
-        z = np.zeros_like(nu)
-        return ErrorFields(subdomain=0, e=z, eps=z, nu=nu, phi=z)
+def _fields(nu=None, phi=None):
+    arr = nu if nu is not None else phi
+    z = np.zeros_like(arr)
+    return ErrorFields(e=z, nu=arr if nu is not None else z,
+                       phi=arr if phi is not None else z)
 
+
+class TestComputeE:
     def test_zero_fields(self, grid):
         shape = (grid.nt + 1, 8, 1)
-        assert compute_E([self._fields(np.zeros(shape), grid)], grid) == 0.0
+        assert compute_E([_fields(nu=np.zeros(shape))]) == 0.0
 
     def test_constant_nu_squares(self, grid):
         shape = (grid.nt + 1, 8, 1)
-        f = self._fields(np.full(shape, 2.0), grid)
-        assert compute_E([f], grid) == pytest.approx(4.0)
+        assert compute_E([_fields(nu=np.full(shape, -2.0))]) == 4.0
 
     def test_max_over_subdomains(self, grid):
         shape = (grid.nt + 1, 8, 1)
-        fs = [self._fields(np.full(shape, 1.0), grid),
-              self._fields(np.full(shape, 3.0), grid)]
-        assert compute_E(fs, grid) == pytest.approx(9.0)
+        fs = [_fields(nu=np.full(shape, 1.0)), _fields(nu=np.full(shape, 3.0))]
+        assert compute_E(fs) == pytest.approx(9.0)
 
-    def test_time_weight_applies(self, grid):
-        shape = (grid.nt + 1, 8, 1)
-        nu = np.zeros(shape)
-        nu[-1] = 2.0
+    def test_time_weight_enters_phi_only(self, grid):
+        # theta weights Phi, never E_k.
+        vals = grid.axis_nodes()[None, :, None] * np.ones((grid.nt + 1, 1, 1))
+        oracle = GlobalSolution(values=np.zeros_like(vals))
         varphi = np.exp(-np.linspace(0, 3, grid.nt + 1))
-        f = self._fields(nu, grid)
-        E = compute_E([f], grid, WeightSpec(gamma=1.0, varphi=varphi))
-        assert E == pytest.approx(4.0 * varphi[-1])
+        plain, weighted = (
+            compute_error_fields(_sol(vals), oracle, RobinParameter(1.0),
+                                 WeightSpec(gamma=1.0, varphi=w), grid)
+            for w in (None, varphi))
+        assert compute_E([weighted]) == compute_E([plain])
+        assert not np.array_equal(weighted.phi, plain.phi)
+
+    def test_nan_in_any_strip_is_not_hidden(self, grid):
+        shape = (grid.nt + 1, 8, 1)
+        nu = np.ones(shape)
+        nu[1, 2, 0] = np.nan
+        fs = [_fields(nu=np.full(shape, 2.0)), _fields(nu=nu)]
+        assert np.isnan(compute_E(fs))
 
 
 class TestPhiBoundaryCheck:
-    def _fields_from_phi(self, phi):
-        z = np.zeros_like(phi)
-        return ErrorFields(subdomain=0, e=z, eps=z, nu=z, phi=phi)
-
     def test_boundary_dominated(self):
         phi = np.zeros((4, 9, 1))
         phi[2, 0, 0] = 3.0   # interface plane
         phi[3, 4, 0] = 2.9   # interior, below the boundary maximum
-        res = phi_boundary_check(self._fields_from_phi(phi))
+        res = phi_boundary_check(_fields(phi=phi))
         assert res.ok
-        assert res.boundary_argmax == (2, 0, 0)
+        assert res.boundary_max == 3.0
+        assert res.interior_max == 2.9
 
     def test_interior_bump_fails(self):
         phi = np.zeros((4, 9, 1))
         phi[0, 3, 0] = 1.0   # t=0 slice is parabolic boundary
         phi[2, 4, 0] = 1.5   # interior maximum above it
-        res = phi_boundary_check(self._fields_from_phi(phi))
+        res = phi_boundary_check(_fields(phi=phi))
         assert not res.ok
-        assert res.interior_argmax == (2, 4, 0)
+        assert res.interior_max == 1.5
+        assert res.boundary_max == 1.0
 
     def test_tolerance_band(self):
         phi = np.ones((3, 5, 1))
         phi[1, 2, 0] = 1.0 + 5e-9  # within the 1e-8 relative tolerance
-        assert phi_boundary_check(self._fields_from_phi(phi)).ok
+        assert phi_boundary_check(_fields(phi=phi)).ok
 
     def test_lateral_faces_count_for_2d(self):
         phi = np.zeros((3, 5, 4))
         phi[1, 2, 0] = 7.0  # lateral face of D
-        assert phi_boundary_check(self._fields_from_phi(phi)).ok
+        assert phi_boundary_check(_fields(phi=phi)).ok
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_interior_fails(self, bad):
+        phi = np.ones((3, 5, 1))
+        phi[1, 2, 0] = bad
+        res = phi_boundary_check(_fields(phi=phi))
+        assert not res.ok
+        assert res.interior_max != 0.0
+
+
+def _mask_phi_check(phi, rel_tol=1e-8, abs_tol=1e-13):
+    """Reference: the boolean-mask form of the parabolic boundary check."""
+    mask = np.zeros(phi.shape, dtype=bool)
+    mask[0, :, :] = True
+    mask[:, 0, :] = True
+    mask[:, -1, :] = True
+    if phi.shape[2] > 1:
+        mask[:, :, 0] = True
+        mask[:, :, -1] = True
+    boundary_max = float(np.max(phi[mask]))
+    interior_max = float(np.max(np.where(mask, -np.inf, phi)))
+    ok = interior_max <= boundary_max * (1.0 + rel_tol) + abs_tol
+    return ok, interior_max, boundary_max
+
+
+def _square_E(fields):
+    """Reference: E_k as the maximum of nu**2 over all strips."""
+    return max(float(np.max(f.nu ** 2)) for f in fields)
+
+
+@st.composite
+def _diagnostic_arrays(draw):
+    # 1D (J = 1) or 2D (J >= 3) boxes with nt >= 1 and m >= 3; values from a
+    # small set so that ties are common, optionally with a boundary-only peak.
+    J = draw(st.sampled_from([1, 3, 4]))
+    shape = (draw(st.integers(2, 5)), draw(st.integers(3, 6)), J)
+    levels = st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-9, 2.0, 3.0])
+    flat = draw(st.lists(levels, min_size=int(np.prod(shape)),
+                         max_size=int(np.prod(shape))))
+    phi = np.array(flat).reshape(shape)
+    if draw(st.booleans()):
+        # One peak on the parabolic boundary: t = 0, an interface plane or,
+        # in 2D, a lateral face.
+        point = [draw(st.integers(0, n - 1)) for n in shape]
+        axis, end = draw(st.sampled_from([(0, 0), (1, 0), (1, -1)]
+                                         + ([(2, 0), (2, -1)] if J > 1 else [])))
+        point[axis] = end
+        phi[tuple(point)] = 5.0
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                   min_size=phi.size, max_size=phi.size)))
+    return phi, signs.reshape(shape) * phi
+
+
+class TestReductionsAgainstReference:
+    @pytest.mark.parametrize("point", [(0, 2, 2), (2, 0, 2), (2, -1, 2),
+                                       (2, 2, 0), (2, 2, -1)])
+    def test_peak_on_each_face(self, point):
+        phi = np.ones((4, 5, 5))
+        phi[point] = 5.0
+        res = phi_boundary_check(_fields(phi=phi))
+        assert (res.ok, res.interior_max, res.boundary_max) == (True, 1.0, 5.0)
+        assert _mask_phi_check(phi) == (True, 1.0, 5.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays=st.lists(_diagnostic_arrays(), min_size=1, max_size=3))
+    def test_bitwise_equal(self, arrays):
+        fields = [_fields(phi=phi) for phi, _ in arrays]
+        for f in fields:
+            res = phi_boundary_check(f)
+            assert (res.ok, res.interior_max, res.boundary_max) == _mask_phi_check(f.phi)
+        nu_fields = [_fields(nu=nu) for _, nu in arrays]
+        assert compute_E(nu_fields) == _square_E(nu_fields)
 
 
 class TestContractionReport:
@@ -215,6 +296,19 @@ class TestIterationHistory:
         third = lines[3].split(",")
         assert float(third[3]) == pytest.approx(0.2 / 1.0)
 
+    def test_ratio_over_zero_window_is_inf(self):
+        # E = 0, 0, 1: the window (0, 0) gives 1/0 = inf, as in the report.
+        hist = IterationHistory(window=2)
+        for k, E in enumerate([0.0, 0.0, 1.0, 1.0], start=1):
+            hist.rows.append(IterationRecord(
+                k=k, E=E, sup_e_max=E, sup_e_per_sub=(E,), phi_boundary_ok=True,
+                trace_increment=0.0, wall_ms=0.0))
+        buf = io.StringIO()
+        hist.write_csv(buf)
+        gammas = [line.split(",")[3] for line in buf.getvalue().splitlines()[1:]]
+        assert gammas == ["", "", "inf", "1.0"]
+        assert hist.contraction().ratios == (math.inf, 1.0)
+
     def test_default_gamma(self):
         prob = problem_preset("heat1d")
         assert default_gamma(prob.domain) == pytest.approx(5.0)
@@ -227,7 +321,19 @@ class TestWeightSpec:
 
     def test_rejects_nonpositive_time_weight(self):
         with pytest.raises(ValueError):
-            WeightSpec(gamma=1.0, varphi=np.array([1.0, 0.0]))
+            WeightSpec(gamma=1.0, varphi=np.array([1.0, -1e-300]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_nonfinite_time_weight(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            WeightSpec(gamma=1.0, varphi=np.array([1.0, bad]))
+
+    def test_accepts_underflowed_time_weight(self):
+        # exp(-theta t) underflows to 0 for large theta t.
+        varphi = np.exp(-800.0 * np.linspace(0.0, 1.0, 3))
+        assert varphi[-1] == 0.0
+        assert np.array_equal(WeightSpec(gamma=1.0, varphi=varphi).time_weight(2),
+                              varphi)
 
     def test_time_weight_shape_checked(self):
         w = WeightSpec(gamma=1.0, varphi=np.ones(4))

@@ -57,6 +57,7 @@ class TestSWRConfig:
         (dict(theta=-1.0), "theta must be nonnegative"),
         (dict(gamma=-1.0), "gamma must be positive"),
         (dict(gamma=0.0), "gamma must be positive"),
+        (dict(theta=np.inf), "theta must be nonnegative and finite"),
     ])
     def test_rejects_bad_weights(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -156,6 +157,30 @@ def test_seed7_decay(setup):
     E = history.E_sequence()
     assert all(E[k + 1] < E[k] for k in range(1, len(E) - 1))
     assert E[9] / E[0] < 1e-2
+
+
+class TestNonfiniteE:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_stops_the_run(self, setup):
+        # exp(p (x_n - alpha)) overflows at p = 800, so E_k is not finite
+        # although the iterate itself is fine.
+        prob, grid, layout, oracle = setup
+        cfg = SWRConfig(p=RobinParameter(800.0), max_iters=8)
+        history = run(prob, grid, layout, cfg, oracle)
+        assert history.termination == "nonfinite_E"
+        assert len(history.rows) == 1
+        assert not np.isfinite(history.rows[0].E)
+        assert np.isfinite(history.rows[0].sup_e_max)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_stops_at_first_nonfinite(self, setup, monkeypatch, bad):
+        prob, grid, layout, oracle = setup
+        sequence = iter([1.0, 0.5, bad, 0.1, 0.05])
+        monkeypatch.setattr("oswr.engine.compute_E", lambda fields: next(sequence))
+        cfg = SWRConfig(p=RobinParameter(1.0), max_iters=5, stop_tol=1e-30)
+        history = run(prob, grid, layout, cfg, oracle)
+        assert history.termination == "nonfinite_E"
+        assert len(history.rows) == 3
 
 
 def test_error_context_attached(setup):
