@@ -46,8 +46,8 @@ class WeightSpec:
     varphi: Optional[np.ndarray] = None  # (nt+1,), defaults to ones
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if self.varphi is not None:
             v = np.asarray(self.varphi, dtype=float)
             if not np.all(np.isfinite(v) & (v >= 0)):

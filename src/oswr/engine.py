@@ -91,8 +91,8 @@ class SWRConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if not 0 <= self.theta < math.inf:
             raise ValueError("theta must be nonnegative and finite")
 

@@ -7,9 +7,13 @@ uses the four-corner centered cross stencil.  Robin faces along the
 decomposed axis are closed by ghost-node elimination, which keeps the
 boundary rows second-order accurate.
 
-Unknowns are all nodes of the (local) box, ordered axis-major
-(index = i_axis * ncross + j_cross); Dirichlet nodes carry identity rows so
-the band structure is uniform.
+Unknowns are all nodes of the (local) box; Dirichlet nodes carry identity
+rows so the band structure is uniform.  Each axis range orders its m x ncross
+nodes by whichever way gives the narrower band: cross-major
+(index = j_cross * m + i_axis) when the range is narrower than the cross
+section, axis-major (index = i_axis * ncross + j_cross) otherwise.  A strip
+of the decomposition is narrow along x_n, so its band is about as wide as
+the strip, not the cross section.  In 1D (ncross = 1) the two are the same.
 
 A step's matrix depends on the coefficient values at t_next and the face
 rules only, never on the iterate or the data.  A StackOperator places the
@@ -34,8 +38,9 @@ from .problem import CoefficientSet, DomainSpec, ParabolicProblem
 
 # Bytes of LU factors one StackOperator keeps between marches.  A step's
 # factors take about (3*bw + 1) * N * 8 bytes plus N pivots, for N unknowns
-# over all ranges and bw = 1 in 1D, nx_cross + 1 in 2D.  Steps whose
-# factors do not fit are assembled and factored again at every use.
+# over all ranges and bw = 1 in 1D, min(widest range, nx_cross) + 1 in 2D.
+# Steps whose factors do not fit are assembled and factored again at every
+# use.
 FACTOR_CACHE_BYTES = 5 * 2 ** 20
 
 
@@ -136,6 +141,31 @@ class AxisRange(NamedTuple):
     high: FaceRule
 
 
+def _strides(r: AxisRange, ncross: int) -> Tuple[int, int]:
+    """(axis stride, cross stride) of the range's unknowns: (1, m),
+    cross-major, when its m axis nodes are fewer than the ncross cross
+    nodes, else (ncross, 1), axis-major (a tie keeps axis-major)."""
+    m = r.hi - r.lo + 1
+    return (1, m) if m < ncross else (ncross, 1)
+
+
+def _bandwidth(grid: SpaceTimeGrid, ranges: Sequence[AxisRange]) -> int:
+    """Half-bandwidth of the ranges' stacked step matrix: the widest corner
+    offset sa + sc in 2D, 1 in 1D."""
+    if grid.domain.n == 1:
+        return 1
+    return max(sum(_strides(r, grid.nx_cross)) for r in ranges)
+
+
+def _node_view(a: np.ndarray, m: int, ncross: int, sa: int, sc: int) -> np.ndarray:
+    """A view of one range's unknowns, the last axis of `a`, by node,
+    (..., m, ncross): node (i, j) is unknown i * sa + j * sc."""
+    lead = a.shape[:-1]
+    if sa < sc:  # cross-major
+        return a.reshape(lead + (ncross, m), copy=False).swapaxes(-1, -2)
+    return a.reshape(lead + (m, ncross), copy=False)
+
+
 @dataclass(frozen=True)
 class BandedLU:
     """LU factors of a banded matrix from ?gbtrf, for repeated solves."""
@@ -219,19 +249,6 @@ class BandedSystem:
         return dense
 
 
-def _clear_rows(ab: np.ndarray, bw: int, rows: np.ndarray) -> None:
-    """Zero every stored entry of the given matrix rows."""
-    cols = rows[:, None] + np.arange(-bw, bw + 1)
-    rows = np.broadcast_to(rows[:, None], cols.shape)
-    inside = (cols >= 0) & (cols < ab.shape[1])
-    ab[bw + rows[inside] - cols[inside], cols[inside]] = 0.0
-
-
-def _identity_rows(ab: np.ndarray, bw: int, rows: np.ndarray) -> None:
-    _clear_rows(ab, bw, rows)
-    ab[bw, rows] = 1.0
-
-
 def _coefficient_values(coeffs: CoefficientSet, t: float) -> Tuple[float, ...]:
     """(a_nn, b_n, c, a_11, a_12, b_1) at t, the last three 0 for n=1.
 
@@ -263,17 +280,15 @@ def assemble_step(values: Tuple[float, ...], grid: SpaceTimeGrid,
     band in scipy solve_banded layout, (2*bw + 1, N).
 
     `values` are the coefficient values at t_next (see _coefficient_values).
+    Each range's unknowns are ordered by _strides: axis neighbours sit at
+    +-sa, cross neighbours at +-sc and corners at +-(sa + sc), +-(sa - sc).
     `ab`, if given, is a zeroed (2*bw + 1, N) array (or view) that receives
     the matrix in place of a new one.
     """
     n, J, h, dt = grid.domain.n, grid.nx_cross, grid.hx_axis, grid.dt
     a_ax, b_ax, cc, a_cr, a_mx, b_cr = values
-    if n == 2:
-        hc = grid.hx_cross
-        bw = J + 1
-    else:
-        hc = np.inf  # cross terms vanish below
-        bw = 1
+    bw = _bandwidth(grid, ranges)
+    hc = grid.hx_cross if n == 2 else np.inf  # cross terms vanish in 1D
 
     diag = 1.0 / dt + cc + 2.0 * a_ax / h ** 2 + (2.0 * a_cr / hc ** 2 if n == 2 else 0.0)
     up_ax = -a_ax / h ** 2 + b_ax / (2.0 * h)
@@ -287,45 +302,51 @@ def assemble_step(values: Tuple[float, ...], grid: SpaceTimeGrid,
 
     if ab is None:
         ab = np.zeros((2 * bw + 1, sum(r.hi - r.lo + 1 for r in ranges) * J))
-    j_interior = np.arange(1, J - 1) if n == 2 else np.arange(1)
+    cross = (1, J - 1) if n == 2 else (0, 1)  # cross nodes of the stencil rows
     stop = 0
     for r in ranges:
         m = r.hi - r.lo + 1
+        sa, sc = _strides(r, J)
         start, stop = stop, stop + m * J
         block = ab[:, start:stop]  # a view: the range's diagonal block
 
-        # Constant diagonals (boundary rows are overwritten afterwards).
-        block[bw, :] = diag
-        block[bw - J, J:] = up_ax
-        block[bw + J, :-J] = dn_ax
+        def put(di, dj, rows_i, rows_j, value):
+            """Set the entry of neighbour (di, dj) in the rows of the nodes
+            rows_i x rows_j, given as (start, stop) pairs."""
+            entries = _node_view(block[bw - di * sa - dj * sc], m, J, sa, sc)
+            entries[rows_i[0] + di:rows_i[1] + di, rows_j[0] + dj:rows_j[1] + dj] = value
+
+        # Interior rows: the full stencil.  Every other row is a boundary
+        # row and holds only the entries set for it below.
+        inner = (1, m - 1)
+        put(0, 0, inner, cross, diag)
+        put(1, 0, inner, cross, up_ax)
+        put(-1, 0, inner, cross, dn_ax)
         if n == 2:
-            block[bw - 1, 1:] = up_cr
-            block[bw + 1, :-1] = dn_cr
-            block[bw - (J + 1), J + 1:] = corner
-            block[bw + (J + 1), :-(J + 1)] = corner
-            block[bw - (J - 1), J - 1:] = -corner
-            block[bw + (J - 1), :-(J - 1)] = -corner
+            for (di, dj), value in (((0, 1), up_cr), ((0, -1), dn_cr), ((1, 1), corner),
+                                    ((-1, -1), corner), ((1, -1), -corner),
+                                    ((-1, 1), -corner)):
+                put(di, dj, inner, cross, value)
             # Lateral faces: Dirichlet along the whole axis range, corners
             # included (lateral data wins at corners).
-            lateral = np.arange(0, m * J, J)
-            _identity_rows(block, bw, np.concatenate([lateral, lateral + J - 1]))
+            put(0, 0, (0, m), (0, 1), 1.0)
+            put(0, 0, (0, m), (J - 1, J), 1.0)
 
         for face, low in ((r.low, True), (r.high, False)):
-            rows = (0 if low else m - 1) * J + j_interior
+            i = 0 if low else m - 1
+            rows = (i, i + 1)
             if face.kind == "dirichlet":
-                _identity_rows(block, bw, rows)
+                put(0, 0, rows, cross, 1.0)
                 continue
             p, s = face.p, face.sign
             # Ghost elimination: s*(u_inner - u_ghost)/(2h) + p*u_face = data
             # (low face; mirrored for the high face).
             drift = -2.0 * a_ax * p / (s * h) if low else 2.0 * a_ax * p / (s * h)
-            inner = J if low else -J  # axis neighbor kept in the stencil
-            _clear_rows(block, bw, rows)
-            block[bw, rows] = diag + drift - b_ax * p / s
-            block[bw - inner, rows + inner] = -2.0 * a_ax / h ** 2
+            put(0, 0, rows, cross, diag + drift - b_ax * p / s)
+            put(1 if low else -1, 0, rows, cross, -2.0 * a_ax / h ** 2)
             if n == 2:
-                block[bw - 1, rows + 1] = up_cr + a_mx * p / (s * hc)
-                block[bw + 1, rows - 1] = dn_cr - a_mx * p / (s * hc)
+                put(0, 1, rows, cross, up_cr + a_mx * p / (s * hc))
+                put(0, -1, rows, cross, dn_cr - a_mx * p / (s * hc))
     return ab
 
 
@@ -333,7 +354,9 @@ class StackOperator:
     """The time steps of several axis node ranges, prepared once for many marches.
 
     Step k's matrix is the ranges' step-k matrices placed block-diagonally
-    in one band, so one LAPACK solve advances every range by one step.  A
+    in one band, so one LAPACK solve advances every range by one step.  Each
+    range orders its unknowns by _strides, and `bandwidth` is the widest
+    range's; march() returns node arrays, whatever the order.  A
     step's matrix depends on the coefficient values at t_k and the face
     rules only, never on the iterate or the data.  The first march prepares
     every step at once:
@@ -355,7 +378,8 @@ class StackOperator:
                  ranges: Sequence[AxisRange]):
         n, J = problem.domain.n, grid.nx_cross
         self.problem, self.grid, self.ranges = problem, grid, tuple(ranges)
-        self.bandwidth = J + 1 if n == 2 else 1
+        self._strides = [_strides(r, J) for r in self.ranges]
+        self.bandwidth = _bandwidth(grid, self.ranges)
         self.factorizations = 0
         self.nbytes = 0  # factors kept
         ends = np.cumsum([0] + [(r.hi - r.lo + 1) * J for r in self.ranges])
@@ -365,13 +389,14 @@ class StackOperator:
         # Dirichlet rows: lateral faces (n=2) and Dirichlet axis faces.
         self.takes_prev = np.ones(self.size)
         if n == 2:
-            self.takes_prev[0::J] = self.takes_prev[J - 1::J] = 0.0
+            for take in self._unstack(self.takes_prev):
+                take[:, [0, -1]] = 0.0
         j0, j1 = (1, J - 1) if n == 2 else (0, 1)
         self._faces = []  # (rows, rule, is low face) per face, range by range
-        for r, rows in zip(self.ranges, self.slices):
+        for r, rows, (sa, sc) in zip(self.ranges, self.slices, self._strides):
             for face, low in ((r.low, True), (r.high, False)):
-                first = rows.start if low else rows.stop - J
-                face_rows = slice(first + j0, first + j1)
+                first = rows.start + (0 if low else (r.hi - r.lo) * sa)
+                face_rows = slice(first + j0 * sc, first + j1 * sc, sc)
                 if face.kind == "dirichlet":
                     self.takes_prev[face_rows] = 0.0
                 self._faces.append((face_rows, face, low))
@@ -384,9 +409,16 @@ class StackOperator:
     def _stack(self, nodes: np.ndarray) -> np.ndarray:
         """Whole-grid node values (..., nx_axis, ncross) as the ranges'
         unknowns side by side, (..., N)."""
-        lead = nodes.shape[:-2]
-        return np.concatenate([nodes[..., r.lo:r.hi + 1, :].reshape(lead + (-1,))
-                               for r in self.ranges], axis=-1)
+        out = np.empty(nodes.shape[:-2] + (self.size,))
+        for r, nodes_r in zip(self.ranges, self._unstack(out)):
+            nodes_r[...] = nodes[..., r.lo:r.hi + 1, :]
+        return out
+
+    def _unstack(self, u: np.ndarray) -> List[np.ndarray]:
+        """The ranges' unknowns (..., N) by node, (..., m, ncross) per range;
+        views of u."""
+        return [_node_view(u[..., rows], r.hi - r.lo + 1, self.grid.nx_cross, sa, sc)
+                for r, rows, (sa, sc) in zip(self.ranges, self.slices, self._strides)]
 
     def _factor(self, values: Tuple[float, ...]) -> Union[BandedLU, TridiagonalLU]:
         """Assemble and factor the step matrix of these coefficient values."""
@@ -397,7 +429,7 @@ class StackOperator:
         self.factorizations += 1
         return lu
 
-    def _prepare(self) -> None:
+    def _prepare(self, keep_bytes: int) -> None:
         problem, grid = self.problem, self.grid
         times = grid.times()
         nodes = eval_nodes(problem.f, grid, times)
@@ -418,7 +450,7 @@ class StackOperator:
         # An upper bound on one step's factor bytes, known before factoring.
         step_bytes = (3 * self.bandwidth + 1) * self.size * 8 + self.size * 4
         for values in dict.fromkeys(keys[1:]):
-            if self.nbytes + step_bytes > FACTOR_CACHE_BYTES:
+            if self.nbytes + step_bytes > keep_bytes:
                 break
             lu = self._lus[values] = self._factor(values)
             self.nbytes += lu.nbytes
@@ -433,7 +465,7 @@ class StackOperator:
         The first call prepares the steps.
         """
         if self._static is None:
-            self._prepare()
+            self._prepare(FACTOR_CACHE_BYTES)
         n = self.problem.domain.n
         out = self._static.copy()
         data = [vals for pair in faces for vals in pair]
@@ -465,19 +497,25 @@ def march(problem: ParabolicProblem, grid: SpaceTimeGrid, ranges: Sequence[AxisR
     faces[i] holds the (nt+1, ncross) data of range i's low and high axis
     face; lateral faces (n=2) always carry Dirichlet data g.  `operator`
     keeps the ranges' prepared steps between marches; without one, the
-    steps are prepared for this march only.
+    steps are prepared for this march only, and it holds no factors but
+    the current step's, which the next step reuses if its matrix is equal.
     """
-    if operator is None:
+    one_off = operator is None
+    if one_off:
         operator = StackOperator(problem, grid, ranges)
+        operator._prepare(keep_bytes=0)
     elif (operator.problem, operator.grid, operator.ranges) != (problem, grid, tuple(ranges)):
         raise ValueError("operator was built for another problem, grid or axis range")
     b = operator.rhs(faces)
     u = np.empty_like(b)
     u[0] = operator.u0
-    take, dt = operator.takes_prev, grid.dt
+    take, dt, keys, lu = operator.takes_prev, grid.dt, operator._keys, None
     for k in range(1, grid.nt + 1):
         rhs = u[k - 1] / dt
         rhs *= take
         rhs += b[k]
-        u[k] = operator.factors(k).solve(rhs)
-    return [u[:, rows].reshape(grid.nt + 1, -1, grid.nx_cross) for rows in operator.slices]
+        if not one_off or keys[k] != keys[k - 1]:
+            lu = None  # let the previous step's factors go first
+            lu = operator.factors(k)
+        u[k] = lu.solve(rhs)
+    return operator._unstack(u)

@@ -9,6 +9,7 @@ match the ghost-eliminated boundary rows exactly at the discrete level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -22,7 +23,7 @@ from .problem import ParabolicProblem
 
 @dataclass(frozen=True)
 class RobinParameter:
-    """Robin constant p > 0 plus the sign convention of the derivative term.
+    """Finite Robin constant p > 0 plus the sign convention of the derivative term.
 
     orientation 'outward' (default) flips the sign of the derivative on low
     faces so the condition reads du/dn + p u = data with n the outward
@@ -34,8 +35,8 @@ class RobinParameter:
     orientation: str = "outward"
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError("Robin parameter p must be positive")
+        if not 0 < self.p < math.inf:
+            raise ValueError("Robin parameter p must be positive and finite")
         if self.orientation not in ("paper", "outward"):
             raise ValueError("orientation must be 'paper' or 'outward'")
 

@@ -287,6 +287,12 @@ CONFIG_CASES = {
     "infinite-theta": (
         MINIMAL + "\n[diagnostics]\ntheta = inf\n",
         None, "theta must be nonnegative and finite"),
+    "infinite-p": (
+        MINIMAL.replace("p = 1.0", "p = inf"),
+        None, "Robin parameter p must be positive and finite"),
+    "infinite-gamma": (
+        MINIMAL + "\n[diagnostics]\ngamma = inf\n",
+        None, "gamma must be positive and finite"),
     "lists-short-of-beta": (
         "[problem]\npreset = heat1d\n\n[decomposition]\n"
         "a_list = 0.0, 0.4\nb_list = 0.6, 0.8\n",

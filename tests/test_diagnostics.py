@@ -319,6 +319,11 @@ class TestWeightSpec:
         with pytest.raises(ValueError):
             WeightSpec(gamma=0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_nonfinite_gamma(self, bad):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            WeightSpec(gamma=bad)
+
     def test_rejects_nonpositive_time_weight(self):
         with pytest.raises(ValueError):
             WeightSpec(gamma=1.0, varphi=np.array([1.0, -1e-300]))

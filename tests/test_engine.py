@@ -58,6 +58,8 @@ class TestSWRConfig:
         (dict(gamma=-1.0), "gamma must be positive"),
         (dict(gamma=0.0), "gamma must be positive"),
         (dict(theta=np.inf), "theta must be nonnegative and finite"),
+        (dict(gamma=np.inf), "gamma must be positive and finite"),
+        (dict(gamma=np.nan), "gamma must be positive and finite"),
     ])
     def test_rejects_bad_weights(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

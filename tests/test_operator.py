@@ -1,9 +1,11 @@
-"""Step assembly against a loop reference, and the stack operator against
-per-step assembly and per-strip solves: results, the block-diagonal stacked
-matrix and static right-hand side, shared factorizations, the factor cache
-cap and singular steps."""
+"""Step assembly against a loop reference in either unknown order, and the
+stack operator against per-step assembly and per-strip solves: results, the
+block-diagonal stacked matrix and static right-hand side, the bandwidth of
+the chosen order, shared factorizations, the factor cache cap, the factors
+a march without an operator holds, and singular steps."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from oswr import (AxisRange, BandedSystem, CoefficientSet, DecompositionSpec,
                   initial_traces, march, problem_from_table, problem_preset, run, snap,
                   solve_global, solve_subdomain, sweep_once)
 from oswr.errors import SingularSystem
-from oswr.grid import _coefficient_values
+from oswr.grid import _coefficient_values, eval_plane
 from oswr.subdomain import axis_range
 
 
@@ -112,6 +114,34 @@ def _loop_assemble(coeffs, grid, t, r, face_vals, lateral, u_prev, f_vals):
     return ab, rhs
 
 
+def _order(m, J):
+    """Where a range's unknowns hold the axis-major unknown i * J + j:
+    cross-major (j * m + i) when the range is narrower than the cross
+    section, axis-major otherwise."""
+    i, j = np.divmod(np.arange(m * J), J)
+    return j * m + i if m < J else i * J + j
+
+
+def _band(dense, bw):
+    """The dense matrix in solve_banded layout; every nonzero must fit."""
+    n = dense.shape[0]
+    ab = np.zeros((2 * bw + 1, n))
+    for o in range(-bw, bw + 1):  # o = column - row
+        rows = np.arange(max(0, -o), n - max(0, o))
+        ab[bw - o, rows + o] = dense[rows, rows + o]
+    assert np.count_nonzero(ab) == np.count_nonzero(dense)
+    return ab
+
+
+def _reordered_band(ab, bw, order, new_bw):
+    """A (2*bw + 1, N) band with its unknowns moved to positions `order`,
+    in a band of half-width new_bw."""
+    dense = BandedSystem(bandwidth=bw, ab=ab, rhs=np.zeros(ab.shape[1])).to_dense()
+    moved = np.zeros_like(dense)
+    moved[np.ix_(order, order)] = dense
+    return _band(moved, new_bw)
+
+
 GRIDS = [("tvar1d", 13, None), ("heat1d", 13, None), ("tvar2d", 9, 7), ("heat2d", 8, 5)]
 FACES = [("dirichlet", "dirichlet"), ("dirichlet", "robin"), ("robin", "dirichlet"),
          ("robin", "robin")]
@@ -124,16 +154,20 @@ def test_assembly_matches_loop_reference(preset, nx, nx_cross, kinds, low_sign):
     prob = problem_preset(preset)
     grid = build_grid(prob.domain, nx, 6, nx_cross)
     rng = np.random.default_rng(5)
-    J, bw = grid.nx_cross, (grid.nx_cross + 1 if nx_cross else 1)
+    J, ref_bw = grid.nx_cross, (grid.nx_cross + 1 if nx_cross else 1)
+    # The whole axis (m >= J, axis-major) and, in 2D, a range narrower than
+    # the cross section (m < J, cross-major); the loop reference is
+    # axis-major and is compared after moving its unknowns.
     for lo, hi in ((0, nx - 1), (2, nx - 3)):
         m = hi - lo + 1
+        order, bw = _order(m, J), (min(m, J) + 1 if nx_cross else 1)
         r = AxisRange(lo, hi, FaceRule(kinds[0], 1.7, low_sign), FaceRule(kinds[1], 0.9))
         zero = np.zeros((m, J))
         # The band at a time between grid times.
         ab = assemble_step(_coefficient_values(prob.coeffs, 0.37), grid, [r])
         ref, _ = _loop_assemble(prob.coeffs, grid, 0.37, r, np.zeros((2, J)),
                                 np.zeros((2, m)), zero, zero)
-        assert np.array_equal(ab, ref)
+        assert np.array_equal(ab, _reordered_band(ref, ref_bw, order, bw))
         # Every step: the band, and the right-hand side for zero u_prev with
         # random face data.
         faces = rng.standard_normal((2, grid.nt + 1, J))
@@ -143,8 +177,8 @@ def test_assembly_matches_loop_reference(preset, nx, nx_cross, kinds, low_sign):
             ref, ref_rhs = _loop_assemble(prob.coeffs, grid, t, r, faces[:, k],
                                           _lateral(prob, grid, t, r), zero,
                                           _nodes(prob.f, grid, t, r))
-            assert np.array_equal(ab, ref)
-            assert np.array_equal(rhs[k], ref_rhs)
+            assert np.array_equal(ab, _reordered_band(ref, ref_bw, order, bw))
+            assert np.array_equal(rhs[k][order], ref_rhs)
             # to_dense() reads the solve_banded layout: the dense system is solved.
             system = BandedSystem(bandwidth=bw, ab=ab, rhs=rhs[k])
             assert np.allclose(system.to_dense() @ system.solve(), system.rhs,
@@ -212,6 +246,10 @@ def test_stacked_matrix_is_block_diagonal(preset, nx_cross):
     p = RobinParameter(1.0)
     operator = _stack(prob, grid, layout, p)
     J, bw = grid.nx_cross, operator.bandwidth
+    ref_bw = J + 1 if nx_cross else 1
+    sizes = [(r.hi - r.lo + 1) * J for r in operator.ranges]
+    order = np.concatenate([start + _order(r.hi - r.lo + 1, J) for r, start
+                            in zip(operator.ranges, np.cumsum([0] + sizes))])
     zero = np.zeros((grid.nt + 1, J))
     static = operator.rhs([(zero, zero)] * len(operator.ranges))
     for k, t in enumerate(grid.times()[1:], start=1):
@@ -221,13 +259,13 @@ def test_stacked_matrix_is_block_diagonal(preset, nx_cross):
             ab, b = _loop_assemble(prob.coeffs, grid, t, r, np.zeros((2, J)),
                                    _lateral(prob, grid, t, r),
                                    np.zeros((m, J)), _nodes(prob.f, grid, t, r))
-            blocks.append(BandedSystem(bandwidth=bw, ab=ab, rhs=b).to_dense())
+            blocks.append(BandedSystem(bandwidth=ref_bw, ab=ab, rhs=b).to_dense())
             rhs.append(b)
         stacked = BandedSystem(
             bandwidth=bw, rhs=static[k],
             ab=assemble_step(_coefficient_values(prob.coeffs, t), grid, operator.ranges))
-        assert np.array_equal(stacked.to_dense(), block_diag(*blocks))
-        assert np.array_equal(stacked.rhs, np.concatenate(rhs))
+        assert np.array_equal(stacked.to_dense()[np.ix_(order, order)], block_diag(*blocks))
+        assert np.array_equal(stacked.rhs[order], np.concatenate(rhs))
 
 
 @pytest.mark.parametrize("preset,nx_cross", [("tvar1d", None), ("tvar2d", 7)])
@@ -333,3 +371,87 @@ def test_march_rejects_operator_of_another_strip():
     zero = np.zeros((grid.nt + 1, 1))
     with pytest.raises(ValueError, match="another problem, grid or axis range"):
         march(prob, grid, [AxisRange(0, 12, rule, rule)], [(zero, zero)], operator)
+
+
+def _wide_layout_ranges():
+    # tvar2d-wide's layout: 41 x 41 nodes, 20 steps, 3 strips of 18/23/18
+    # axis nodes.
+    prob = problem_preset("tvar2d")
+    grid = build_grid(prob.domain, 41, 20, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the interfaces snap to nodes
+        layout = snap(DecompositionSpec.uniform(prob.domain, 3, 0.2), grid)
+    return prob, grid, [axis_range(e, RobinParameter(1.0)) for e in layout.entries]
+
+
+def test_bandwidth_follows_the_narrower_ordering():
+    prob, grid, ranges = _wide_layout_ranges()
+    assert [r.hi - r.lo + 1 for r in ranges] == [18, 23, 18]
+    # Strips narrower than the cross section are ordered cross-major.
+    assert StackOperator(prob, grid, ranges).bandwidth == 24
+    rule = FaceRule("dirichlet")
+    # A tie (41 = 41, the oracle's range) keeps axis-major; a range wider
+    # than the cross section is axis-major too.
+    assert StackOperator(prob, grid, [AxisRange(0, 40, rule, rule)]).bandwidth == 42
+    narrow = build_grid(prob.domain, 41, 20, 9)
+    assert StackOperator(prob, narrow, [AxisRange(0, 8, rule, rule)]).bandwidth == 10
+    assert StackOperator(prob, narrow, [AxisRange(0, 17, rule, rule)]).bandwidth == 10
+    # The widest corner offset over the ranges sets the stacked band.
+    assert StackOperator(prob, grid, [AxisRange(0, 9, rule, rule),
+                                      AxisRange(5, 40, rule, rule)]).bandwidth == 37
+    heat1d = problem_preset("heat1d")
+    line = build_grid(heat1d.domain, 41, 20)
+    assert StackOperator(heat1d, line, [AxisRange(0, 40, rule, rule)]).bandwidth == 1
+
+
+def test_wide_layout_keeps_three_steps():
+    prob, grid, ranges = _wide_layout_ranges()
+    operator = StackOperator(prob, grid, ranges)
+    zero = np.zeros((grid.nt + 1, grid.nx_cross))
+    operator.rhs([(zero, zero)] * len(ranges))
+    assert operator.factorizations == 3
+    assert 0 < operator.nbytes <= 4.3e6 < oswr.grid.FACTOR_CACHE_BYTES
+
+
+@pytest.mark.parametrize("preset,factored", [("heat1d", 1), ("tvar1d", 6), ("plateaus", 2)])
+def test_one_off_march_holds_one_step(monkeypatch, tmp_path, preset, factored):
+    # A march without an operator keeps no factors: it makes a step's factors
+    # only when the step's matrix differs from the previous step's, after
+    # letting the previous ones go.
+    prob, grid, _ = _tiny_run("heat1d" if preset == "plateaus" else preset)
+    if preset == "plateaus":  # a11 changes once, between t = 0.5 and t = 0.667
+        table = tmp_path / "plateaus.csv"
+        table.write_text("t,a11,b1,c\n0,1,0.5,1\n0.55,1,0.5,1\n0.6,2,0.5,1\n1,2,0.5,1\n")
+        prob = problem_from_table(str(table), prob.domain)
+    made, operators = [], []
+    factor_band = oswr.grid._factor_band
+
+    def tracked(work, bw):
+        assert all(ref() is None for ref in made)  # no other step's factors held
+        lu = factor_band(work, bw)
+        made.append(weakref.ref(lu))
+        return lu
+
+    class Recorded(StackOperator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            operators.append(self)
+
+    monkeypatch.setattr(oswr.grid, "_factor_band", tracked)
+    monkeypatch.setattr(oswr.grid, "StackOperator", Recorded)
+    values = solve_global(prob, grid).values
+    operator, = operators
+    assert operator.factorizations == len(made) == factored
+    assert operator.nbytes == 0 and not operator._lus
+    monkeypatch.undo()
+    assert np.array_equal(values, _per_step_global(prob, grid))
+
+
+def _per_step_global(prob, grid):
+    """The monolithic march on an operator that keeps every step."""
+    rule = FaceRule("dirichlet")
+    whole = [AxisRange(0, grid.nx_axis - 1, rule, rule)]
+    faces = [(eval_plane(prob.g, grid, prob.domain.alpha),
+              eval_plane(prob.g, grid, prob.domain.beta))]
+    values, = march(prob, grid, whole, faces, StackOperator(prob, grid, whole))
+    return values

@@ -21,6 +21,11 @@ class TestRobinParameter:
         with pytest.raises(ValueError):
             RobinParameter(0.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_p(self, bad):
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            RobinParameter(bad)
+
     def test_signs(self):
         outward = RobinParameter(1.0, orientation="outward")
         paper = RobinParameter(1.0, orientation="paper")
