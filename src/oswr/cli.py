@@ -85,9 +85,8 @@ def _gnuplot_stub(outdir: str, rundirs: List[str]) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, sweep: bool = False,
-                   gnuplot_stub: bool = False, stream=None) -> int:
+                   gnuplot_stub: bool = False) -> int:
     """Execute the scheduled runs and write history/summary/meta artifacts."""
-    err = stream if stream is not None else sys.stderr
     runs = cfg.scheduled_runs(sweep)
     outdir = cfg.directory
     os.makedirs(outdir, exist_ok=True)
@@ -96,7 +95,7 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool = False,
         grid = build_grid(problem.domain, cfg.nx_axis, cfg.nt, cfg.nx_cross)
         oracle = solve_global(problem, grid)
     except OswrError as exc:
-        print(f"numerical error: {exc}", file=err)
+        print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     summary_rows = []
@@ -122,7 +121,7 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool = False,
             except OswrError:
                 report = None  # run too short for a full window
         except OswrError as exc:
-            print(f"run {idx}: numerical error: {exc}", file=err)
+            print(f"run {idx}: numerical error: {exc}", file=sys.stderr)
             status = max(status, EXIT_NUMERICAL)
 
         if history is not None:
@@ -138,7 +137,7 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool = False,
                              repr(final_E), mean_gamma, verdict])
         if report is not None and report.verdict == "fail":
             print(f"run {idx}: contraction verdict failed "
-                  f"(max ratio above {cfg.gamma_max})", file=err)
+                  f"(max ratio above {cfg.gamma_max})", file=sys.stderr)
             status = max(status, EXIT_CONTRACTION)
 
     with open(os.path.join(outdir, "summary.csv"), "w", newline="") as fh:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 from .decomposition import DecompositionSpec, validate
@@ -22,16 +22,39 @@ from .problem import (PRESET_NAMES, DomainSpec, ParabolicProblem,
                       check_assumptions, problem_from_table, problem_preset)
 from .subdomain import RobinParameter
 
+
+def _flag(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw)
+
+
+def _float_list(raw: str) -> List[float]:
+    items = [s.strip() for s in raw.replace(";", ",").split(",") if s.strip()]
+    if not items:
+        raise ValueError("must be a nonempty list of numbers")
+    try:
+        return [float(s) for s in items]
+    except ValueError:
+        raise ValueError("must be a comma-separated list of numbers")
+
+
+# The INI format: section -> {key: parser}.  Each key sets the
+# ExperimentConfig field of the same name, except cross_lo/cross_hi, which
+# fill `cross`.
 _SCHEMA = {
-    "problem": ("preset", "table", "n", "alpha", "beta", "T",
-                "cross_lo", "cross_hi"),
-    "grid": ("nx_axis", "nt", "nx_cross"),
-    "decomposition": ("count", "overlap", "a_list", "b_list"),
-    "iteration": ("p", "orientation", "max_iters", "stop_tol", "guess",
-                  "guess_value", "seed", "record_timing"),
-    "diagnostics": ("gamma", "theta", "gamma_max"),
-    "sweep": ("p_values", "overlap_values"),
-    "output": ("directory",),
+    "problem": {"preset": str, "table": str, "n": int, "alpha": float,
+                "beta": float, "T": float, "cross_lo": float, "cross_hi": float},
+    "grid": {"nx_axis": int, "nt": int, "nx_cross": int},
+    "decomposition": {"count": int, "overlap": float, "a_list": _float_list,
+                      "b_list": _float_list},
+    "iteration": {"p": float, "orientation": str, "max_iters": int,
+                  "stop_tol": float, "guess": str, "guess_value": float,
+                  "seed": int, "record_timing": _flag},
+    "diagnostics": {"gamma": float, "theta": float, "gamma_max": float},
+    "sweep": {"p_values": _float_list, "overlap_values": _float_list},
+    "output": {"directory": str},
 }
 
 
@@ -108,45 +131,13 @@ class ExperimentConfig:
         return [(p, ov) for p in ps for ov in ovs]
 
     def as_items(self) -> List[Tuple[str, str]]:
-        pairs = []
-        for key in ("preset", "table", "n", "alpha", "beta", "T", "cross",
-                    "nx_axis", "nt", "nx_cross", "count", "overlap", "a_list",
-                    "b_list", "p", "orientation", "max_iters", "stop_tol",
-                    "guess", "guess_value", "seed", "record_timing",
-                    "theta", "gamma_max", "p_values", "overlap_values",
-                    "directory"):
-            pairs.append((key, repr(getattr(self, key))))
+        """Every field but source_path as (name, repr), with the resolved
+        gamma last."""
+        pairs = [(f.name, repr(getattr(self, f.name))) for f in fields(self)
+                 if f.name not in ("gamma", "source_path")]
         gamma = self.gamma if self.gamma is not None else default_gamma(self.domain())
         pairs.append(("gamma", repr(gamma)))
         return pairs
-
-
-def _float_list(raw: str, name: str) -> List[float]:
-    items = [s.strip() for s in raw.replace(";", ",").split(",") if s.strip()]
-    if not items:
-        raise ValidationError(f"{name} must be a nonempty list of numbers")
-    try:
-        return [float(s) for s in items]
-    except ValueError:
-        raise ValidationError(f"{name} must be a comma-separated list of numbers")
-
-
-def _get(parser, section, key, cast, default, name=None):
-    name = name or f"[{section}] {key}"
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key).strip()
-    try:
-        if cast is bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except ValueError:
-        raise ValidationError(f"{name} has invalid value {raw!r}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -173,43 +164,21 @@ def load_config(path: str) -> ExperimentConfig:
             if key not in known:
                 raise ValidationError(f"unknown key '{key}' in section [{section}]")
 
-    cfg = ExperimentConfig(source_path=path)
-    cfg.preset = _get(parser, "problem", "preset", str, cfg.preset)
-    cfg.table = _get(parser, "problem", "table", str, None)
-    cfg.n = _get(parser, "problem", "n", int, cfg.n)
-    cfg.alpha = _get(parser, "problem", "alpha", float, cfg.alpha)
-    cfg.beta = _get(parser, "problem", "beta", float, cfg.beta)
-    cfg.T = _get(parser, "problem", "T", float, cfg.T)
-    lo = _get(parser, "problem", "cross_lo", float, cfg.cross[0])
-    hi = _get(parser, "problem", "cross_hi", float, cfg.cross[1])
-    cfg.cross = (lo, hi)
-    cfg.nx_axis = _get(parser, "grid", "nx_axis", int, cfg.nx_axis)
-    cfg.nt = _get(parser, "grid", "nt", int, cfg.nt)
-    cfg.nx_cross = _get(parser, "grid", "nx_cross", int, None)
-    cfg.count = _get(parser, "decomposition", "count", int, cfg.count)
-    cfg.overlap = _get(parser, "decomposition", "overlap", float, cfg.overlap)
-    if parser.has_option("decomposition", "a_list"):
-        cfg.a_list = _float_list(parser.get("decomposition", "a_list"), "a_list")
-    if parser.has_option("decomposition", "b_list"):
-        cfg.b_list = _float_list(parser.get("decomposition", "b_list"), "b_list")
-    cfg.p = _get(parser, "iteration", "p", float, cfg.p)
-    cfg.orientation = _get(parser, "iteration", "orientation", str, cfg.orientation)
-    cfg.max_iters = _get(parser, "iteration", "max_iters", int, cfg.max_iters)
-    cfg.stop_tol = _get(parser, "iteration", "stop_tol", float, cfg.stop_tol)
-    cfg.guess = _get(parser, "iteration", "guess", str, cfg.guess)
-    cfg.guess_value = _get(parser, "iteration", "guess_value", float, cfg.guess_value)
-    cfg.seed = _get(parser, "iteration", "seed", int, cfg.seed)
-    cfg.record_timing = _get(parser, "iteration", "record_timing", bool,
-                             cfg.record_timing)
-    cfg.gamma = _get(parser, "diagnostics", "gamma", float, None)
-    cfg.theta = _get(parser, "diagnostics", "theta", float, cfg.theta)
-    cfg.gamma_max = _get(parser, "diagnostics", "gamma_max", float, cfg.gamma_max)
-    if parser.has_option("sweep", "p_values"):
-        cfg.p_values = _float_list(parser.get("sweep", "p_values"), "p_values")
-    if parser.has_option("sweep", "overlap_values"):
-        cfg.overlap_values = _float_list(parser.get("sweep", "overlap_values"),
-                                         "overlap_values")
-    cfg.directory = _get(parser, "output", "directory", str, cfg.directory)
+    values = {}
+    for section, keys in _SCHEMA.items():
+        for key, parse in keys.items():
+            if not parser.has_option(section, key):
+                continue
+            raw = parser.get(section, key).strip()
+            try:
+                values[key] = parse(raw)
+            except ValueError as exc:
+                if parse is _float_list:
+                    raise ValidationError(f"{key} {exc}")
+                raise ValidationError(f"[{section}] {key} has invalid value {raw!r}")
+    lo, hi = ExperimentConfig.cross
+    cfg = ExperimentConfig(cross=(values.pop("cross_lo", lo), values.pop("cross_hi", hi)),
+                           source_path=path, **values)
     validate_config(cfg)
     return cfg
 

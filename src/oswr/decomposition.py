@@ -82,8 +82,6 @@ class SubdomainEntry:
     i_right: int
     left_kind: str   # 'dirichlet' at the extreme face, else 'robin'
     right_kind: str
-    left_shift: float = 0.0   # snap shift of the abscissa, for reporting
-    right_shift: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -123,20 +121,17 @@ def snap(spec: DecompositionSpec, grid: SpaceTimeGrid) -> SubdomainLayout:
     nmax = grid.nx_axis - 1
     ia: List[int] = []
     ib: List[int] = []
-    shifts_a: List[float] = []
-    shifts_b: List[float] = []
     for l in range(spec.count):
         # Ties enlarge the overlap: left ends snap down, right ends snap up.
         ia.append(_snap_index(spec.a[l], alpha, h, nmax, enlarge_down=True))
         ib.append(_snap_index(spec.b[l], alpha, h, nmax, enlarge_down=False))
-        for (idx, x, shifts) in ((ia[l], spec.a[l], shifts_a), (ib[l], spec.b[l], shifts_b)):
+        for idx, x in ((ia[l], spec.a[l]), (ib[l], spec.b[l])):
             shift = alpha + idx * h - x
             if abs(shift) > h / 2 + RELTOL * h:
                 raise SnapFailure(f"abscissa {x} farther than h/2 from any grid node")
             if abs(shift) > RELTOL * max(h, abs(x)):
                 warnings.warn(f"interface abscissa {x} snapped to node with shift {shift:g}",
                               stacklevel=2)
-            shifts.append(shift)
     for l in range(spec.count - 1):
         if ib[l] - ia[l + 1] < 1:
             raise SnapFailure(f"snapped overlap between strips {l + 1} and {l + 2} "
@@ -153,8 +148,6 @@ def snap(spec: DecompositionSpec, grid: SpaceTimeGrid) -> SubdomainLayout:
             i_right=ib[l],
             left_kind="dirichlet" if l == 0 else "robin",
             right_kind="dirichlet" if l == spec.count - 1 else "robin",
-            left_shift=shifts_a[l],
-            right_shift=shifts_b[l],
         )
         for l in range(spec.count)
     )

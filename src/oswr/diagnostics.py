@@ -111,9 +111,9 @@ class PhiBoundaryResult:
     boundary_max: float
 
 
-def phi_boundary_check(fields: ErrorFields,
-                       rel_tol: float = 1e-8, abs_tol: float = 1e-13) -> PhiBoundaryResult:
-    """True iff Phi's maximum sits on the parabolic boundary.
+def phi_boundary_check(fields: ErrorFields) -> PhiBoundaryResult:
+    """True iff Phi's maximum sits on the parabolic boundary (up to a
+    relative 1e-8 plus an absolute 1e-13).
 
     The parabolic boundary is the t=0 slice plus the interface planes and,
     for n=2, the lateral faces; the final-time slice is interior.  A nan or
@@ -128,7 +128,7 @@ def phi_boundary_check(fields: ErrorFields,
         interior = phi[1:, 1:-1, :]
     boundary_max = float(np.max([np.max(f) for f in faces]))
     interior_max = float(np.max(interior))
-    ok = interior_max <= boundary_max * (1.0 + rel_tol) + abs_tol
+    ok = interior_max <= boundary_max * (1.0 + 1e-8) + 1e-13
     return PhiBoundaryResult(ok=ok, interior_max=interior_max, boundary_max=boundary_max)
 
 
@@ -186,14 +186,15 @@ class TrendReport:
     final: float
 
 
-def pointwise_error_trend(sup_e: Sequence[float], window: int, stop_tol: float,
-                          slack: float = 10.0, decay: float = 100.0) -> TrendReport:
-    """Pass iff the final sup|e| is tiny or decayed >= `decay`x from its peak."""
+def pointwise_error_trend(sup_e: Sequence[float], window: int,
+                          stop_tol: float) -> TrendReport:
+    """Pass iff the final sup|e| is at most 10 stop_tol or has decayed
+    100-fold from its peak."""
     vals = [float(v) for v in sup_e]
     if len(vals) < 2 * window:
         raise TooShort(f"need at least {2 * window} sweeps, got {len(vals)}")
     peak, final = max(vals), vals[-1]
-    ok = final <= stop_tol * slack or (peak > 0 and final <= peak / decay)
+    ok = final <= stop_tol * 10.0 or (peak > 0 and final <= peak / 100.0)
     return TrendReport(ok=ok, peak=peak, final=final)
 
 

@@ -31,6 +31,7 @@ from .subdomain import (RobinParameter, SubdomainSolution, TraceData, axis_range
                         extract_robin_trace, face_data)
 
 SubTraces = Tuple[TraceData, TraceData]  # (left, right) inbound data
+GUESS_MODES = 3  # sinusoids in the random-smooth guess
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class InitialGuess:
     kind: str = "zero"
     value: float = 0.0
     seed: int = 0
-    modes: int = 3
 
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "random-smooth"):
@@ -54,10 +54,10 @@ class InitialGuess:
         # Sum of low-frequency sinusoids; a fresh generator per call keeps
         # the guess independent of evaluation order.
         rng = np.random.default_rng(self.seed)
-        amp = rng.uniform(-1.0, 1.0, self.modes)
-        phase = rng.uniform(0.0, 2.0 * np.pi, self.modes)
-        tmod = rng.uniform(-1.0, 1.0, self.modes)
-        xmod = rng.uniform(-1.0, 1.0, self.modes)
+        amp = rng.uniform(-1.0, 1.0, GUESS_MODES)
+        phase = rng.uniform(0.0, 2.0 * np.pi, GUESS_MODES)
+        tmod = rng.uniform(-1.0, 1.0, GUESS_MODES)
+        xmod = rng.uniform(-1.0, 1.0, GUESS_MODES)
         xi = (xn - domain.alpha) / domain.axis_length
         tau = t / domain.T
         if domain.n == 2:
@@ -66,7 +66,7 @@ class InitialGuess:
         else:
             chi = 0.0
         out = np.zeros(np.broadcast(t, X, xn).shape)
-        for q in range(self.modes):
+        for q in range(GUESS_MODES):
             term = amp[q] * np.sin((q + 1) * np.pi * xi + phase[q])
             term = term * (1.0 + 0.5 * tmod[q] * np.cos((q + 1) * np.pi * tau))
             term = term * (1.0 + 0.5 * xmod[q] * np.sin(np.pi * chi))
@@ -99,8 +99,7 @@ class SWRConfig:
 
 def _dirichlet_trace(problem: ParabolicProblem, grid: SpaceTimeGrid,
                      xn: float, side: str) -> TraceData:
-    return TraceData(abscissa=xn, side=side, kind="dirichlet",
-                     values=eval_plane(problem.g, grid, xn))
+    return TraceData(side=side, kind="dirichlet", values=eval_plane(problem.g, grid, xn))
 
 
 def initial_traces(guess: InitialGuess, layout: SubdomainLayout,
@@ -115,7 +114,7 @@ def initial_traces(guess: InitialGuess, layout: SubdomainLayout,
         xn = axis[node]
         vals = guess.evaluate(domain, times[:, None], cross[None, :], xn)
         vals = np.broadcast_to(vals, (grid.nt + 1, grid.nx_cross)).copy()
-        return TraceData(abscissa=xn, side=side, kind="robin", values=vals)
+        return TraceData(side=side, kind="robin", values=vals)
 
     traces: List[SubTraces] = []
     for entry in layout.entries:

@@ -167,23 +167,20 @@ class EllipticityReport:
     nu0: float
     symmetric: bool
     max_asymmetry: float
-    coeff_bound: float
 
 
-def check_assumptions(coeffs: CoefficientSet, times: Sequence[float],
-                      strict: bool = True) -> EllipticityReport:
+def check_assumptions(coeffs: CoefficientSet, times: Sequence[float]) -> EllipticityReport:
     """Sample the coefficients and estimate ellipticity/symmetry.
 
     nu0 is the minimum over sampled t of the smallest eigenvalue of the
-    diffusion matrix.  With strict=True (default) violations raise
-    NonElliptic / AsymmetricCoefficients.
+    diffusion matrix.  Violations raise NonElliptic /
+    AsymmetricCoefficients.
     """
     times = list(times)
     if not times:
         raise ValueError("times must be nonempty")
     nu0 = np.inf
     max_asym = 0.0
-    bound = 0.0
     for t in times:
         A = coeffs.a_matrix(t)
         if not np.all(np.isfinite(A)):
@@ -194,17 +191,13 @@ def check_assumptions(coeffs: CoefficientSet, times: Sequence[float],
         cval = coeffs.c_value(t)
         if not (np.all(np.isfinite(bvals)) and np.isfinite(cval)):
             raise ValueError(f"non-finite lower-order coefficient at t={t}")
-        bound = max(bound, float(np.max(np.abs(A))), float(np.max(np.abs(bvals))), abs(cval))
     symmetric = max_asym <= SYMMETRY_TOL
-    report = EllipticityReport(nu0=nu0, symmetric=symmetric,
-                               max_asymmetry=max_asym, coeff_bound=bound)
-    if strict:
-        if not symmetric:
-            raise AsymmetricCoefficients(
-                f"max |a(i,j)-a(j,i)| = {max_asym:g} exceeds {SYMMETRY_TOL:g}")
-        if not nu0 > 0:
-            raise NonElliptic(f"smallest diffusion eigenvalue estimate {nu0:g} <= 0")
-    return report
+    if not symmetric:
+        raise AsymmetricCoefficients(
+            f"max |a(i,j)-a(j,i)| = {max_asym:g} exceeds {SYMMETRY_TOL:g}")
+    if not nu0 > 0:
+        raise NonElliptic(f"smallest diffusion eigenvalue estimate {nu0:g} <= 0")
+    return EllipticityReport(nu0=nu0, symmetric=symmetric, max_asymmetry=max_asym)
 
 
 @dataclass(frozen=True)

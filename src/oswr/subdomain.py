@@ -55,7 +55,6 @@ class TraceData:
     the receiving subdomain.
     """
 
-    abscissa: float
     side: str
     kind: str
     values: np.ndarray
@@ -132,5 +131,4 @@ def extract_robin_trace(sol: SubdomainSolution, grid: SpaceTimeGrid, node: int,
     h = grid.hx_axis
     deriv = (sol.values[:, li + 1, :] - sol.values[:, li - 1, :]) / (2.0 * h)
     vals = s * deriv + p.p * sol.values[:, li, :]
-    return TraceData(abscissa=grid.domain.alpha + node * h, side=for_side,
-                     kind="robin", values=vals)
+    return TraceData(side=for_side, kind="robin", values=vals)

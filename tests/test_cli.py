@@ -1,6 +1,7 @@
 """Config ingestion, experiment orchestration and artifact emission."""
 
 import csv
+import dataclasses
 import os
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oswr import build_grid, load_config
+from oswr import build_grid, config, load_config
 from oswr.cli import (EXIT_CONTRACTION, EXIT_NUMERICAL, EXIT_OK,
                       EXIT_VALIDATION, main, run_experiment)
 from oswr.errors import ParseError, ValidationError
@@ -102,6 +103,62 @@ b_list = 0.6, 1.0
         spec = cfg.decomposition_spec(cfg.build_problem().domain)
         assert spec.a == (0.0, 0.4)
         assert spec.b == (0.6, 1.0)
+
+
+# section -> {key: (INI value, parsed value)}, every value unlike its default
+EVERY_KEY = {
+    "problem": {"preset": ("tvar2d", "tvar2d"), "table": ("c.csv", "c.csv"),
+                "n": ("2", 2), "alpha": ("-1", -1.0), "beta": ("2", 2.0),
+                "T": ("0.5", 0.5), "cross_lo": ("-2", -2.0), "cross_hi": ("3", 3.0)},
+    "grid": {"nx_axis": ("21", 21), "nt": ("7", 7), "nx_cross": ("9", 9)},
+    "decomposition": {"count": ("3", 3), "overlap": ("0.3", 0.3),
+                      "a_list": ("-1, 0.5", [-1.0, 0.5]), "b_list": ("1; 2", [1.0, 2.0])},
+    "iteration": {"p": ("2.5", 2.5), "orientation": ("paper", "paper"),
+                  "max_iters": ("7", 7), "stop_tol": ("1e-9", 1e-9),
+                  "guess": ("constant", "constant"), "guess_value": ("0.25", 0.25),
+                  "seed": ("11", 11), "record_timing": ("yes", True)},
+    "diagnostics": {"gamma": ("3", 3.0), "theta": ("2", 2.0), "gamma_max": ("0.5", 0.5)},
+    "sweep": {"p_values": ("1, 2", [1.0, 2.0]), "overlap_values": ("0.1", [0.1])},
+    "output": {"directory": ("elsewhere", "elsewhere")},
+}
+
+
+class TestSchema:
+    def test_every_key_sets_its_field(self, tmp_path, monkeypatch):
+        # Parsing only: no valid config sets every key (a_list excludes
+        # overlap_values, table overrides preset).
+        monkeypatch.setattr(config, "validate_config", lambda cfg: None)
+        assert {s: set(keys) for s, keys in EVERY_KEY.items()} == \
+            {s: set(keys) for s, keys in config._SCHEMA.items()}
+        text = "".join(f"[{section}]\n" + "".join(f"{k} = {raw}\n"
+                                                 for k, (raw, _) in keys.items())
+                       for section, keys in EVERY_KEY.items())
+        cfg = load_config(write(tmp_path, text))
+        default = config.ExperimentConfig()
+        for keys in EVERY_KEY.values():
+            for key, (_, value) in keys.items():
+                if key in ("cross_lo", "cross_hi"):
+                    continue
+                # repr, as meta writes it: 11 and 11.0 differ there.
+                assert repr(getattr(cfg, key)) == repr(value), key
+                assert value != getattr(default, key), key
+        assert repr(cfg.cross) == repr((-2.0, 3.0)) != repr(default.cross)
+
+    def test_as_items_lists_every_field_once(self, tmp_path):
+        names = [key for key, _ in load_config(write(tmp_path, MINIMAL)).as_items()]
+        fields = [f.name for f in dataclasses.fields(config.ExperimentConfig)]
+        assert names == [n for n in fields if n not in ("gamma", "source_path")] + ["gamma"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("[grid]\nnt = 1.5\n", "[grid] nt has invalid value '1.5'"),
+        ("[iteration]\nrecord_timing = maybe\n",
+         "[iteration] record_timing has invalid value 'maybe'"),
+        ("[sweep]\np_values = 1, x\n",
+         "p_values must be a comma-separated list of numbers"),
+    ])
+    def test_invalid_value_message(self, tmp_path, capsys, text, message):
+        assert main(["check", write(tmp_path, text)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def _fast(text):
@@ -208,7 +265,11 @@ class TestExitCodes:
 nx_axis = 11
 nt = 4
 """)
-        assert main(["run", path]) == EXIT_NUMERICAL
+        with pytest.warns(UserWarning, match="snapped") as record:
+            assert main(["run", path]) == EXIT_NUMERICAL
+        assert [str(w.message) for w in record] == [
+            "interface abscissa 0.5005 snapped to node with shift -0.0005",
+            "interface abscissa 0.4995 snapped to node with shift 0.0005"]
         assert os.path.exists("out/meta")
 
     def test_contraction_exit(self, tmp_path, monkeypatch):

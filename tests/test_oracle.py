@@ -61,9 +61,9 @@ def test_degenerate_single_subdomain_matches_global(preset):
     entry = SubdomainEntry(index=0, i_left=0, i_right=grid.nx_axis - 1,
                            left_kind="dirichlet", right_kind="dirichlet")
     times = grid.times()
-    left = TraceData(abscissa=0.0, side="left", kind="dirichlet",
+    left = TraceData(side="left", kind="dirichlet",
                      values=np.asarray(prob.g(times[:, None], 0.0), dtype=float))
-    right = TraceData(abscissa=1.0, side="right", kind="dirichlet",
+    right = TraceData(side="right", kind="dirichlet",
                       values=np.asarray(prob.g(times[:, None], 1.0), dtype=float))
     sol = solve_subdomain(prob, grid, entry, left, right, RobinParameter(1.0))
     assert np.max(np.abs(sol.values - oracle.values)) <= 1e-12

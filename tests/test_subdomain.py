@@ -11,9 +11,8 @@ from oswr.errors import DataMismatch, NodeOutOfRange
 from tests.conftest import make_zero_problem
 
 
-def _trace(values, side, kind="robin", abscissa=0.0):
-    return TraceData(abscissa=abscissa, side=side, kind=kind,
-                     values=np.asarray(values, dtype=float))
+def _trace(values, side, kind="robin"):
+    return TraceData(side=side, kind=kind, values=np.asarray(values, dtype=float))
 
 
 class TestRobinParameter:
@@ -109,7 +108,7 @@ class TestSolveSubdomain:
         sol = solve_subdomain(prob, grid, entry,
                               _trace(np.zeros((grid.nt + 1, 1)), "left",
                                      "dirichlet"),
-                              _trace(robin[:, None], "right", abscissa=0.6), p)
+                              _trace(robin[:, None], "right"), p)
         axis = grid.axis_nodes()[:25]
         exact = np.exp(-times)[:, None] * np.sin(np.pi * axis)[None, :]
         assert np.max(np.abs(sol.values[:, :, 0] - exact)) < 5e-3
@@ -168,12 +167,12 @@ def test_transmission_exactness(orientation):
     for entry in layout.entries:
         if entry.left_kind == "dirichlet":
             xn = grid.axis_nodes()[entry.i_left]
-            left = _trace(prob.g(times[:, None], xn), "left", "dirichlet", xn)
+            left = _trace(prob.g(times[:, None], xn), "left", "dirichlet")
         else:
             left = extract_robin_trace(full, grid, entry.i_left, p, "left")
         if entry.right_kind == "dirichlet":
             xn = grid.axis_nodes()[entry.i_right]
-            right = _trace(prob.g(times[:, None], xn), "right", "dirichlet", xn)
+            right = _trace(prob.g(times[:, None], xn), "right", "dirichlet")
         else:
             right = extract_robin_trace(full, grid, entry.i_right, p, "right")
         sol = solve_subdomain(prob, grid, entry, left, right, p)
