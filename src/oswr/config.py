@@ -148,11 +148,11 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
             parser.read_file(fh, source=path)
+    except configparser.MissingSectionHeaderError as exc:  # a ParsingError too
+        raise ParseError(f"{path}: missing section header at line {exc.lineno}") from exc
     except configparser.ParsingError as exc:
         lineno = exc.errors[0][0] if exc.errors else "?"
         raise ParseError(f"{path}: malformed line {lineno}") from exc
-    except configparser.MissingSectionHeaderError as exc:
-        raise ParseError(f"{path}: missing section header at line {exc.lineno}") from exc
     except configparser.Error as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -206,6 +206,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError("overlap_values cannot be combined with a_list/b_list")
     if not cfg.gamma_max > 0:
         raise ValidationError("gamma_max must be positive")
+    if not cfg.directory:
+        raise ValidationError("[output] directory must not be empty")
     try:
         problem = cfg.build_problem()
         grid = build_grid(problem.domain, cfg.nx_axis, cfg.nt, cfg.nx_cross)

@@ -13,6 +13,10 @@ records is unweighted,
 so theta and gamma enter Phi only.  E_k should contract geometrically over
 windows of I sweeps, Phi should attain its maximum on the parabolic
 boundary, and sup|e| should decay to zero.
+
+compute_error_fields, compute_E and phi_boundary_check work on one strip;
+`run()` computes the same numbers, bitwise, with StackDiagnostics, which
+takes every strip at once from the stacked iterate of a sweep.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ShapeMismatch, TooShort
-from .grid import SpaceTimeGrid
+from .grid import SpaceTimeGrid, StackOperator
 from .oracle import GlobalSolution
 from .problem import DomainSpec
 from .subdomain import RobinParameter, SubdomainSolution
@@ -128,8 +132,123 @@ def phi_boundary_check(fields: ErrorFields) -> PhiBoundaryResult:
         interior = phi[1:, 1:-1, :]
     boundary_max = float(np.max([np.max(f) for f in faces]))
     interior_max = float(np.max(interior))
-    ok = interior_max <= boundary_max * (1.0 + 1e-8) + 1e-13
+    ok = _on_boundary(interior_max, boundary_max)
     return PhiBoundaryResult(ok=ok, interior_max=interior_max, boundary_max=boundary_max)
+
+
+def _on_boundary(interior_max, boundary_max):
+    """The Phi check's verdict, for floats or per-strip arrays."""
+    return interior_max <= boundary_max * (1.0 + 1e-8) + 1e-13
+
+
+@dataclass(frozen=True)
+class SweepDiagnostics:
+    """One sweep's E_k, per-strip sup|e| and per-strip Phi maxima."""
+
+    E: float
+    sup_e: Tuple[float, ...]
+    interior_max: np.ndarray
+    boundary_max: np.ndarray
+
+    @property
+    def phi_ok(self) -> bool:
+        return bool(np.all(_on_boundary(self.interior_max, self.boundary_max)))
+
+
+class StackDiagnostics:
+    """E_k, sup|e| and the Phi check of every strip at once, on march's
+    stacked (nt+1, N) iterate.
+
+    Bitwise equal to compute_error_fields, compute_E, max|e| and
+    phi_boundary_check strip by strip, with a fixed number of array
+    operations per sweep whatever the number of strips.  The oracle, the
+    space weights and the column indices of each strip's ends, boundary
+    and interior are stacked once, when this is built.  Without a time
+    weight, Phi's maxima are taken from max_t |nu| and the weight applied
+    after: squaring and a nonnegative weight are monotone under rounding,
+    so the maxima are the same as those of the full field.
+    """
+
+    def __init__(self, operator: StackOperator, oracle: GlobalSolution,
+                 p: RobinParameter, weights: WeightSpec):
+        grid = operator.grid
+        shape = (grid.nt + 1, grid.nx_axis, grid.nx_cross)
+        if oracle.values.shape != shape:
+            raise ShapeMismatch(f"oracle values {oracle.values.shape} != grid {shape}")
+        self.h = grid.hx_axis
+        self.ref = operator._stack(oracle.values)
+        xn = grid.axis_nodes() - grid.domain.alpha
+
+        def stacked(w):
+            return operator._stack(np.broadcast_to(w[:, None], shape[1:]))
+
+        with np.errstate(over="ignore"):  # an overflow gives a non-finite E_k
+            self.grow = stacked(np.exp(p.p * xn))
+        self.w_space = stacked(np.exp(-weights.gamma * xn))
+        self.w_time = (None if weights.varphi is None
+                       else weights.time_weight(grid.nt)[:, None])
+        self.starts = np.array([rows.start for rows in operator.slices])
+        # Runs of adjacent ranges with one axis stride: the centred
+        # difference is one slice per run (one run in 1D).
+        self.runs = []
+        for rows, (sa, _) in zip(operator.slices, operator._strides):
+            if self.runs and self.runs[-1][2] == sa:
+                self.runs[-1][1] = rows.stop
+            else:
+                self.runs.append([rows.start, rows.stop, sa])
+        # Per range: its end nodes and their two inward neighbours, with
+        # the one-sided weights w of w0 a0 + w1 a1 - w2 a2, which rounds as
+        # axis_derivative's -3 a0 + 4 a1 - a2 (low end) and 3 a0 - 4 a1 + a2
+        # (high end) do; the Phi index groups into the (2, N) array of the
+        # t=0 row and the maxima over t >= 1: the boundary (the whole t=0
+        # row, the axis ends, in 2D the lateral faces), then the interior.
+        cols = operator._unstack(np.arange(operator.size))
+        ends, stencil, groups = [], [], []
+        N = operator.size
+        for c in cols:
+            ends += [c[[0, 1, 2]], c[[-1, -2, -3]]]
+            stencil += [np.repeat([[-3.0], [4.0], [1.0]], c.shape[1], 1),
+                        np.repeat([[3.0], [-4.0], [-1.0]], c.shape[1], 1)]
+            faces = [c[0], c[-1]]
+            if c.shape[1] > 1:
+                faces += [c[:, 0], c[:, -1]]
+                interior = c[1:-1, 1:-1]
+            else:
+                interior = c[1:-1, :]
+            groups += [np.concatenate([c.ravel()] + [N + f for f in faces]),
+                       N + interior.ravel()]
+        self.ends = np.concatenate(ends, axis=1)        # (3, ends)
+        self.end_weights = np.concatenate(stencil, axis=1)
+        self.groups = np.concatenate(groups)
+        self.group_starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+        self._e = np.empty_like(self.ref)
+        self._nu = np.empty_like(self.ref)
+
+    def __call__(self, u: np.ndarray) -> SweepDiagnostics:
+        e, nu, h = self._e, self._nu, self.h
+        np.subtract(u, self.ref, out=e)
+        np.abs(e, out=nu)
+        sup_e = tuple(np.maximum.reduceat(nu.max(axis=0), self.starts).tolist())
+        e *= self.grow  # eps
+        for lo, hi, s in self.runs:
+            inner = nu[:, lo + s:hi - s]
+            np.subtract(e[:, lo + 2 * s:hi], e[:, lo:hi - 2 * s], out=inner)
+            inner /= 2.0 * h
+        a, w = e[:, self.ends], self.end_weights
+        nu[:, self.ends[0]] = (w[0] * a[:, 0] + w[1] * a[:, 1] - w[2] * a[:, 2]) / (2.0 * h)
+
+        if self.w_time is None:
+            r = np.abs(nu, out=e)
+            reduced = np.stack([r[0], r[1:].max(axis=0)])
+            m = float(reduced.max())
+            reduced = reduced ** 2 * self.w_space
+        else:
+            m = float(np.abs(nu).max())
+            phi = nu ** 2 * self.w_space * self.w_time
+            reduced = np.stack([phi[0], phi[1:].max(axis=0)])
+        maxima = np.maximum.reduceat(reduced.ravel()[self.groups], self.group_starts)
+        return SweepDiagnostics(E=m * m, sup_e=sup_e, interior_max=maxima[1::2],
+                                boundary_max=maxima[0::2])
 
 
 @dataclass(frozen=True)

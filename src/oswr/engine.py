@@ -7,7 +7,10 @@ Robin data on interior interfaces for the first sweep only.  Since the
 strips of a sweep are independent, a sweep marches them side by side, one
 block-diagonal solve per time step; a run keeps one StackOperator, so the
 steps are assembled and factored in the first sweep and reused by the
-later ones.
+later ones.  `run()` takes each sweep's diagnostics (StackDiagnostics) and
+Robin exchange (StackExchange) from the stacked (nt+1, N) iterate in a few
+array operations, whatever the number of strips; sweep_once and exchange
+are the per-strip forms of the same sweep and exchange.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .decomposition import SubdomainLayout
-from .diagnostics import (IterationHistory, IterationRecord, WeightSpec,
-                          compute_E, compute_error_fields, default_gamma,
-                          phi_boundary_check)
-from .errors import OswrError
+from .diagnostics import (IterationHistory, IterationRecord, StackDiagnostics,
+                          WeightSpec, default_gamma)
+from .errors import DataMismatch, NodeOutOfRange, OswrError
 from .grid import SpaceTimeGrid, StackOperator, eval_plane, march
 from .oracle import GlobalSolution
 from .problem import ParabolicProblem
@@ -165,13 +167,51 @@ def sweep_once(problem: ParabolicProblem, grid: SpaceTimeGrid,
             for e, v in zip(entries, values)]
 
 
-def _trace_increment(new: Sequence[SubTraces], old: Sequence[SubTraces]) -> float:
-    inc = 0.0
-    for (nl, nr), (ol, orr) in zip(new, old):
-        for nt_, ot in ((nl, ol), (nr, orr)):
-            if nt_.kind == "robin" and ot.kind == "robin":
-                inc = max(inc, float(np.max(np.abs(nt_.values - ot.values))))
-    return inc
+class StackExchange:
+    """The Robin exchange of every strip at once, on march's stacked
+    (nt+1, N) iterate.
+
+    `faces` holds each strip's (low, high) face data, as march takes it.
+    update() gathers every outgoing Robin trace from the iterate in one
+    pass, sign * D_h u + p u as extract_robin_trace computes it, puts it in
+    place of the Robin face data and returns the trace increment; Dirichlet
+    faces keep their data.
+    """
+
+    def __init__(self, operator: StackOperator, layout: SubdomainLayout,
+                 p: RobinParameter, faces: Sequence[Tuple[np.ndarray, np.ndarray]]):
+        entries = layout.entries
+        cols = operator._unstack(np.arange(operator.size))
+        self.faces = [list(pair) for pair in faces]
+        self.slots = []  # (strip, face) of each Robin trace
+        sources, signs = [], []
+        for e in entries:
+            for face, side, kind, src, node in ((0, "left", e.left_kind, e.index - 1, e.i_left),
+                                                (1, "right", e.right_kind, e.index + 1, e.i_right)):
+                if kind != "robin":
+                    continue
+                li, m = node - entries[src].i_left, len(cols[src])
+                if not 1 <= li <= m - 2:
+                    raise NodeOutOfRange(
+                        f"node {node} is not strictly interior to subdomain {src}")
+                sources.append(cols[src][[li, li + 1, li - 1]])
+                signs.append(p.sign(side))
+                self.slots.append((e.index, face))
+        self.cols = np.stack(sources, axis=1)  # (3, traces, ncross): node, node +- 1
+        self.signs = np.array(signs)[:, None]
+        self.p, self.h = p.p, operator.grid.hx_axis
+        self.robin = np.stack([self.faces[l][f] for l, f in self.slots], axis=1)
+
+    def update(self, u: np.ndarray) -> float:
+        g = u[:, self.cols]
+        vals = self.signs * ((g[:, 1] - g[:, 2]) / (2.0 * self.h)) + self.p * g[:, 0]
+        if not np.isfinite(vals).all():
+            raise DataMismatch("trace values contain non-finite entries")
+        increment = float(np.max(np.abs(vals - self.robin)))
+        for q, (l, f) in enumerate(self.slots):
+            self.faces[l][f] = vals[:, q]
+        self.robin = vals
+        return increment
 
 
 def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
@@ -186,37 +226,35 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
     """
     gamma = config.gamma if config.gamma is not None else default_gamma(problem.domain)
     varphi = (np.exp(-config.theta * grid.times()) if config.theta != 0.0 else None)
-    weights = WeightSpec(gamma=gamma, varphi=varphi)
     history = IterationHistory(window=layout.count)
+    entries = layout.entries
+    operator = StackOperator(problem, grid, [axis_range(e, config.p) for e in entries])
+    diagnose = StackDiagnostics(operator, oracle, config.p,
+                                WeightSpec(gamma=gamma, varphi=varphi))
     traces = initial_traces(config.guess, layout, grid, problem)
-    operator = StackOperator(problem, grid,
-                             [axis_range(e, config.p) for e in layout.entries])
+    robin = StackExchange(operator, layout, config.p,
+                          [face_data(e, *traces[e.index], grid) for e in entries])
     for k in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
         try:
-            solutions = sweep_once(problem, grid, layout, traces, config.p, operator)
+            u = operator.solve(robin.faces)
         except OswrError as exc:
             raise type(exc)(f"sweep {k}: {exc}") from exc
         # exp(p (x_n - alpha)) can overflow; a non-finite E_k ends the run.
         with np.errstate(over="ignore", invalid="ignore"):
-            fields = [compute_error_fields(sol, oracle, config.p, weights, grid)
-                      for sol in solutions]
-            E = compute_E(fields)
-            sup_e = tuple(float(np.max(np.abs(f.e))) for f in fields)
-            phi_ok = all(phi_boundary_check(f).ok for f in fields)
-        new_traces = exchange(solutions, layout, grid, config.p, traces)
-        increment = _trace_increment(new_traces, traces)
+            d = diagnose(u)
+        increment = robin.update(u)
         wall_ms = (time.perf_counter() - t0) * 1000.0 if config.record_timing else 0.0
         history.rows.append(IterationRecord(
-            k=k, E=E, sup_e_max=max(sup_e), sup_e_per_sub=sup_e,
-            phi_boundary_ok=phi_ok, trace_increment=increment, wall_ms=wall_ms))
+            k=k, E=d.E, sup_e_max=max(d.sup_e), sup_e_per_sub=d.sup_e,
+            phi_boundary_ok=d.phi_ok, trace_increment=increment, wall_ms=wall_ms))
         if on_sweep is not None:
-            on_sweep(k, solutions)
-        traces = new_traces
-        if not math.isfinite(E):
+            on_sweep(k, [SubdomainSolution(index=e.index, i_left=e.i_left, values=v)
+                         for e, v in zip(entries, operator._unstack(u))])
+        if not math.isfinite(d.E):
             history.termination = "nonfinite_E"
             return history
-        if E <= config.stop_tol:
+        if d.E <= config.stop_tol:
             history.termination = "stop_tol"
             return history
     history.termination = "max_iters"

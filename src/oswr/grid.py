@@ -479,6 +479,29 @@ class StackOperator:
                 out[:, rows] += mc[:, None] * (vals[:, 2:] - vals[:, :-2])
         return out
 
+    def solve(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]],
+              one_off: bool = False) -> np.ndarray:
+        """One march of every range from the face data (see rhs()): the
+        stacked iterate (nt+1, N), one LAPACK solve per step.
+
+        A one-off march, on an operator prepared with no factors kept,
+        holds only the current step's factors and reuses them while the
+        next step's coefficient values are equal.
+        """
+        b = self.rhs(faces)
+        u = np.empty_like(b)
+        u[0] = self.u0
+        take, dt, keys, lu = self.takes_prev, self.grid.dt, self._keys, None
+        for k in range(1, self.grid.nt + 1):
+            rhs = u[k - 1] / dt
+            rhs *= take
+            rhs += b[k]
+            if not one_off or keys[k] != keys[k - 1]:
+                lu = None  # let the previous step's factors go first
+                lu = self.factors(k)
+            u[k] = lu.solve(rhs)
+        return u
+
     def factors(self, k: int) -> Union[BandedLU, TridiagonalLU]:
         """Step k's LU factors: the kept ones, or made afresh; after rhs()."""
         values = self._keys[k]
@@ -506,16 +529,4 @@ def march(problem: ParabolicProblem, grid: SpaceTimeGrid, ranges: Sequence[AxisR
         operator._prepare(keep_bytes=0)
     elif (operator.problem, operator.grid, operator.ranges) != (problem, grid, tuple(ranges)):
         raise ValueError("operator was built for another problem, grid or axis range")
-    b = operator.rhs(faces)
-    u = np.empty_like(b)
-    u[0] = operator.u0
-    take, dt, keys, lu = operator.takes_prev, grid.dt, operator._keys, None
-    for k in range(1, grid.nt + 1):
-        rhs = u[k - 1] / dt
-        rhs *= take
-        rhs += b[k]
-        if not one_off or keys[k] != keys[k - 1]:
-            lu = None  # let the previous step's factors go first
-            lu = operator.factors(k)
-        u[k] = lu.solve(rhs)
-    return operator._unstack(u)
+    return operator._unstack(operator.solve(faces, one_off))

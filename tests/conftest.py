@@ -7,6 +7,13 @@ from oswr import (DecompositionSpec, ParabolicProblem, build_grid,
                   problem_preset, snap, solve_global)
 
 
+def pytest_collection_modifyitems(items):
+    """Every warning fails its test, so an unsuppressed overflow shows; a
+    test's own filterwarnings marks take precedence."""
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings("error"), append=False)
+
+
 @pytest.fixture(scope="session")
 def heat1d_problem():
     return problem_preset("heat1d")

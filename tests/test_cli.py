@@ -191,9 +191,9 @@ class TestRunVerb:
         monkeypatch.chdir(tmp_path)
         path = write(tmp_path, _fast(MINIMAL))
         assert main(["run", path]) == EXIT_OK
-        first = open("out/history.csv", "rb").read()
+        first = Path("out/history.csv").read_bytes()
         assert main(["run", path]) == EXIT_OK
-        assert open("out/history.csv", "rb").read() == first
+        assert Path("out/history.csv").read_bytes() == first
 
     def test_zero_data_single_row(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -358,6 +358,9 @@ CONFIG_CASES = {
         "[problem]\npreset = heat1d\n\n[decomposition]\n"
         "a_list = 0.0, 0.4\nb_list = 0.6, 0.8\n",
         None, "invalid decomposition: b_2 = beta fails (0.8 != 1)"),
+    "empty-output-directory": (
+        MINIMAL + "\n[output]\ndirectory =\n",
+        None, "[output] directory must not be empty"),
 }
 
 
@@ -374,6 +377,15 @@ class TestOneValidationPath:
         path = write(tmp_path, text)
         assert main([verb, path]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not os.path.exists("out")
+
+    @pytest.mark.parametrize("verb", ["check", "run", "sweep"])
+    def test_missing_section_header(self, tmp_path, monkeypatch, capsys, verb):
+        monkeypatch.chdir(tmp_path)
+        path = write(tmp_path, "malformed line without equals\n" + MINIMAL)
+        assert main([verb, path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"config error: {path}: missing section header at line 1\n")
         assert not os.path.exists("out")
 
     def test_elliptic_table_accepted(self, tmp_path):

@@ -1,5 +1,6 @@
 """Outer Schwarz iteration: dataflow, determinism, fixed points."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from oswr import (DecompositionSpec, InitialGuess, RobinParameter, SWRConfig,
                   SubdomainSolution, build_grid, exchange, extract_robin_trace,
                   initial_traces, problem_preset, run, snap, solve_global,
                   solve_subdomain, sweep_once)
+from oswr.diagnostics import StackDiagnostics
 from tests.conftest import make_zero_problem
 
 
@@ -178,7 +180,9 @@ class TestNonfiniteE:
     def test_stops_at_first_nonfinite(self, setup, monkeypatch, bad):
         prob, grid, layout, oracle = setup
         sequence = iter([1.0, 0.5, bad, 0.1, 0.05])
-        monkeypatch.setattr("oswr.engine.compute_E", lambda fields: next(sequence))
+        measure = StackDiagnostics.__call__
+        monkeypatch.setattr(StackDiagnostics, "__call__", lambda self, u: dataclasses.replace(
+            measure(self, u), E=next(sequence)))
         cfg = SWRConfig(p=RobinParameter(1.0), max_iters=5, stop_tol=1e-30)
         history = run(prob, grid, layout, cfg, oracle)
         assert history.termination == "nonfinite_E"
