@@ -9,7 +9,9 @@ so typos fail loudly; missing keys fall back to documented defaults
 from __future__ import annotations
 
 import configparser
+import math
 import os
+import sys
 from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
@@ -39,6 +41,9 @@ def _float_list(raw: str) -> List[float]:
     except ValueError:
         raise ValueError("must be a comma-separated list of numbers")
 
+
+# The largest argument of exp() that stays finite, log(DBL_MAX).
+_EXP_LIMIT = math.log(sys.float_info.max)
 
 # The INI format: section -> {key: parser}.  Each key sets the
 # ExperimentConfig field of the same name, except cross_lo/cross_hi, which
@@ -218,5 +223,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
             if msg is not None:
                 raise ValidationError(f"invalid decomposition: {msg}")
             cfg.swr_config(p)
+            reach = p * problem.domain.axis_length
+            if reach >= _EXP_LIMIT:
+                raise ValidationError(f"p * (beta - alpha) = {reach:g} must be below "
+                                      f"{_EXP_LIMIT:.2f}, where exp(p (x_n - alpha)) overflows")
     except (ValueError, OSError, OswrError) as exc:
         raise ValidationError(str(exc)) from exc

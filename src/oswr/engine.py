@@ -47,6 +47,8 @@ class InitialGuess:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "random-smooth"):
             raise ValueError("guess kind must be zero, constant or random-smooth")
+        if not math.isfinite(self.value):
+            raise ValueError("guess value must be finite")
 
     def evaluate(self, domain, t, X, xn):
         if self.kind == "zero":
@@ -236,14 +238,15 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
                           [face_data(e, *traces[e.index], grid) for e in entries])
     for k in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        try:
-            u = operator.solve(robin.faces)
-        except OswrError as exc:
-            raise type(exc)(f"sweep {k}: {exc}") from exc
-        # exp(p (x_n - alpha)) can overflow; a non-finite E_k ends the run.
+        # Overflow needs no numpy warning: robin.update raises on non-finite
+        # traces, and a non-finite E_k (exp(p (x_n - alpha))) ends the run.
         with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                u = operator.solve(robin.faces)
+            except OswrError as exc:
+                raise type(exc)(f"sweep {k}: {exc}") from exc
             d = diagnose(u)
-        increment = robin.update(u)
+            increment = robin.update(u)
         wall_ms = (time.perf_counter() - t0) * 1000.0 if config.record_timing else 0.0
         history.rows.append(IterationRecord(
             k=k, E=d.E, sup_e_max=max(d.sup_e), sup_e_per_sub=d.sup_e,

@@ -19,10 +19,10 @@ A step's matrix depends on the coefficient values at t_next and the face
 rules only, never on the iterate or the data.  A StackOperator places the
 step matrices of several axis node ranges (the strips of one sweep, which
 are independent within it) block-diagonally in one band.  It evaluates f
-(and the lateral g) once on the whole space-time grid, assembles and
-factors each distinct step matrix once, and applies the face data in one
-right-hand-side build for all steps; every march then costs one LAPACK
-solve per step.
+(and the lateral g) once on the whole space-time grid, applies the face
+data in one right-hand-side build for all steps, and factors a step when a
+march first needs it; with its factors kept, every later march costs one
+LAPACK solve per step.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .problem import CoefficientSet, DomainSpec, ParabolicProblem
 # Bytes of LU factors one StackOperator keeps between marches.  A step's
 # factors take about (3*bw + 1) * N * 8 bytes plus N pivots, for N unknowns
 # over all ranges and bw = 1 in 1D, min(widest range, nx_cross) + 1 in 2D.
-# Steps whose factors do not fit are assembled and factored again at every
-# use.
+# Steps are kept in the order they are first factored, time order, while
+# they fit; the others are factored again in every march.
 FACTOR_CACHE_BYTES = 5 * 2 ** 20
 
 
@@ -359,19 +359,18 @@ class StackOperator:
     range's; march() returns node arrays, whatever the order.  A
     step's matrix depends on the coefficient values at t_k and the face
     rules only, never on the iterate or the data.  The first march prepares
-    every step at once:
+    the data of every step at once: f on the whole (nt+1) x axis x cross
+    grid in one call (and g on the two lateral planes in 2D), sliced into
+    the static right-hand side (nt+1, N), whose Dirichlet face rows rhs()
+    overwrites with the face data; u0 from g at t=0 the same way; each
+    step's coefficient values (its key) and Robin data factors.
 
-    - node data, once: f on the whole (nt+1) x axis x cross grid in one
-      call (and g on the two lateral planes in 2D), sliced into the static
-      right-hand side (nt+1, N), whose Dirichlet face rows rhs() overwrites
-      with the face data; u0 from g at t=0 the same way;
-    - the Robin data factors of every step;
-    - one assembly and factorization per distinct coefficient key (steps
-      with equal values share one).
-
-    Factors are kept while they fit in FACTOR_CACHE_BYTES, read when the
-    steps are prepared; a step whose factors do not fit is assembled and
-    factored again at every use, so results do not depend on the cap.
+    One rule gives every step its factors: a step reuses the previous
+    step's while its key repeats, else takes its key's kept factors, else
+    is assembled and factored then, and kept if the kept bytes stay within
+    the cap read at preparation (FACTOR_CACHE_BYTES; 0 for march() without
+    an operator, which thus holds one step's factors at a time).  Results do
+    not depend on the cap.
     """
 
     def __init__(self, problem: ParabolicProblem, grid: SpaceTimeGrid,
@@ -405,6 +404,7 @@ class StackOperator:
         self._coefs = None    # per face: Robin data factors, (2, nt+1)
         self._keys = None     # per step: the coefficient values at t_k
         self._lus = {}        # coefficient values -> factors kept
+        self._keep_bytes = 0  # the cap on nbytes, set by the first march
 
     def _stack(self, nodes: np.ndarray) -> np.ndarray:
         """Whole-grid node values (..., nx_axis, ncross) as the ranges'
@@ -447,14 +447,7 @@ class StackOperator:
             if face.kind == "robin":
                 for k in range(1, grid.nt + 1):
                     coefs[i, :, k] = _robin_data_coefficients(keys[k], grid, face, low)
-        # An upper bound on one step's factor bytes, known before factoring.
-        step_bytes = (3 * self.bandwidth + 1) * self.size * 8 + self.size * 4
-        for values in dict.fromkeys(keys[1:]):
-            if self.nbytes + step_bytes > keep_bytes:
-                break
-            lu = self._lus[values] = self._factor(values)
-            self.nbytes += lu.nbytes
-        self._static, self._coefs, self._keys = static, coefs, keys
+        self._static, self._coefs, self._keys, self._keep_bytes = static, coefs, keys, keep_bytes
 
     def rhs(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """Every step's right-hand side for zero u_prev, (nt+1, N); row 0 is
@@ -462,7 +455,7 @@ class StackOperator:
 
         faces[i] holds the (nt+1, ncross) data of range i's low and high
         face: solution values on a Dirichlet face, Robin data on a Robin one.
-        The first call prepares the steps.
+        The first call prepares the steps' data.
         """
         if self._static is None:
             self._prepare(FACTOR_CACHE_BYTES)
@@ -479,14 +472,10 @@ class StackOperator:
                 out[:, rows] += mc[:, None] * (vals[:, 2:] - vals[:, :-2])
         return out
 
-    def solve(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]],
-              one_off: bool = False) -> np.ndarray:
+    def solve(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """One march of every range from the face data (see rhs()): the
-        stacked iterate (nt+1, N), one LAPACK solve per step.
-
-        A one-off march, on an operator prepared with no factors kept,
-        holds only the current step's factors and reuses them while the
-        next step's coefficient values are equal.
+        stacked iterate (nt+1, N), one LAPACK solve per step; a step whose
+        key repeats the previous step's reuses its factors.
         """
         b = self.rhs(faces)
         u = np.empty_like(b)
@@ -496,18 +485,22 @@ class StackOperator:
             rhs = u[k - 1] / dt
             rhs *= take
             rhs += b[k]
-            if not one_off or keys[k] != keys[k - 1]:
+            if keys[k] != keys[k - 1]:
                 lu = None  # let the previous step's factors go first
                 lu = self.factors(k)
             u[k] = lu.solve(rhs)
         return u
 
     def factors(self, k: int) -> Union[BandedLU, TridiagonalLU]:
-        """Step k's LU factors: the kept ones, or made afresh; after rhs()."""
+        """Step k's LU factors: the kept ones, or made afresh and kept if
+        they fit; after rhs()."""
         values = self._keys[k]
         lu = self._lus.get(values)
         if lu is None:
             lu = self._factor(values)
+            if self.nbytes + lu.nbytes <= self._keep_bytes:
+                self._lus[values] = lu
+                self.nbytes += lu.nbytes
         return lu
 
 
@@ -520,13 +513,11 @@ def march(problem: ParabolicProblem, grid: SpaceTimeGrid, ranges: Sequence[AxisR
     faces[i] holds the (nt+1, ncross) data of range i's low and high axis
     face; lateral faces (n=2) always carry Dirichlet data g.  `operator`
     keeps the ranges' prepared steps between marches; without one, the
-    steps are prepared for this march only, and it holds no factors but
-    the current step's, which the next step reuses if its matrix is equal.
+    steps are prepared for this march only and keep no factors.
     """
-    one_off = operator is None
-    if one_off:
+    if operator is None:
         operator = StackOperator(problem, grid, ranges)
         operator._prepare(keep_bytes=0)
     elif (operator.problem, operator.grid, operator.ranges) != (problem, grid, tuple(ranges)):
         raise ValueError("operator was built for another problem, grid or axis range")
-    return operator._unstack(operator.solve(faces, one_off))
+    return operator._unstack(operator.solve(faces))

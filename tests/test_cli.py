@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,8 @@ from oswr.cli import (EXIT_CONTRACTION, EXIT_NUMERICAL, EXIT_OK,
                       EXIT_VALIDATION, main, run_experiment)
 from oswr.errors import ParseError, ValidationError
 from tests.conftest import make_zero_problem
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MINIMAL = """\
 [problem]
@@ -297,10 +301,11 @@ nt = 4
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_E_exit(self, tmp_path, monkeypatch, capsys):
-        # p = 800 overflows E_k in the first sweep: exit 3 with one line, no
-        # contraction verdict, and the history still on disk.
+        # p = 700 passes check (exp(700) is finite), but E_k, the square of
+        # an error weighted by exp(p x_n), overflows in the first sweep: exit
+        # 3 with one line, no contraction verdict, and the history on disk.
         monkeypatch.chdir(tmp_path)
-        path = write(tmp_path, _fast(MINIMAL.replace("p = 1.0", "p = 800")))
+        path = write(tmp_path, _fast(MINIMAL.replace("p = 1.0", "p = 700")))
         assert main(["run", path]) == EXIT_NUMERICAL
         assert capsys.readouterr().err == \
             "run 0: numerical error: E_k is not finite at sweep 1\n"
@@ -312,8 +317,30 @@ nt = 4
         assert row["verdict"] == ""
         assert "  termination = nonfinite_E\n" in Path("out/meta").read_text()
 
+    def test_p_below_exp_overflow_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write(tmp_path, _fast(MINIMAL.replace("p = 1.0", "p = 300")))
+        assert main(["check", path]) == EXIT_OK
+        assert main(["run", path]) == EXIT_OK
+
+    def test_overflowing_guess_one_line(self, tmp_path):
+        # A finite guess whose Robin data overflow in the first sweep: exit 3
+        # with the non-finite trace's one line on stderr and no numpy warning.
+        path = write(tmp_path, _fast(MINIMAL + "guess = constant\nguess_value = 1e308\n"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "oswr.cli", "check", path],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        proc = subprocess.run([sys.executable, "-m", "oswr.cli", "run", path],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr.splitlines() == [
+            "run 0: numerical error: trace values contain non-finite entries"]
+
 
 TABLE_1D = "t,a11,b1,c\n0,{a},0,0\n1,{a},0,0\n"
+_OVERFLOWS = "must be below 709.78, where exp(p (x_n - alpha)) overflows"
 
 # (config text, table text or None, expected message).  Each config once
 # passed `check` and then crashed or failed numerically in `run`/`sweep`.
@@ -361,6 +388,28 @@ CONFIG_CASES = {
     "empty-output-directory": (
         MINIMAL + "\n[output]\ndirectory =\n",
         None, "[output] directory must not be empty"),
+    "huge-p": (
+        MINIMAL.replace("p = 1.0", "p = 1e308"),
+        None, f"p * (beta - alpha) = 1e+308 {_OVERFLOWS}"),
+    "large-p": (
+        MINIMAL.replace("p = 1.0", "p = 1e200"),
+        None, f"p * (beta - alpha) = 1e+200 {_OVERFLOWS}"),
+    "overflowing-p": (
+        MINIMAL.replace("p = 1.0", "p = 800"),
+        None, f"p * (beta - alpha) = 800 {_OVERFLOWS}"),
+    "overflowing-p-on-a-long-axis": (
+        MINIMAL.replace("preset = heat1d", "preset = heat1d\nbeta = 2")
+        .replace("p = 1.0", "p = 400"),
+        None, f"p * (beta - alpha) = 800 {_OVERFLOWS}"),
+    "overflowing-p_values": (
+        MINIMAL + "\n[sweep]\np_values = 1.0, 710\n",
+        None, f"p * (beta - alpha) = 710 {_OVERFLOWS}"),
+    "infinite-guess": (
+        MINIMAL + "guess = constant\nguess_value = inf\n",
+        None, "guess value must be finite"),
+    "nan-guess": (
+        MINIMAL + "guess = constant\nguess_value = nan\n",
+        None, "guess value must be finite"),
 }
 
 

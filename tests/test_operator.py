@@ -1,8 +1,9 @@
 """Step assembly against a loop reference in either unknown order, and the
 stack operator against per-step assembly and per-strip solves: results, the
 block-diagonal stacked matrix and static right-hand side, the bandwidth of
-the chosen order, shared factorizations, the factor cache cap, the factors
-a march without an operator holds, and singular steps."""
+the chosen order, shared factorizations, the factor cache cap and the steps
+it keeps, the factors a march without an operator holds, and singular
+steps."""
 
 import warnings
 import weakref
@@ -303,7 +304,9 @@ def test_cap_zero_refactors_every_step(monkeypatch):
     traces = initial_traces(InitialGuess(), layout, grid, prob)
     for _ in range(3):
         sweep_once(prob, grid, layout, traces, p, operator)
-    assert operator.factorizations == 3 * grid.nt
+    # Nothing is kept, so every march factors again; heat1d's steps are all
+    # equal, so a march factors its first step and reuses it for the rest.
+    assert operator.factorizations == 3
     assert operator.nbytes == 0
 
 
@@ -322,7 +325,8 @@ def test_equal_steps_share_factors(monkeypatch, tmp_path):
         operator = _stack(prob, grid, layout, p)
         for _ in range(3):
             sols[cap] = sweep_once(prob, grid, layout, traces, p, operator)
-        assert operator.factorizations == (2 if cap else 3 * grid.nt)
+        # Kept: one per plateau per run; not kept: one per plateau per sweep.
+        assert operator.factorizations == (2 if cap else 2 * 3)
     assert all(np.array_equal(a.values, b.values) for a, b in zip(sols[0], sols[2 ** 40]))
 
 
@@ -408,9 +412,37 @@ def test_wide_layout_keeps_three_steps():
     prob, grid, ranges = _wide_layout_ranges()
     operator = StackOperator(prob, grid, ranges)
     zero = np.zeros((grid.nt + 1, grid.nx_cross))
-    operator.rhs([(zero, zero)] * len(ranges))
-    assert operator.factorizations == 3
+    march(prob, grid, ranges, [(zero, zero)] * len(ranges), operator)
+    # The first march factors all 20 steps and keeps the first three.
+    assert operator.factorizations == grid.nt == 20
+    assert list(operator._lus) == operator._keys[1:4]
     assert 0 < operator.nbytes <= 4.3e6 < oswr.grid.FACTOR_CACHE_BYTES
+
+
+@pytest.mark.parametrize("preset,nx_cross", [("tvar1d", None), ("tvar2d", 7)])
+@pytest.mark.parametrize("kept", [1, 4])
+def test_cap_keeps_the_first_steps(monkeypatch, preset, nx_cross, kept):
+    # Every step of a tvar preset has its own matrix, all of one size.  A
+    # cap that holds exactly `kept` of them keeps steps 1..kept, the first
+    # factored, and the marches equal those of an operator that keeps all.
+    prob, grid, layout = _tiny_run(preset, nx_cross=nx_cross)
+    ranges = [axis_range(e, RobinParameter(1.0)) for e in layout.entries]
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((3, len(ranges), 2, grid.nt + 1, grid.nx_cross))
+    monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 2 ** 40)
+    every = StackOperator(prob, grid, ranges)
+    ref = [march(prob, grid, ranges, faces, every) for faces in data]
+    step_bytes = every.nbytes // grid.nt
+    assert every.nbytes == grid.nt * step_bytes and len(every._lus) == grid.nt
+    for cap in (kept * step_bytes, (kept + 1) * step_bytes - 1):
+        monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
+        operator = StackOperator(prob, grid, ranges)
+        for faces, values in zip(data, ref):
+            got = march(prob, grid, ranges, faces, operator)
+            assert all(np.array_equal(a, b) for a, b in zip(got, values))
+        assert list(operator._lus) == operator._keys[1:kept + 1]
+        assert operator.nbytes == kept * step_bytes
+        assert operator.factorizations == kept + 3 * (grid.nt - kept)
 
 
 @pytest.mark.parametrize("preset,factored", [("heat1d", 1), ("tvar1d", 6), ("plateaus", 2)])
