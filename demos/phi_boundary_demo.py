@@ -11,8 +11,6 @@ worst interior/boundary ratio over the first 20 sweeps for several theta.
 
 import warnings
 
-import numpy as np
-
 from oswr import (DecompositionSpec, InitialGuess, RobinParameter, WeightSpec,
                   build_grid, compute_error_fields, exchange, initial_traces,
                   phi_boundary_check, problem_preset, snap, solve_global,
@@ -27,7 +25,7 @@ def worst_ratio(preset, count, theta, sweeps=20):
     oracle = solve_global(problem, grid)
     layout = snap(DecompositionSpec.uniform(problem.domain, count, 0.2), grid)
     p = RobinParameter(1.0)
-    weights = WeightSpec(gamma=5.0, varphi=np.exp(-theta * grid.times()))
+    weights = WeightSpec(gamma=5.0, theta=theta)
     traces = initial_traces(InitialGuess(), layout, grid, problem)
     worst = 0.0
     for _ in range(sweeps):

@@ -25,13 +25,6 @@ from .problem import (PRESET_NAMES, DomainSpec, ParabolicProblem,
 from .subdomain import RobinParameter
 
 
-def _flag(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError(raw)
-
-
 def _float_list(raw: str) -> List[float]:
     items = [s.strip() for s in raw.replace(";", ",").split(",") if s.strip()]
     if not items:
@@ -56,7 +49,7 @@ _SCHEMA = {
                       "b_list": _float_list},
     "iteration": {"p": float, "orientation": str, "max_iters": int,
                   "stop_tol": float, "guess": str, "guess_value": float,
-                  "seed": int, "record_timing": _flag},
+                  "seed": int},
     "diagnostics": {"gamma": float, "theta": float, "gamma_max": float},
     "sweep": {"p_values": _float_list, "overlap_values": _float_list},
     "output": {"directory": str},
@@ -88,14 +81,12 @@ class ExperimentConfig:
     guess: str = "zero"
     guess_value: float = 0.0
     seed: int = 0
-    record_timing: bool = False
     gamma: Optional[float] = None  # None -> 5/(beta-alpha)
     theta: float = 0.0
     gamma_max: float = 0.99
     p_values: Optional[List[float]] = None
     overlap_values: Optional[List[float]] = None
     directory: str = "out"
-    source_path: Optional[str] = None
 
     def domain(self) -> DomainSpec:
         return DomainSpec(n=self.n, alpha=self.alpha, beta=self.beta, T=self.T,
@@ -124,8 +115,7 @@ class ExperimentConfig:
                                orientation=self.orientation)
         return SWRConfig(p=robin, max_iters=self.max_iters,
                          stop_tol=self.stop_tol, guess=guess,
-                         gamma=self.gamma,
-                         theta=self.theta, record_timing=self.record_timing)
+                         gamma=self.gamma, theta=self.theta)
 
     def scheduled_runs(self, sweep: bool) -> List[Tuple[float, float]]:
         """(p, overlap) pairs: one for `run`, a Cartesian grid for `sweep`."""
@@ -136,10 +126,9 @@ class ExperimentConfig:
         return [(p, ov) for p in ps for ov in ovs]
 
     def as_items(self) -> List[Tuple[str, str]]:
-        """Every field but source_path as (name, repr), with the resolved
-        gamma last."""
+        """Every field as (name, repr), with the resolved gamma last."""
         pairs = [(f.name, repr(getattr(self, f.name))) for f in fields(self)
-                 if f.name not in ("gamma", "source_path")]
+                 if f.name != "gamma"]
         gamma = self.gamma if self.gamma is not None else default_gamma(self.domain())
         pairs.append(("gamma", repr(gamma)))
         return pairs
@@ -183,7 +172,7 @@ def load_config(path: str) -> ExperimentConfig:
                 raise ValidationError(f"[{section}] {key} has invalid value {raw!r}")
     lo, hi = ExperimentConfig.cross
     cfg = ExperimentConfig(cross=(values.pop("cross_lo", lo), values.pop("cross_hi", hi)),
-                           source_path=path, **values)
+                           **values)
     validate_config(cfg)
     return cfg
 
@@ -213,6 +202,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError("gamma_max must be positive")
     if not cfg.directory:
         raise ValidationError("[output] directory must not be empty")
+    existing = os.path.normpath(cfg.directory)
+    while existing and not os.path.exists(existing):  # the nearest existing ancestor
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ValidationError(
+            f"[output] directory {cfg.directory!r}: {existing} is not a directory")
     try:
         problem = cfg.build_problem()
         grid = build_grid(problem.domain, cfg.nx_axis, cfg.nt, cfg.nx_cross)

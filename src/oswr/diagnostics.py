@@ -35,7 +35,7 @@ from .problem import DomainSpec
 from .subdomain import RobinParameter, SubdomainSolution
 
 HISTORY_HEADER = ("k", "E_k", "sup_e_max", "gamma_window", "phi_boundary_ok",
-                  "trace_increment", "wall_ms")
+                  "trace_increment")
 
 
 def default_gamma(domain: DomainSpec) -> float:
@@ -44,26 +44,19 @@ def default_gamma(domain: DomainSpec) -> float:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Space weight exp(-gamma x_n) and finite nonnegative time weight samples."""
+    """Space weight exp(-gamma x_n) and time weight varphi(t) = exp(-theta t)."""
 
     gamma: float
-    varphi: Optional[np.ndarray] = None  # (nt+1,), defaults to ones
+    theta: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
-        if self.varphi is not None:
-            v = np.asarray(self.varphi, dtype=float)
-            if not np.all(np.isfinite(v) & (v >= 0)):
-                raise ValueError("time weight samples must be finite and nonnegative")
+        if not 0 <= self.theta < math.inf:
+            raise ValueError("theta must be nonnegative and finite")
 
-    def time_weight(self, nt: int) -> np.ndarray:
-        if self.varphi is None:
-            return np.ones(nt + 1)
-        v = np.asarray(self.varphi, dtype=float)
-        if v.shape != (nt + 1,):
-            raise ShapeMismatch("time weight samples must match the time grid")
-        return v
+    def time_weight(self, times: np.ndarray) -> np.ndarray:
+        return np.exp(-self.theta * times)
 
 
 def axis_derivative(arr: np.ndarray, h: float) -> np.ndarray:
@@ -97,7 +90,7 @@ def compute_error_fields(sol: SubdomainSolution, oracle: GlobalSolution,
     eps = e * np.exp(p.p * xn)[None, :, None]
     nu = axis_derivative(eps, grid.hx_axis)
     w_space = np.exp(-weights.gamma * xn)[None, :, None]
-    w_time = weights.time_weight(grid.nt)[:, None, None]
+    w_time = weights.time_weight(grid.times())[:, None, None]
     phi = nu ** 2 * w_space * w_time
     return ErrorFields(e=e, nu=nu, phi=phi)
 
@@ -163,8 +156,8 @@ class StackDiagnostics:
     phi_boundary_check strip by strip, with a fixed number of array
     operations per sweep whatever the number of strips.  The oracle, the
     space weights and the column indices of each strip's ends, boundary
-    and interior are stacked once, when this is built.  Without a time
-    weight, Phi's maxima are taken from max_t |nu| and the weight applied
+    and interior are stacked once, when this is built.  With theta = 0,
+    Phi's maxima are taken from max_t |nu| and the space weight applied
     after: squaring and a nonnegative weight are monotone under rounding,
     so the maxima are the same as those of the full field.
     """
@@ -185,8 +178,8 @@ class StackDiagnostics:
         with np.errstate(over="ignore"):  # an overflow gives a non-finite E_k
             self.grow = stacked(np.exp(p.p * xn))
         self.w_space = stacked(np.exp(-weights.gamma * xn))
-        self.w_time = (None if weights.varphi is None
-                       else weights.time_weight(grid.nt)[:, None])
+        self.w_time = (None if weights.theta == 0
+                       else weights.time_weight(grid.times())[:, None])
         self.starts = np.array([rows.start for rows in operator.slices])
         # Runs of adjacent ranges with one axis stride: the centred
         # difference is one slice per run (one run in 1D).
@@ -325,7 +318,6 @@ class IterationRecord:
     sup_e_per_sub: Tuple[float, ...]
     phi_boundary_ok: bool
     trace_increment: float
-    wall_ms: float
 
 
 @dataclass
@@ -355,7 +347,6 @@ class IterationHistory:
                 "" if gamma is None else repr(gamma),
                 int(r.phi_boundary_ok),
                 repr(r.trace_increment),
-                repr(r.wall_ms),
             ])
 
     def save_csv(self, path) -> None:

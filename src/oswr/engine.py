@@ -16,7 +16,6 @@ are the per-strip forms of the same sweep and exchange.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -49,6 +48,8 @@ class InitialGuess:
             raise ValueError("guess kind must be zero, constant or random-smooth")
         if not math.isfinite(self.value):
             raise ValueError("guess value must be finite")
+        if self.seed < 0:
+            raise ValueError("guess seed must be nonnegative")
 
     def evaluate(self, domain, t, X, xn):
         if self.kind == "zero":
@@ -86,7 +87,6 @@ class SWRConfig:
     guess: InitialGuess = field(default_factory=InitialGuess)
     gamma: Optional[float] = None  # space-weight gamma; default 5/(beta-alpha)
     theta: float = 0.0  # decay rate of the time weight varphi(t) = exp(-theta t)
-    record_timing: bool = False
 
     def __post_init__(self):
         if not isinstance(self.p, RobinParameter):
@@ -227,17 +227,15 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
     iteration's dataflow.
     """
     gamma = config.gamma if config.gamma is not None else default_gamma(problem.domain)
-    varphi = (np.exp(-config.theta * grid.times()) if config.theta != 0.0 else None)
     history = IterationHistory(window=layout.count)
     entries = layout.entries
     operator = StackOperator(problem, grid, [axis_range(e, config.p) for e in entries])
     diagnose = StackDiagnostics(operator, oracle, config.p,
-                                WeightSpec(gamma=gamma, varphi=varphi))
+                                WeightSpec(gamma=gamma, theta=config.theta))
     traces = initial_traces(config.guess, layout, grid, problem)
     robin = StackExchange(operator, layout, config.p,
                           [face_data(e, *traces[e.index], grid) for e in entries])
     for k in range(1, config.max_iters + 1):
-        t0 = time.perf_counter()
         # Overflow needs no numpy warning: robin.update raises on non-finite
         # traces, and a non-finite E_k (exp(p (x_n - alpha))) ends the run.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -247,10 +245,9 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
                 raise type(exc)(f"sweep {k}: {exc}") from exc
             d = diagnose(u)
             increment = robin.update(u)
-        wall_ms = (time.perf_counter() - t0) * 1000.0 if config.record_timing else 0.0
         history.rows.append(IterationRecord(
             k=k, E=d.E, sup_e_max=max(d.sup_e), sup_e_per_sub=d.sup_e,
-            phi_boundary_ok=d.phi_ok, trace_increment=increment, wall_ms=wall_ms))
+            phi_boundary_ok=d.phi_ok, trace_increment=increment))
         if on_sweep is not None:
             on_sweep(k, [SubdomainSolution(index=e.index, i_left=e.i_left, values=v)
                          for e, v in zip(entries, operator._unstack(u))])

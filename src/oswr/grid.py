@@ -27,6 +27,7 @@ LAPACK solve per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -86,6 +87,9 @@ def build_grid(domain: DomainSpec, nx_axis: int, nt: int,
         raise BadResolution("nx_axis must be at least 3")
     if nt < 1:
         raise BadResolution("nt must be at least 1")
+    dt = domain.T / nt
+    if dt == 0 or not math.isfinite(1.0 / dt):
+        raise BadResolution(f"1/dt overflows for T = {domain.T:g} and nt = {nt}")
     if domain.n == 2 and nx_cross is None:
         raise BadResolution("nx_cross is required for n=2")
     if nx_cross is not None and nx_cross < 3:

@@ -18,6 +18,7 @@ and must broadcast over numpy arrays.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
@@ -63,11 +64,15 @@ class DomainSpec:
             raise ValueError("spatial dimension must be 1 or 2")
         if not self.alpha < self.beta:
             raise ValueError("alpha < beta required")
-        if not self.T > 0:
-            raise ValueError("T > 0 required")
+        if not math.isfinite(self.beta - self.alpha):  # and so alpha and beta
+            raise ValueError("alpha, beta and beta - alpha must be finite")
+        if not 0 < self.T < math.inf:
+            raise ValueError("T must be positive and finite")
         if self.n == 2:
             if self.cross is None or not self.cross[0] < self.cross[1]:
                 raise ValueError("n=2 requires cross-section lower < upper")
+            if not math.isfinite(self.cross[1] - self.cross[0]):
+                raise ValueError("cross-section bounds and length must be finite")
         elif self.cross is not None:
             raise ValueError("cross section only meaningful for n=2")
 
@@ -89,10 +94,9 @@ class CoefficientSet:
     a: Tuple[Tuple[TimeFn, ...], ...]
     b: Tuple[TimeFn, ...]
     c: TimeFn
-    name: Optional[str] = None
 
     @classmethod
-    def build(cls, a, b, c, name=None) -> "CoefficientSet":
+    def build(cls, a, b, c) -> "CoefficientSet":
         """Assemble from scalars/callables.
 
         For n=1 pass scalars or callables directly; for n=2 pass `a` as a
@@ -108,20 +112,23 @@ class CoefficientSet:
             bvec = (_as_time_fn(b),)
         if len(bvec) != n or any(len(row) != n for row in amat):
             raise ValueError("coefficient shapes inconsistent with dimension")
-        return cls(n=n, a=amat, b=bvec, c=_as_time_fn(c), name=name)
+        return cls(n=n, a=amat, b=bvec, c=_as_time_fn(c))
 
     @classmethod
-    def from_table(cls, source, name=None) -> "CoefficientSet":
+    def from_table(cls, source) -> "CoefficientSet":
         """Load tabulated coefficients from CSV with header t,a11,...,b1,...,c.
 
         Samples are linearly interpolated in t (constant extrapolation at
-        the ends, matching numpy.interp).
+        the ends, matching numpy.interp), so t must be finite and strictly
+        increasing.
         """
         data = np.genfromtxt(source, delimiter=",", names=True)
         cols = list(data.dtype.names)
         if cols[0] != "t" or cols[-1] != "c":
             raise ValueError("coefficient table header must start with t and end with c")
         t = np.atleast_1d(data["t"])
+        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+            raise ValueError("coefficient table t column must be finite and strictly increasing")
         if cols[1:4] == ["a11", "a12", "a22"]:
             n = 2
         elif cols[1] == "a11":
@@ -150,7 +157,7 @@ class CoefficientSet:
             a12 = interp_fn("a12")
             amat = ((interp_fn("a11"), a12), (a12, interp_fn("a22")))
             bvec = (interp_fn("b1"), interp_fn("b2"))
-        return cls(n=n, a=amat, b=bvec, c=interp_fn("c"), name=name)
+        return cls(n=n, a=amat, b=bvec, c=interp_fn("c"))
 
     def a_matrix(self, t) -> np.ndarray:
         return np.array([[float(fn(t)) for fn in row] for row in self.a])
@@ -295,21 +302,20 @@ def standard_exact(domain: DomainSpec) -> ManufacturedSolution:
 
 def _preset_coeffs(name: str) -> CoefficientSet:
     if name == "heat1d":
-        return CoefficientSet.build(1.0, 0.0, 0.0, name=name)
+        return CoefficientSet.build(1.0, 0.0, 0.0)
     if name == "affine1d":
-        return CoefficientSet.build(lambda t: 1.0 + t, 0.0, 0.0, name=name)
+        return CoefficientSet.build(lambda t: 1.0 + t, 0.0, 0.0)
     if name == "sin1d":
-        return CoefficientSet.build(lambda t: 2.0 + np.sin(t), lambda t: np.cos(t), 0.5, name=name)
+        return CoefficientSet.build(lambda t: 2.0 + np.sin(t), lambda t: np.cos(t), 0.5)
     if name == "tvar1d":
-        return CoefficientSet.build(lambda t: 1.0 + 0.5 * t, lambda t: np.sin(t), 1.0, name=name)
+        return CoefficientSet.build(lambda t: 1.0 + 0.5 * t, lambda t: np.sin(t), 1.0)
     if name == "heat2d":
-        return CoefficientSet.build([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], 0.0, name=name)
+        return CoefficientSet.build([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], 0.0)
     if name == "tvar2d":
         return CoefficientSet.build(
             [[lambda t: 1.0 + 0.5 * t, 0.25], [0.25, 1.0]],
             [lambda t: np.sin(t), lambda t: np.cos(t)],
             1.0,
-            name=name,
         )
     raise KeyError(f"unknown coefficient preset '{name}'")
 

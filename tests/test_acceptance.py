@@ -40,8 +40,7 @@ class CaseRun:
                 DecompositionSpec.uniform(self.problem.domain, count, OVERLAP),
                 self.grid)
         p = RobinParameter(P)
-        weights = WeightSpec(gamma=GAMMA,
-                             varphi=np.exp(-THETA * self.grid.times()))
+        weights = WeightSpec(gamma=GAMMA, theta=THETA)
         traces = initial_traces(InitialGuess(), self.layout, self.grid,
                                 self.problem)
         self.sup_e, self.E, self.phi_ok_20 = [], [], []

@@ -120,7 +120,7 @@ EVERY_KEY = {
     "iteration": {"p": ("2.5", 2.5), "orientation": ("paper", "paper"),
                   "max_iters": ("7", 7), "stop_tol": ("1e-9", 1e-9),
                   "guess": ("constant", "constant"), "guess_value": ("0.25", 0.25),
-                  "seed": ("11", 11), "record_timing": ("yes", True)},
+                  "seed": ("11", 11)},
     "diagnostics": {"gamma": ("3", 3.0), "theta": ("2", 2.0), "gamma_max": ("0.5", 0.5)},
     "sweep": {"p_values": ("1, 2", [1.0, 2.0]), "overlap_values": ("0.1", [0.1])},
     "output": {"directory": ("elsewhere", "elsewhere")},
@@ -151,12 +151,10 @@ class TestSchema:
     def test_as_items_lists_every_field_once(self, tmp_path):
         names = [key for key, _ in load_config(write(tmp_path, MINIMAL)).as_items()]
         fields = [f.name for f in dataclasses.fields(config.ExperimentConfig)]
-        assert names == [n for n in fields if n not in ("gamma", "source_path")] + ["gamma"]
+        assert names == [n for n in fields if n != "gamma"] + ["gamma"]
 
     @pytest.mark.parametrize("text, message", [
         ("[grid]\nnt = 1.5\n", "[grid] nt has invalid value '1.5'"),
-        ("[iteration]\nrecord_timing = maybe\n",
-         "[iteration] record_timing has invalid value 'maybe'"),
         ("[sweep]\np_values = 1, x\n",
          "p_values must be a comma-separated list of numbers"),
     ])
@@ -340,10 +338,25 @@ nt = 4
 
 
 TABLE_1D = "t,a11,b1,c\n0,{a},0,0\n1,{a},0,0\n"
+_TINY_2D = """\
+[problem]
+preset = heat2d
+n = 2
+
+[grid]
+nx_axis = 11
+nt = 4
+nx_cross = 5
+
+[decomposition]
+count = 2
+overlap = 0.2
+"""
 _OVERFLOWS = "must be below 709.78, where exp(p (x_n - alpha)) overflows"
 
 # (config text, table text or None, expected message).  Each config once
-# passed `check` and then crashed or failed numerically in `run`/`sweep`.
+# passed `check` and then crashed, failed numerically or ran on wrongly
+# interpolated coefficients in `run`/`sweep`, or set a key that is gone.
 # "{table}" in the config stands for the path of the table file.
 CONFIG_CASES = {
     "overlap-wider-than-strip": (
@@ -410,6 +423,43 @@ CONFIG_CASES = {
     "nan-guess": (
         MINIMAL + "guess = constant\nguess_value = nan\n",
         None, "guess value must be finite"),
+    "removed-record_timing-key": (
+        MINIMAL + "record_timing = yes\n",
+        None, "unknown key 'record_timing' in section [iteration]"),
+    "infinite-T": (
+        MINIMAL.replace("preset = heat1d", "preset = heat1d\nT = inf"),
+        None, "T must be positive and finite"),
+    "tiny-T": (
+        MINIMAL.replace("preset = heat1d", "preset = heat1d\nT = 1e-310"),
+        None, "1/dt overflows for T = 1e-310 and nt = 50"),
+    "overflowing-axis": (
+        MINIMAL.replace("preset = heat1d", "preset = heat1d\nalpha = -1e308\nbeta = 1e308"),
+        None, "alpha, beta and beta - alpha must be finite"),
+    "infinite-cross_hi": (
+        _TINY_2D.replace("n = 2", "n = 2\ncross_hi = inf"),
+        None, "cross-section bounds and length must be finite"),
+    "overflowing-cross": (
+        _TINY_2D.replace("n = 2", "n = 2\ncross_lo = -1e308\ncross_hi = 1e308"),
+        None, "cross-section bounds and length must be finite"),
+    "negative-seed": (
+        MINIMAL + "guess = random-smooth\nseed = -1\n",
+        None, "guess seed must be nonnegative"),
+    "decreasing-table-t": (
+        "[problem]\ntable = {table}\n", "t,a11,b1,c\n1,1,0,0\n0,2,0,0\n",
+        "coefficient table t column must be finite and strictly increasing"),
+    "repeated-table-t": (
+        "[problem]\ntable = {table}\n", "t,a11,b1,c\n0,1,0,0\n0,2,0,0\n1,1,0,0\n",
+        "coefficient table t column must be finite and strictly increasing"),
+    "infinite-table-t": (
+        "[problem]\ntable = {table}\n", "t,a11,b1,c\n0,1,0,0\ninf,1,0,0\n",
+        "coefficient table t column must be finite and strictly increasing"),
+    # The table file stands in for any file where the directory should be.
+    "directory-is-a-file": (
+        MINIMAL + "\n[output]\ndirectory = coeffs.csv\n", "not a directory\n",
+        "[output] directory 'coeffs.csv': coeffs.csv is not a directory"),
+    "directory-under-a-file": (
+        MINIMAL + "\n[output]\ndirectory = coeffs.csv/runs/\n", "not a directory\n",
+        "[output] directory 'coeffs.csv/runs/': coeffs.csv is not a directory"),
 }
 
 

@@ -2,7 +2,9 @@
 
 import io
 import math
+import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,11 +106,10 @@ class TestComputeE:
         # theta weights Phi, never E_k.
         vals = grid.axis_nodes()[None, :, None] * np.ones((grid.nt + 1, 1, 1))
         oracle = GlobalSolution(values=np.zeros_like(vals))
-        varphi = np.exp(-np.linspace(0, 3, grid.nt + 1))
         plain, weighted = (
             compute_error_fields(_sol(vals), oracle, RobinParameter(1.0),
-                                 WeightSpec(gamma=1.0, varphi=w), grid)
-            for w in (None, varphi))
+                                 WeightSpec(gamma=1.0, theta=theta), grid)
+            for theta in (0.0, 3.0))
         assert compute_E([weighted]) == compute_E([plain])
         assert not np.array_equal(weighted.phi, plain.phi)
 
@@ -280,7 +281,7 @@ class TestIterationHistory:
         for k, E in enumerate([1.0, 0.5, 0.2, 0.1], start=1):
             hist.rows.append(IterationRecord(
                 k=k, E=E, sup_e_max=E / 2, sup_e_per_sub=(E / 2,),
-                phi_boundary_ok=True, trace_increment=E / 4, wall_ms=0.0))
+                phi_boundary_ok=True, trace_increment=E / 4))
         hist.termination = "max_iters"
         return hist
 
@@ -302,12 +303,20 @@ class TestIterationHistory:
         for k, E in enumerate([0.0, 0.0, 1.0, 1.0], start=1):
             hist.rows.append(IterationRecord(
                 k=k, E=E, sup_e_max=E, sup_e_per_sub=(E,), phi_boundary_ok=True,
-                trace_increment=0.0, wall_ms=0.0))
+                trace_increment=0.0))
         buf = io.StringIO()
         hist.write_csv(buf)
         gammas = [line.split(",")[3] for line in buf.getvalue().splitlines()[1:]]
         assert gammas == ["", "", "inf", "1.0"]
         assert hist.contraction().ratios == (math.inf, 1.0)
+
+    def test_readme_lists_the_columns(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        m = re.search(r"`history.csv` has one row per sweep and (\d+) columns: (.*?)\.\s",
+                      readme, re.S)
+        assert m is not None
+        assert int(m.group(1)) == len(HISTORY_HEADER)
+        assert tuple(re.findall(r"`(\w+)`", m.group(2))) == HISTORY_HEADER
 
     def test_default_gamma(self):
         prob = problem_preset("heat1d")
@@ -324,26 +333,30 @@ class TestWeightSpec:
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             WeightSpec(gamma=bad)
 
-    def test_rejects_nonpositive_time_weight(self):
-        with pytest.raises(ValueError):
-            WeightSpec(gamma=1.0, varphi=np.array([1.0, -1e-300]))
+    def test_rejects_negative_theta(self):
+        with pytest.raises(ValueError, match="theta must be nonnegative and finite"):
+            WeightSpec(gamma=1.0, theta=-1e-300)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_nonfinite_time_weight(self, bad):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            WeightSpec(gamma=1.0, varphi=np.array([1.0, bad]))
+        # theta = inf would give exp(-inf * 0) = nan at t = 0.
+        with pytest.raises(ValueError, match="theta must be nonnegative and finite"):
+            WeightSpec(gamma=1.0, theta=bad)
 
     def test_accepts_underflowed_time_weight(self):
         # exp(-theta t) underflows to 0 for large theta t.
-        varphi = np.exp(-800.0 * np.linspace(0.0, 1.0, 3))
-        assert varphi[-1] == 0.0
-        assert np.array_equal(WeightSpec(gamma=1.0, varphi=varphi).time_weight(2),
-                              varphi)
+        times = np.linspace(0.0, 1.0, 3)
+        varphi = WeightSpec(gamma=1.0, theta=800.0).time_weight(times)
+        assert varphi[0] == 1.0 and varphi[-1] == 0.0
 
-    def test_time_weight_shape_checked(self):
-        w = WeightSpec(gamma=1.0, varphi=np.ones(4))
-        with pytest.raises(ShapeMismatch):
-            w.time_weight(10)
+    @pytest.mark.parametrize("theta", [0.0, 2.0, 10.0])
+    def test_time_weight_is_exp_minus_theta_t(self, grid, theta):
+        times = grid.times()
+        varphi = WeightSpec(gamma=1.0, theta=theta).time_weight(times)
+        assert varphi.shape == times.shape
+        assert np.array_equal(varphi, np.exp(-theta * times))
+        if theta == 0.0:
+            assert np.array_equal(varphi, np.ones(grid.nt + 1))
 
 
 def _shifted_run(alpha):

@@ -122,8 +122,7 @@ class TestStackDiagnostics:
         else:
             nodes = _values(rng, shape, nonfinite)
         u = operator._stack(nodes)
-        varphi = np.exp(-theta * grid.times()) if theta else None
-        weights = WeightSpec(gamma=gamma, varphi=varphi)
+        weights = WeightSpec(gamma=gamma, theta=theta)
         _assert_same_diagnostics(u, operator, layout, oracle, p, weights)
 
     @pytest.mark.parametrize("nx_cross", [7, 15])  # axis-major, cross-major strips
@@ -194,8 +193,7 @@ class TestStackExchange:
 def _reference_run(problem, grid, layout, config, oracle):
     """Reference: run()'s loop with the per-strip diagnostics and exchange."""
     gamma = config.gamma if config.gamma is not None else default_gamma(problem.domain)
-    varphi = np.exp(-config.theta * grid.times()) if config.theta != 0.0 else None
-    weights = WeightSpec(gamma=gamma, varphi=varphi)
+    weights = WeightSpec(gamma=gamma, theta=config.theta)
     traces = initial_traces(config.guess, layout, grid, problem)
     operator = StackOperator(problem, grid,
                              [axis_range(e, config.p) for e in layout.entries])
@@ -211,8 +209,7 @@ def _reference_run(problem, grid, layout, config, oracle):
         new = exchange(sols, layout, grid, config.p, traces)
         rows.append(IterationRecord(k=k, E=E, sup_e_max=max(sup_e), sup_e_per_sub=sup_e,
                                     phi_boundary_ok=phi_ok,
-                                    trace_increment=_trace_increment(new, traces),
-                                    wall_ms=0.0))
+                                    trace_increment=_trace_increment(new, traces)))
         traces = new
         if not math.isfinite(E) or E <= config.stop_tol:
             break
