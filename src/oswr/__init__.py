@@ -14,8 +14,7 @@ from .problem import (CoefficientSet, DomainSpec, EllipticityReport,
                       ManufacturedSolution, ParabolicProblem, check_assumptions,
                       manufactured_forcing, problem_from_table, problem_preset,
                       standard_exact)
-from .subdomain import (RobinParameter, SubdomainSolution, TraceData,
-                        extract_robin_trace, solve_subdomain)
+from .subdomain import RobinParameter, SubdomainSolution, extract_robin_trace, solve_subdomain
 
 __version__ = "0.1.0"
 
@@ -26,7 +25,7 @@ __all__ = [
     "FaceRule", "GlobalSolution", "InitialGuess", "IterationHistory",
     "ManufacturedSolution", "ParabolicProblem", "RobinParameter", "SWRConfig",
     "SpaceTimeGrid", "StackOperator", "SubdomainEntry", "SubdomainLayout", "SubdomainSolution",
-    "TraceData", "WeightSpec", "assemble_step", "build_grid", "check_assumptions",
+    "WeightSpec", "assemble_step", "build_grid", "check_assumptions",
     "compute_E", "compute_error_fields", "contraction_report", "default_gamma",
     "exchange", "extract_robin_trace", "initial_traces", "manufactured_forcing",
     "march", "phi_boundary_check", "pointwise_error_trend", "problem_from_table",

@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import ExperimentConfig, load_config
+from .config import RUN_DIR, ExperimentConfig, load_config
 from .decomposition import snap
 from .diagnostics import ContractionReport
 from .engine import run as swr_run
@@ -102,7 +102,7 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool = False,
     rundirs = []
     status = EXIT_OK
     for idx, (p, overlap) in enumerate(runs):
-        rundir_name = f"run_{idx:03d}" if sweep else "."
+        rundir_name = RUN_DIR.format(idx) if sweep else "."
         rundir = os.path.join(outdir, rundir_name) if sweep else outdir
         os.makedirs(rundir, exist_ok=True)
         rundirs.append(rundir_name if sweep else ".")

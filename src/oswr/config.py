@@ -38,6 +38,9 @@ def _float_list(raw: str) -> List[float]:
 # The largest argument of exp() that stays finite, log(DBL_MAX).
 _EXP_LIMIT = math.log(sys.float_info.max)
 
+# The subdirectory of [output] directory that `oswr sweep` writes run idx to.
+RUN_DIR = "run_{:03d}"
+
 # The INI format: section -> {key: parser}.  Each key sets the
 # ExperimentConfig field of the same name, except cross_lo/cross_hi, which
 # fill `cross`.
@@ -205,9 +208,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     existing = os.path.normpath(cfg.directory)
     while existing and not os.path.exists(existing):  # the nearest existing ancestor
         existing = os.path.dirname(existing)
-    if existing and not os.path.isdir(existing):
-        raise ValidationError(
-            f"[output] directory {cfg.directory!r}: {existing} is not a directory")
+    sweep_dirs = [os.path.join(cfg.directory, RUN_DIR.format(idx))
+                  for idx in range(len(cfg.scheduled_runs(sweep=True)))]
+    for path in [existing] + sweep_dirs:
+        if path and os.path.lexists(path) and not os.path.isdir(path):
+            raise ValidationError(
+                f"[output] directory {cfg.directory!r}: {path} is not a directory")
     try:
         problem = cfg.build_problem()
         grid = build_grid(problem.domain, cfg.nx_axis, cfg.nt, cfg.nx_cross)

@@ -3,8 +3,10 @@
 Each sweep solves all strips from the previous sweep's traces
 (additive/Jacobi pattern), then exchanges Robin traces across interfaces.
 Extreme faces always carry Dirichlet data g; the initial guess h0 supplies
-Robin data on interior interfaces for the first sweep only.  Since the
-strips of a sweep are independent, a sweep marches them side by side, one
+Robin data on interior interfaces for the first sweep only.  A strip's face
+data are a (left, right) pair of (nt+1, ncross) arrays (SubTraces), checked
+where they enter: by march, and for run() by StackExchange.  The strips of
+a sweep are independent, so a sweep marches them side by side, one
 block-diagonal solve per time step; a run keeps one StackOperator, so the
 steps are assembled and factored in the first sweep and reused by the
 later ones.  `run()` takes each sweep's diagnostics (StackDiagnostics) and
@@ -25,13 +27,12 @@ from .decomposition import SubdomainLayout
 from .diagnostics import (IterationHistory, IterationRecord, StackDiagnostics,
                           WeightSpec, default_gamma)
 from .errors import DataMismatch, NodeOutOfRange, OswrError
-from .grid import SpaceTimeGrid, StackOperator, eval_plane, march
+from .grid import SpaceTimeGrid, StackOperator, check_faces, eval_plane, march
 from .oracle import GlobalSolution
 from .problem import ParabolicProblem
-from .subdomain import (RobinParameter, SubdomainSolution, TraceData, axis_range,
-                        extract_robin_trace, face_data)
+from .subdomain import RobinParameter, SubdomainSolution, axis_range, extract_robin_trace
 
-SubTraces = Tuple[TraceData, TraceData]  # (left, right) inbound data
+SubTraces = Tuple[np.ndarray, np.ndarray]  # (left, right) inbound data, (nt+1, ncross) each
 GUESS_MODES = 3  # sinusoids in the random-smooth guess
 
 
@@ -101,35 +102,21 @@ class SWRConfig:
             raise ValueError("theta must be nonnegative and finite")
 
 
-def _dirichlet_trace(problem: ParabolicProblem, grid: SpaceTimeGrid,
-                     xn: float, side: str) -> TraceData:
-    return TraceData(side=side, kind="dirichlet", values=eval_plane(problem.g, grid, xn))
-
-
 def initial_traces(guess: InitialGuess, layout: SubdomainLayout,
                    grid: SpaceTimeGrid, problem: ParabolicProblem) -> List[SubTraces]:
     """Sweep-0 data: h0 on interior interfaces, Dirichlet g at the extremes."""
-    domain = problem.domain
     times = grid.times()
     cross = grid.cross_nodes()
     axis = grid.axis_nodes()
 
-    def robin_trace(node: int, side: str) -> TraceData:
-        xn = axis[node]
-        vals = guess.evaluate(domain, times[:, None], cross[None, :], xn)
-        vals = np.broadcast_to(vals, (grid.nt + 1, grid.nx_cross)).copy()
-        return TraceData(side=side, kind="robin", values=vals)
+    def face(node: int, kind: str) -> np.ndarray:
+        if kind == "dirichlet":
+            return eval_plane(problem.g, grid, axis[node])
+        vals = guess.evaluate(problem.domain, times[:, None], cross[None, :], axis[node])
+        return np.broadcast_to(vals, (grid.nt + 1, grid.nx_cross)).copy()
 
-    traces: List[SubTraces] = []
-    for entry in layout.entries:
-        left = (_dirichlet_trace(problem, grid, axis[entry.i_left], "left")
-                if entry.left_kind == "dirichlet"
-                else robin_trace(entry.i_left, "left"))
-        right = (_dirichlet_trace(problem, grid, axis[entry.i_right], "right")
-                 if entry.right_kind == "dirichlet"
-                 else robin_trace(entry.i_right, "right"))
-        traces.append((left, right))
-    return traces
+    return [(face(e.i_left, e.left_kind), face(e.i_right, e.right_kind))
+            for e in layout.entries]
 
 
 def exchange(solutions: Sequence[SubdomainSolution], layout: SubdomainLayout,
@@ -163,8 +150,7 @@ def sweep_once(problem: ParabolicProblem, grid: SpaceTimeGrid,
     prepared for this sweep.
     """
     entries = layout.entries
-    faces = [face_data(e, *traces[e.index], grid) for e in entries]
-    values = march(problem, grid, [axis_range(e, p) for e in entries], faces, operator)
+    values = march(problem, grid, [axis_range(e, p) for e in entries], traces, operator)
     return [SubdomainSolution(index=e.index, i_left=e.i_left, values=v)
             for e, v in zip(entries, values)]
 
@@ -173,35 +159,36 @@ class StackExchange:
     """The Robin exchange of every strip at once, on march's stacked
     (nt+1, N) iterate.
 
-    `faces` holds each strip's (low, high) face data, as march takes it.
-    update() gathers every outgoing Robin trace from the iterate in one
-    pass, sign * D_h u + p u as extract_robin_trace computes it, puts it in
-    place of the Robin face data and returns the trace increment; Dirichlet
-    faces keep their data.
+    `faces` holds each range's (low, high) face data, as march takes it;
+    range l's low (high) Robin face takes the data of range l - 1 (l + 1)
+    at node lo (hi), with its rule's sign and p.  update() gathers every
+    outgoing Robin trace from the iterate in one pass, sign * D_h u + p u as
+    extract_robin_trace computes it, puts it in place of the Robin face data
+    and returns the trace increment; Dirichlet faces keep their data.
     """
 
-    def __init__(self, operator: StackOperator, layout: SubdomainLayout,
-                 p: RobinParameter, faces: Sequence[Tuple[np.ndarray, np.ndarray]]):
-        entries = layout.entries
+    def __init__(self, operator: StackOperator, faces: Sequence[SubTraces]):
+        ranges = operator.ranges
+        check_faces(operator.grid, ranges, faces)
         cols = operator._unstack(np.arange(operator.size))
         self.faces = [list(pair) for pair in faces]
-        self.slots = []  # (strip, face) of each Robin trace
-        sources, signs = [], []
-        for e in entries:
-            for face, side, kind, src, node in ((0, "left", e.left_kind, e.index - 1, e.i_left),
-                                                (1, "right", e.right_kind, e.index + 1, e.i_right)):
-                if kind != "robin":
+        self.slots = []  # (range, face) of each Robin trace
+        sources, signs, ps = [], [], []
+        for l, r in enumerate(ranges):
+            for face, rule, src, node in ((0, r.low, l - 1, r.lo), (1, r.high, l + 1, r.hi)):
+                if rule.kind != "robin":
                     continue
-                li, m = node - entries[src].i_left, len(cols[src])
-                if not 1 <= li <= m - 2:
+                if not (0 <= src < len(ranges) and ranges[src].lo < node < ranges[src].hi):
                     raise NodeOutOfRange(
                         f"node {node} is not strictly interior to subdomain {src}")
+                li = node - ranges[src].lo
                 sources.append(cols[src][[li, li + 1, li - 1]])
-                signs.append(p.sign(side))
-                self.slots.append((e.index, face))
+                signs.append(rule.sign)
+                ps.append(rule.p)
+                self.slots.append((l, face))
         self.cols = np.stack(sources, axis=1)  # (3, traces, ncross): node, node +- 1
-        self.signs = np.array(signs)[:, None]
-        self.p, self.h = p.p, operator.grid.hx_axis
+        self.signs, self.p = np.array(signs)[:, None], np.array(ps)[:, None]
+        self.h = operator.grid.hx_axis
         self.robin = np.stack([self.faces[l][f] for l, f in self.slots], axis=1)
 
     def update(self, u: np.ndarray) -> float:
@@ -232,9 +219,7 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
     operator = StackOperator(problem, grid, [axis_range(e, config.p) for e in entries])
     diagnose = StackDiagnostics(operator, oracle, config.p,
                                 WeightSpec(gamma=gamma, theta=config.theta))
-    traces = initial_traces(config.guess, layout, grid, problem)
-    robin = StackExchange(operator, layout, config.p,
-                          [face_data(e, *traces[e.index], grid) for e in entries])
+    robin = StackExchange(operator, initial_traces(config.guess, layout, grid, problem))
     for k in range(1, config.max_iters + 1):
         # Overflow needs no numpy warning: robin.update raises on non-finite
         # traces, and a non-finite E_k (exp(p (x_n - alpha))) ends the run.

@@ -25,12 +25,16 @@ class SingularSystem(OswrError):
     """Banded factorization failed; usually dt/h inconsistent with advection."""
 
 
+class NonFiniteSolution(OswrError):
+    """A march produced inf or nan values."""
+
+
 class SnapFailure(OswrError):
     """Snapping interface abscissas to grid nodes collapsed an overlap."""
 
 
 class DataMismatch(OswrError):
-    """Trace array shape inconsistent with the grid."""
+    """Face data that do not fit the axis ranges and grid, or are not finite."""
 
 
 class NodeOutOfRange(OswrError):

@@ -34,7 +34,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
-from .errors import BadResolution, SingularSystem
+from .errors import BadResolution, DataMismatch, SingularSystem
 from .problem import CoefficientSet, DomainSpec, ParabolicProblem
 
 # Bytes of LU factors one StackOperator keeps between marches.  A step's
@@ -508,6 +508,20 @@ class StackOperator:
         return lu
 
 
+def check_faces(grid: SpaceTimeGrid, ranges: Sequence[AxisRange],
+                faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> None:
+    """Raise DataMismatch unless each range has one finite (nt+1, ncross) face pair."""
+    if len(faces) != len(ranges):
+        raise DataMismatch(f"{len(faces)} face pairs for {len(ranges)} axis ranges")
+    shape = (grid.nt + 1, grid.nx_cross)
+    for low, high in faces:
+        for vals in (low, high):
+            if vals.shape != shape:
+                raise DataMismatch(f"trace shape {vals.shape} != {shape}")
+            if not np.all(np.isfinite(vals)):
+                raise DataMismatch("trace values contain non-finite entries")
+
+
 def march(problem: ParabolicProblem, grid: SpaceTimeGrid, ranges: Sequence[AxisRange],
           faces: Sequence[Tuple[np.ndarray, np.ndarray]],
           operator: Optional[StackOperator] = None) -> List[np.ndarray]:
@@ -515,10 +529,11 @@ def march(problem: ParabolicProblem, grid: SpaceTimeGrid, ranges: Sequence[AxisR
     (nt+1, m, ncross) array per range.
 
     faces[i] holds the (nt+1, ncross) data of range i's low and high axis
-    face; lateral faces (n=2) always carry Dirichlet data g.  `operator`
-    keeps the ranges' prepared steps between marches; without one, the
-    steps are prepared for this march only and keep no factors.
+    face (see check_faces); lateral faces (n=2) always carry Dirichlet data
+    g.  `operator` keeps the ranges' prepared steps between marches; without
+    one, the steps are prepared for this march only and keep no factors.
     """
+    check_faces(grid, ranges, faces)
     if operator is None:
         operator = StackOperator(problem, grid, ranges)
         operator._prepare(keep_bytes=0)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteSolution
 from .grid import AxisRange, FaceRule, SpaceTimeGrid, eval_plane, march
 from .problem import ParabolicProblem
 
@@ -21,9 +22,16 @@ class GlobalSolution:
 
 
 def solve_global(problem: ParabolicProblem, grid: SpaceTimeGrid) -> GlobalSolution:
-    """Backward-Euler march with Dirichlet closures (data g) on every face."""
+    """Backward-Euler march with Dirichlet closures (data g) on every face.
+
+    Raises NonFiniteSolution, without numpy's overflow warnings, when the
+    march overflows (as it can for a tiny dt).
+    """
     whole = AxisRange(0, grid.nx_axis - 1, FaceRule("dirichlet"), FaceRule("dirichlet"))
     faces = (eval_plane(problem.g, grid, problem.domain.alpha),
              eval_plane(problem.g, grid, problem.domain.beta))
-    values, = march(problem, grid, [whole], [faces])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, = march(problem, grid, [whole], [faces])
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteSolution(f"the reference solution is not finite (dt = {grid.dt:g})")
     return GlobalSolution(values=values)

@@ -214,12 +214,12 @@ def _dense_one_sweep(problem, grid, layout, traces, p):
                 kind = entry.left_kind if low else entry.right_kind
                 if kind == "dirichlet":
                     A[r, r] = 1.0
-                    rhs[r] = float(data.values[step, 0])
+                    rhs[r] = float(data[step, 0])
                     continue
                 # Ghost elimination: s*(u_in - u_ghost)/(2h) + p u = data
                 # substituted into the interior stencil at the face node.
                 s = p.sign("left" if low else "right")
-                d = float(data.values[step, 0])
+                d = float(data[step, 0])
                 sgn = -1.0 if low else 1.0
                 A[r, r] = (1.0 / dt + c + 2.0 * a / h ** 2
                            + sgn * 2.0 * a * p.p / (s * h) - b * p.p / s)
@@ -301,7 +301,7 @@ def _dense_one_sweep_2d(problem, grid, layout, traces, p):
                     kind, data, s, side = faces.get(i, ("interior", None, 0.0, 0.0))
                     if kind == "dirichlet":
                         A[r, r] = 1.0
-                        rhs[r] = float(data.values[step, j])
+                        rhs[r] = float(data[step, j])
                         continue
                     rhs[r] = fv[i, j]
                     if step == 1:
@@ -313,7 +313,7 @@ def _dense_one_sweep_2d(problem, grid, layout, traces, p):
                             A[r, idx(step, i + di, j + dj)] += w
                             continue
                         # Ghost u[i+di] = u[i-di] + side * (2h/s) (data - p u[i]).
-                        d = float(data.values[step, j + dj])
+                        d = float(data[step, j + dj])
                         A[r, idx(step, i - di, j + dj)] += w
                         A[r, idx(step, i, j + dj)] -= w * side * 2.0 * h * p.p / s
                         rhs[r] -= w * side * 2.0 * h * d / s

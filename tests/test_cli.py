@@ -336,6 +336,19 @@ nt = 4
         assert proc.stderr.splitlines() == [
             "run 0: numerical error: trace values contain non-finite entries"]
 
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_nonfinite_oracle_one_line(self, tmp_path, monkeypatch, capsys, verb):
+        # T = 1e-200 passes check (1/dt is finite), but the reference march
+        # overflows: exit 3 with one line and no numpy warning.
+        monkeypatch.chdir(tmp_path)
+        path = write(tmp_path, MINIMAL.replace("preset = heat1d", "preset = heat1d\nT = 1e-200")
+                     + "\n[grid]\nnx_axis = 21\nnt = 10\n\n[sweep]\np_values = 1, 2\n")
+        assert main(["check", path]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert main([verb, path]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical error: the reference solution is not finite (dt = 1e-201)\n")
+
 
 TABLE_1D = "t,a11,b1,c\n0,{a},0,0\n1,{a},0,0\n"
 _TINY_2D = """\
@@ -479,6 +492,20 @@ class TestOneValidationPath:
         assert not os.path.exists("out")
 
     @pytest.mark.parametrize("verb", ["check", "run", "sweep"])
+    @pytest.mark.parametrize("name", ["run_000", "run_001"])
+    def test_sweep_run_directory_is_a_file(self, tmp_path, monkeypatch, capsys, verb, name):
+        # A file where `oswr sweep` puts a run's directory; the config is the
+        # same for every verb, so each rejects it.
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("out")
+        write(tmp_path / "out", "x\n", name=name)
+        path = write(tmp_path, MINIMAL + "\n[sweep]\np_values = 1, 2\n")
+        assert main([verb, path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"config error: [output] directory 'out': out/{name} is not a directory\n")
+        assert os.listdir("out") == [name]
+
+    @pytest.mark.parametrize("verb", ["check", "run", "sweep"])
     def test_missing_section_header(self, tmp_path, monkeypatch, capsys, verb):
         monkeypatch.chdir(tmp_path)
         path = write(tmp_path, "malformed line without equals\n" + MINIMAL)
@@ -504,3 +531,13 @@ class TestOneValidationPath:
         assert block is not None
         path = write(tmp_path, block.group(1))
         assert main(["check", path]) == EXIT_OK
+
+    def test_readme_python_runs(self, capsys):
+        # Every fenced Python block runs as written, each in a fresh
+        # namespace: the run() and the per-strip quick starts at least.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert len(blocks) >= 2
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {"__name__": "__readme__"})
+        assert capsys.readouterr().err == ""

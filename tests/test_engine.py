@@ -6,11 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from oswr import (DecompositionSpec, InitialGuess, RobinParameter, SWRConfig,
-                  SubdomainSolution, build_grid, exchange, extract_robin_trace,
-                  initial_traces, problem_preset, run, snap, solve_global,
-                  solve_subdomain, sweep_once)
+from oswr import (DecompositionSpec, InitialGuess, ParabolicProblem, RobinParameter,
+                  StackOperator, SWRConfig, SubdomainSolution, build_grid, exchange,
+                  extract_robin_trace, initial_traces, march, problem_preset, run, snap,
+                  solve_global, solve_subdomain, sweep_once)
 from oswr.diagnostics import StackDiagnostics
+from oswr.engine import StackExchange
+from oswr.errors import DataMismatch
+from oswr.grid import eval_plane
+from oswr.subdomain import axis_range
 from tests.conftest import make_zero_problem
 
 
@@ -33,10 +37,9 @@ class TestInitialGuess:
         traces = initial_traces(InitialGuess(kind="constant", value=1.0),
                                 layout, grid, prob)
         # Interior interfaces carry the constant; extremes carry Dirichlet g.
-        assert traces[0][1].kind == "robin"
-        assert np.all(traces[0][1].values == 1.0)
-        assert traces[0][0].kind == "dirichlet"
-        assert traces[1][1].kind == "dirichlet"
+        assert np.all(traces[0][1] == 1.0)
+        assert np.array_equal(traces[0][0], eval_plane(prob.g, grid, prob.domain.alpha))
+        assert np.array_equal(traces[1][1], eval_plane(prob.g, grid, prob.domain.beta))
 
     def test_random_smooth_deterministic(self, setup):
         prob, grid, layout, _ = setup
@@ -44,14 +47,14 @@ class TestInitialGuess:
         t1 = initial_traces(g, layout, grid, prob)
         t2 = initial_traces(g, layout, grid, prob)
         for (a1, b1), (a2, b2) in zip(t1, t2):
-            assert np.array_equal(b1.values, b2.values)
-            assert np.array_equal(a1.values, a2.values)
+            assert np.array_equal(b1, b2)
+            assert np.array_equal(a1, a2)
 
     def test_zero_guess_traces(self, setup):
         prob, grid, layout, _ = setup
         traces = initial_traces(InitialGuess(), layout, grid, prob)
-        assert np.all(traces[0][1].values == 0.0)
-        assert np.all(traces[1][0].values == 0.0)
+        assert np.all(traces[0][1] == 0.0)
+        assert np.all(traces[1][0] == 0.0)
 
 
 class TestSWRConfig:
@@ -105,7 +108,7 @@ class TestJacobiDataflow:
         # Subdomain 0's right inbound is extracted from subdomain 1 at b_1.
         expected = extract_robin_trace(sols[1], grid,
                                        layout.entries[0].i_right, p, "right")
-        assert np.array_equal(new[0][1].values, expected.values)
+        assert np.array_equal(new[0][1], expected)
         # Extreme-face Dirichlet traces are passed through unchanged.
         assert new[0][0] is traces[0][0]
         assert new[1][1] is traces[1][1]
@@ -198,3 +201,61 @@ def test_error_context_attached(setup):
     bad_grid = build_grid(prob.domain, 41, 19)  # nt mismatch vs oracle grid
     with pytest.raises(OswrError):
         run(prob, bad_grid, layout, cfg, oracle)
+
+
+
+def _one_row(traces):
+    return [(traces[0][0], traces[0][1][:1])] + traces[1:], r"trace shape \(1, 1\) != \(5, 1\)"
+
+
+def _nan_entry(traces):
+    bad = traces[0][1].copy()
+    bad[2, 0] = np.nan
+    return [(traces[0][0], bad)] + traces[1:], "trace values contain non-finite entries"
+
+
+def _short(traces):
+    return traces[:1], "1 face pairs for 2 axis ranges"
+
+
+def _march(prob, grid, layout, p, faces):
+    march(prob, grid, [axis_range(e, p) for e in layout.entries], faces)
+
+
+def _sweep_once(prob, grid, layout, p, faces):
+    sweep_once(prob, grid, layout, faces, p)
+
+
+def _solve_subdomain(prob, grid, layout, p, faces):
+    solve_subdomain(prob, grid, layout.entries[0], *faces[0], p)
+
+
+def _stack_exchange(prob, grid, layout, p, faces):
+    StackExchange(StackOperator(prob, grid, [axis_range(e, p) for e in layout.entries]),
+                  faces)
+
+
+class TestFaceCheck:
+    """Face data are checked where they enter: by march, and so by
+    sweep_once and solve_subdomain, and by StackExchange for run()."""
+
+    @pytest.mark.parametrize("enter, spoil", [
+        (enter, spoil) for enter in (_march, _sweep_once, _solve_subdomain, _stack_exchange)
+        for spoil in (_one_row, _nan_entry, _short)
+        if (enter, spoil) != (_solve_subdomain, _short)])  # it takes one strip's pair
+    def test_rejected(self, setup, enter, spoil):
+        prob, _, layout, _ = setup
+        grid = build_grid(prob.domain, 41, 4)
+        traces = initial_traces(InitialGuess("constant", value=0.5), layout, grid, prob)
+        faces, message = spoil(traces)
+        with pytest.raises(DataMismatch, match=message):
+            enter(prob, grid, layout, RobinParameter(1.0), faces)
+
+    def test_nonfinite_g_stops_run_before_the_first_sweep(self, setup, monkeypatch):
+        prob, grid, layout, oracle = setup
+        alpha = prob.domain.alpha
+        bad = ParabolicProblem(domain=prob.domain, coeffs=prob.coeffs, f=prob.f,
+                               g=lambda t, x: np.where(x == alpha, np.nan, prob.g(t, x)))
+        monkeypatch.setattr(StackOperator, "solve", lambda *_: pytest.fail("swept"))
+        with pytest.raises(DataMismatch, match="^trace values contain non-finite entries$"):
+            run(bad, grid, layout, SWRConfig(p=RobinParameter(1.0)), oracle)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from oswr import (CoefficientSet, ParabolicProblem, RobinParameter, TraceData,
-                  build_grid, problem_preset, solve_global, solve_subdomain)
+from oswr import (CoefficientSet, ParabolicProblem, RobinParameter, build_grid,
+                  problem_preset, solve_global, solve_subdomain)
 from oswr.decomposition import SubdomainEntry
+from oswr.errors import NonFiniteSolution
 from tests.conftest import make_zero_problem
 
 
@@ -61,10 +62,8 @@ def test_degenerate_single_subdomain_matches_global(preset):
     entry = SubdomainEntry(index=0, i_left=0, i_right=grid.nx_axis - 1,
                            left_kind="dirichlet", right_kind="dirichlet")
     times = grid.times()
-    left = TraceData(side="left", kind="dirichlet",
-                     values=np.asarray(prob.g(times[:, None], 0.0), dtype=float))
-    right = TraceData(side="right", kind="dirichlet",
-                      values=np.asarray(prob.g(times[:, None], 1.0), dtype=float))
+    left = np.asarray(prob.g(times[:, None], 0.0), dtype=float)
+    right = np.asarray(prob.g(times[:, None], 1.0), dtype=float)
     sol = solve_subdomain(prob, grid, entry, left, right, RobinParameter(1.0))
     assert np.max(np.abs(sol.values - oracle.values)) <= 1e-12
 
@@ -77,3 +76,11 @@ def test_2d_oracle_accuracy():
                          grid.cross_nodes()[None, None, :],
                          grid.axis_nodes()[None, :, None])
     assert np.max(np.abs(sol.values - exact)) < 2e-2
+
+
+def test_overflowing_march_raises():
+    # 1/dt = 1e201 is finite, but the march overflows; numpy's warnings,
+    # errors in tier-1, stay silent.
+    prob = problem_preset("heat1d", T=1e-200)
+    with pytest.raises(NonFiniteSolution, match=r"^the reference solution is not finite"):
+        solve_global(prob, build_grid(prob.domain, 21, 10))

@@ -13,28 +13,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oswr import (DecompositionSpec, GlobalSolution, InitialGuess, RobinParameter,
-                  StackOperator, SubdomainSolution, SWRConfig, TraceData, WeightSpec,
+from oswr import (AxisRange, DecompositionSpec, FaceRule, GlobalSolution, InitialGuess,
+                  RobinParameter, StackOperator, SubdomainSolution, SWRConfig, WeightSpec,
                   build_grid, compute_E, compute_error_fields, default_gamma, exchange,
                   initial_traces, phi_boundary_check, problem_preset, run, snap,
                   solve_global, sweep_once)
 from oswr.decomposition import SubdomainEntry, SubdomainLayout
 from oswr.diagnostics import IterationRecord, StackDiagnostics
 from oswr.engine import StackExchange
-from oswr.errors import DataMismatch, ShapeMismatch
+from oswr.errors import DataMismatch, NodeOutOfRange, ShapeMismatch
 from oswr.grid import _strides
-from oswr.subdomain import axis_range, face_data
+from oswr.subdomain import axis_range
 
 LEVELS = np.array([0.0, 0.5, -1.0, 1.0 + 1e-9, 2.0, -3.0, 1e-300, 1e300])
 
 
-def _trace_increment(new, old):
+def _trace_increment(new, old, layout):
     """Reference: the largest change of any Robin trace, strip by strip."""
     inc = 0.0
-    for (nl, nr), (ol, orr) in zip(new, old):
-        for nt_, ot in ((nl, ol), (nr, orr)):
-            if nt_.kind == "robin" and ot.kind == "robin":
-                inc = max(inc, float(np.max(np.abs(nt_.values - ot.values))))
+    for e, (nl, nr), (ol, orr) in zip(layout.entries, new, old):
+        for kind, nt_, ot in ((e.left_kind, nl, ol), (e.right_kind, nr, orr)):
+            if kind == "robin":
+                inc = max(inc, float(np.max(np.abs(nt_ - ot))))
     return inc
 
 
@@ -166,13 +166,11 @@ class TestStackExchange:
         grid, layout, operator, p = stack
         rng = np.random.default_rng(seed)
         shape = (grid.nt + 1, grid.nx_cross)
-        traces = [tuple(TraceData(side=side, kind=kind, values=_values(rng, shape, False))
-                        for side, kind in (("left", e.left_kind), ("right", e.right_kind)))
-                  for e in layout.entries]
+        traces = [(_values(rng, shape, False), _values(rng, shape, False))
+                  for _ in layout.entries]
         u = operator._stack(_values(rng, (grid.nt + 1, grid.nx_axis, grid.nx_cross),
                                     nonfinite))
-        faces = [face_data(e, *traces[e.index], grid) for e in layout.entries]
-        stacked = StackExchange(operator, layout, p, faces)
+        stacked = StackExchange(operator, traces)
         with np.errstate(all="ignore"):
             try:
                 new = exchange(_solutions(u, operator, layout), layout, grid, p, traces)
@@ -181,13 +179,27 @@ class TestStackExchange:
                     stacked.update(u)
                 return
             increment = stacked.update(u)
-        assert repr(increment) == repr(_trace_increment(new, traces))
+        assert repr(increment) == repr(_trace_increment(new, traces, layout))
         for (left, right), (low, high) in zip(new, stacked.faces):
-            assert low.shape == left.values.shape and high.shape == right.values.shape
-            assert np.array_equal(low, left.values) and np.array_equal(high, right.values)
+            assert low.shape == left.shape and high.shape == right.shape
+            assert np.array_equal(low, left) and np.array_equal(high, right)
         # Dirichlet faces keep their data.
-        assert stacked.faces[0][0] is faces[0][0]
-        assert stacked.faces[-1][1] is faces[-1][1]
+        assert stacked.faces[0][0] is traces[0][0]
+        assert stacked.faces[-1][1] is traces[-1][1]
+
+    @pytest.mark.parametrize("outer", ["low", "high"])
+    def test_outer_robin_face_has_no_source(self, outer):
+        # A Robin face takes its data from the neighbouring range, and the
+        # first range's low face and the last range's high face have none.
+        prob = problem_preset("heat1d")
+        grid = build_grid(prob.domain, 21, 4)
+        robin, dirichlet = FaceRule("robin", 1.0, 1.0), FaceRule("dirichlet")
+        first = AxisRange(0, 12, robin if outer == "low" else dirichlet, robin)
+        last = AxisRange(8, 20, robin, robin if outer == "high" else dirichlet)
+        operator = StackOperator(prob, grid, [first, last])
+        zeros = np.zeros((grid.nt + 1, 1))
+        with pytest.raises(NodeOutOfRange, match="not strictly interior to subdomain"):
+            StackExchange(operator, [(zeros, zeros), (zeros, zeros)])
 
 
 def _reference_run(problem, grid, layout, config, oracle):
@@ -209,7 +221,7 @@ def _reference_run(problem, grid, layout, config, oracle):
         new = exchange(sols, layout, grid, config.p, traces)
         rows.append(IterationRecord(k=k, E=E, sup_e_max=max(sup_e), sup_e_per_sub=sup_e,
                                     phi_boundary_ok=phi_ok,
-                                    trace_increment=_trace_increment(new, traces)))
+                                    trace_increment=_trace_increment(new, traces, layout)))
         traces = new
         if not math.isfinite(E) or E <= config.stop_tol:
             break

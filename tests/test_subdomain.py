@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from oswr import (DecompositionSpec, RobinParameter, SubdomainSolution,
-                  TraceData, build_grid, extract_robin_trace, problem_preset,
-                  snap, solve_global, solve_subdomain)
+                  build_grid, extract_robin_trace, problem_preset, snap,
+                  solve_global, solve_subdomain)
 from oswr.decomposition import SubdomainEntry
 from oswr.errors import DataMismatch, NodeOutOfRange
 from tests.conftest import make_zero_problem
-
-
-def _trace(values, side, kind="robin"):
-    return TraceData(side=side, kind=kind, values=np.asarray(values, dtype=float))
 
 
 class TestRobinParameter:
@@ -41,7 +37,7 @@ class TestExtractRobinTrace:
                                 values=np.zeros((heat1d_grid.nt + 1, m, 1)))
         trace = extract_robin_trace(sol, heat1d_grid, 5, RobinParameter(1.0),
                                     "right")
-        assert np.all(trace.values == 0.0)
+        assert np.all(trace == 0.0)
 
     def test_linear_solution_exact(self):
         # values = x_n, p=2 at x=0.5: centered difference is exact on
@@ -53,10 +49,10 @@ class TestExtractRobinTrace:
         sol = SubdomainSolution(index=0, i_left=0, values=vals)
         p = RobinParameter(2.0, orientation="paper")
         trace = extract_robin_trace(sol, grid, 5, p, "right")
-        assert np.allclose(trace.values, 2.0)
+        assert np.allclose(trace, 2.0)
         # Outward orientation flips only the derivative term on left faces.
         left = extract_robin_trace(sol, grid, 5, RobinParameter(2.0), "left")
-        assert np.allclose(left.values, -1.0 + 2.0 * 0.5)
+        assert np.allclose(left, -1.0 + 2.0 * 0.5)
 
     def test_smooth_solution_second_order(self):
         # values = e^{-t} sin x at x=0.6: trace within O(h^2) of
@@ -72,7 +68,7 @@ class TestExtractRobinTrace:
             trace = extract_robin_trace(sol, grid, node, RobinParameter(1.0),
                                         "right")
             expected = np.exp(-times) * (np.cos(0.6) + np.sin(0.6))
-            errs.append(np.max(np.abs(trace.values[:, 0] - expected)))
+            errs.append(np.max(np.abs(trace[:, 0] - expected)))
         assert errs[0] < 2e-3
         assert errs[0] / errs[1] > 3.0  # second-order decrease
 
@@ -89,9 +85,7 @@ class TestSolveSubdomain:
         entry = SubdomainEntry(index=0, i_left=0, i_right=12,
                                left_kind="dirichlet", right_kind="robin")
         zeros = np.zeros((grid.nt + 1, 1))
-        sol = solve_subdomain(zero_problem, grid, entry,
-                              _trace(zeros, "left", "dirichlet"),
-                              _trace(zeros, "right"), RobinParameter(1.0))
+        sol = solve_subdomain(zero_problem, grid, entry, zeros, zeros, RobinParameter(1.0))
         assert np.max(np.abs(sol.values)) <= 1e-14
 
     def test_manufactured_robin_data(self):
@@ -105,34 +99,19 @@ class TestSolveSubdomain:
         p = RobinParameter(1.0)
         robin = (np.pi * np.exp(-times) * np.cos(np.pi * 0.6)
                  + p.p * np.exp(-times) * np.sin(np.pi * 0.6))
-        sol = solve_subdomain(prob, grid, entry,
-                              _trace(np.zeros((grid.nt + 1, 1)), "left",
-                                     "dirichlet"),
-                              _trace(robin[:, None], "right"), p)
+        sol = solve_subdomain(prob, grid, entry, np.zeros((grid.nt + 1, 1)),
+                              robin[:, None], p)
         axis = grid.axis_nodes()[:25]
         exact = np.exp(-times)[:, None] * np.sin(np.pi * axis)[None, :]
         assert np.max(np.abs(sol.values[:, :, 0] - exact)) < 5e-3
-
-    def test_kind_mismatch_rejected(self, zero_problem):
-        grid = build_grid(zero_problem.domain, 21, 4)
-        entry = SubdomainEntry(index=0, i_left=0, i_right=12,
-                               left_kind="dirichlet", right_kind="robin")
-        zeros = np.zeros((grid.nt + 1, 1))
-        with pytest.raises(DataMismatch):
-            solve_subdomain(zero_problem, grid, entry,
-                            _trace(zeros, "left", "robin"),
-                            _trace(zeros, "right"), RobinParameter(1.0))
 
     def test_shape_mismatch_rejected(self, zero_problem):
         grid = build_grid(zero_problem.domain, 21, 4)
         entry = SubdomainEntry(index=0, i_left=0, i_right=12,
                                left_kind="dirichlet", right_kind="robin")
         with pytest.raises(DataMismatch):
-            solve_subdomain(zero_problem, grid, entry,
-                            _trace(np.zeros((grid.nt + 1, 1)), "left",
-                                   "dirichlet"),
-                            _trace(np.zeros((2, 1)), "right"),
-                            RobinParameter(1.0))
+            solve_subdomain(zero_problem, grid, entry, np.zeros((grid.nt + 1, 1)),
+                            np.zeros((2, 1)), RobinParameter(1.0))
 
     def test_boundedness_by_data(self):
         # f == 0, |g| <= 1, c >= 0: discrete maximum principle keeps the
@@ -167,12 +146,12 @@ def test_transmission_exactness(orientation):
     for entry in layout.entries:
         if entry.left_kind == "dirichlet":
             xn = grid.axis_nodes()[entry.i_left]
-            left = _trace(prob.g(times[:, None], xn), "left", "dirichlet")
+            left = prob.g(times[:, None], xn)
         else:
             left = extract_robin_trace(full, grid, entry.i_left, p, "left")
         if entry.right_kind == "dirichlet":
             xn = grid.axis_nodes()[entry.i_right]
-            right = _trace(prob.g(times[:, None], xn), "right", "dirichlet")
+            right = prob.g(times[:, None], xn)
         else:
             right = extract_robin_trace(full, grid, entry.i_right, p, "right")
         sol = solve_subdomain(prob, grid, entry, left, right, p)
@@ -190,11 +169,9 @@ def test_linearity_in_trace_data(zero_problem):
     d2 = rng.standard_normal((grid.nt + 1, 1))
     p = RobinParameter(1.0)
     zeros = np.zeros((grid.nt + 1, 1))
-    right = _trace(zeros, "right", "dirichlet")
 
     def solve(data):
-        return solve_subdomain(zero_problem, grid, entry,
-                               _trace(data, "left"), right, p).values
+        return solve_subdomain(zero_problem, grid, entry, data, zeros, p).values
 
     combo = solve(2.0 * d1 - 0.5 * d2)
     direct = 2.0 * solve(d1) - 0.5 * solve(d2)
