@@ -8,7 +8,8 @@ Verbs:
 Exit codes: 0 success, 2 validation failure, 3 numerical failure (a
 non-finite E_k among them), 4 contraction verdict failure.  Each run writes
 `history.csv` and a `meta` text file into its own directory; `summary.csv`
-collects one row per run.
+collects one row per run.  Each warning raised while run i is made is
+printed as one stderr line, `run i: warning: <message>`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import os
 import platform
 import sys
+import warnings
 from typing import List, Optional
 
 import numpy as np
@@ -110,9 +112,14 @@ def run_experiment(cfg: ExperimentConfig, sweep: bool = False,
         report: Optional[ContractionReport] = None
         history = None
         try:
-            spec = cfg.decomposition_spec(problem.domain, overlap)
-            layout = snap(spec, grid)
-            history = swr_run(problem, grid, layout, cfg.swr_config(p), oracle)
+            with warnings.catch_warnings():
+                # Every warning, whatever the filters outside, as one line.
+                warnings.simplefilter("default")
+                warnings.showwarning = lambda message, *_: print(
+                    f"run {idx}: warning: {message}", file=sys.stderr)
+                spec = cfg.decomposition_spec(problem.domain, overlap)
+                layout = snap(spec, grid)
+                history = swr_run(problem, grid, layout, cfg.swr_config(p), oracle)
             termination = history.termination
             if termination == "nonfinite_E":
                 raise OswrError(f"E_k is not finite at sweep {len(history.rows)}")

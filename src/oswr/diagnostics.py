@@ -136,10 +136,10 @@ def _on_boundary(interior_max, boundary_max):
 
 @dataclass(frozen=True)
 class SweepDiagnostics:
-    """One sweep's E_k, per-strip sup|e| and per-strip Phi maxima."""
+    """One sweep's E_k, sup|e| over every strip and per-strip Phi maxima."""
 
     E: float
-    sup_e: Tuple[float, ...]
+    sup_e: float
     interior_max: np.ndarray
     boundary_max: np.ndarray
 
@@ -180,7 +180,6 @@ class StackDiagnostics:
         self.w_space = stacked(np.exp(-weights.gamma * xn))
         self.w_time = (None if weights.theta == 0
                        else weights.time_weight(grid.times())[:, None])
-        self.starts = np.array([rows.start for rows in operator.slices])
         # Runs of adjacent ranges with one axis stride: the centred
         # difference is one slice per run (one run in 1D).
         self.runs = []
@@ -221,7 +220,7 @@ class StackDiagnostics:
         e, nu, h = self._e, self._nu, self.h
         np.subtract(u, self.ref, out=e)
         np.abs(e, out=nu)
-        sup_e = tuple(np.maximum.reduceat(nu.max(axis=0), self.starts).tolist())
+        sup_e = float(nu.max())
         e *= self.grow  # eps
         for lo, hi, s in self.runs:
             inner = nu[:, lo + s:hi - s]
@@ -315,7 +314,6 @@ class IterationRecord:
     k: int
     E: float
     sup_e_max: float
-    sup_e_per_sub: Tuple[float, ...]
     phi_boundary_ok: bool
     trace_increment: float
 

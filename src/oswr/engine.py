@@ -7,9 +7,9 @@ Robin data on interior interfaces for the first sweep only.  A strip's face
 data are a (left, right) pair of (nt+1, ncross) arrays (SubTraces), checked
 where they enter: by march, and for run() by StackExchange.  The strips of
 a sweep are independent, so a sweep marches them side by side, one
-block-diagonal solve per time step; a run keeps one StackOperator, so the
-steps are assembled and factored in the first sweep and reused by the
-later ones.  `run()` takes each sweep's diagnostics (StackDiagnostics) and
+block-diagonal solve per time step; a run builds one StackOperator, which
+prepares every step's data, and reuses the factors it keeps from one sweep
+to the next.  `run()` takes each sweep's diagnostics (StackDiagnostics) and
 Robin exchange (StackExchange) from the stacked (nt+1, N) iterate in a few
 array operations, whatever the number of strips; sweep_once and exchange
 are the per-strip forms of the same sweep and exchange.
@@ -140,17 +140,11 @@ def exchange(solutions: Sequence[SubdomainSolution], layout: SubdomainLayout,
 
 def sweep_once(problem: ParabolicProblem, grid: SpaceTimeGrid,
                layout: SubdomainLayout, traces: Sequence[SubTraces],
-               p: RobinParameter, operator: Optional[StackOperator] = None,
-               ) -> List[SubdomainSolution]:
+               p: RobinParameter) -> List[SubdomainSolution]:
     """Solve all strips from the given inbound traces (Jacobi ordering) in
-    one march.
-
-    `operator`, a StackOperator over the layout's axis ranges, carries the
-    prepared steps from one sweep to the next; without one, the steps are
-    prepared for this sweep.
-    """
+    one march."""
     entries = layout.entries
-    values = march(problem, grid, [axis_range(e, p) for e in entries], traces, operator)
+    values = march(problem, grid, [axis_range(e, p) for e in entries], traces)
     return [SubdomainSolution(index=e.index, i_left=e.i_left, values=v)
             for e, v in zip(entries, values)]
 
@@ -216,13 +210,15 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
     gamma = config.gamma if config.gamma is not None else default_gamma(problem.domain)
     history = IterationHistory(window=layout.count)
     entries = layout.entries
-    operator = StackOperator(problem, grid, [axis_range(e, config.p) for e in entries])
+    # Overflow needs no numpy warning, in the node data as in the sweeps:
+    # robin.update raises on non-finite traces, and a non-finite E_k
+    # (exp(p (x_n - alpha))) ends the run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        operator = StackOperator(problem, grid, [axis_range(e, config.p) for e in entries])
     diagnose = StackDiagnostics(operator, oracle, config.p,
                                 WeightSpec(gamma=gamma, theta=config.theta))
     robin = StackExchange(operator, initial_traces(config.guess, layout, grid, problem))
     for k in range(1, config.max_iters + 1):
-        # Overflow needs no numpy warning: robin.update raises on non-finite
-        # traces, and a non-finite E_k (exp(p (x_n - alpha))) ends the run.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 u = operator.solve(robin.faces)
@@ -231,8 +227,7 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
             d = diagnose(u)
             increment = robin.update(u)
         history.rows.append(IterationRecord(
-            k=k, E=d.E, sup_e_max=max(d.sup_e), sup_e_per_sub=d.sup_e,
-            phi_boundary_ok=d.phi_ok, trace_increment=increment))
+            k=k, E=d.E, sup_e_max=d.sup_e, phi_boundary_ok=d.phi_ok, trace_increment=increment))
         if on_sweep is not None:
             on_sweep(k, [SubdomainSolution(index=e.index, i_left=e.i_left, values=v)
                          for e, v in zip(entries, operator._unstack(u))])

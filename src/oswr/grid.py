@@ -18,11 +18,11 @@ the strip, not the cross section.  In 1D (ncross = 1) the two are the same.
 A step's matrix depends on the coefficient values at t_next and the face
 rules only, never on the iterate or the data.  A StackOperator places the
 step matrices of several axis node ranges (the strips of one sweep, which
-are independent within it) block-diagonally in one band.  It evaluates f
-(and the lateral g) once on the whole space-time grid, applies the face
-data in one right-hand-side build for all steps, and factors a step when a
-march first needs it; with its factors kept, every later march costs one
-LAPACK solve per step.
+are independent within it) block-diagonally in one band.  When built, it
+evaluates f (and the lateral g) once on the whole space-time grid; each
+march applies the face data in one right-hand-side build for all steps and
+factors a step when it first needs it.  With its factors kept, every later
+march costs one LAPACK solve per step.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from .errors import BadResolution, DataMismatch, SingularSystem
 from .problem import CoefficientSet, DomainSpec, ParabolicProblem
 
-# Bytes of LU factors one StackOperator keeps between marches.  A step's
-# factors take about (3*bw + 1) * N * 8 bytes plus N pivots, for N unknowns
-# over all ranges and bw = 1 in 1D, min(widest range, nx_cross) + 1 in 2D.
-# Steps are kept in the order they are first factored, time order, while
-# they fit; the others are factored again in every march.
+# Bytes of LU factors one StackOperator keeps, read each time it factors a
+# step.  A step's factors take about (3*bw + 1) * N * 8 bytes plus N pivots,
+# for N unknowns over all ranges and bw = 1 in 1D, min(widest range,
+# nx_cross) + 1 in 2D.  Steps are kept in the order they are first
+# factored, time order, while they fit; the others are factored again in
+# every march.
 FACTOR_CACHE_BYTES = 5 * 2 ** 20
 
 
@@ -96,7 +97,13 @@ def build_grid(domain: DomainSpec, nx_axis: int, nt: int,
         raise BadResolution("nx_cross must be at least 3")
     if domain.n == 1:
         nx_cross = 1
-    return SpaceTimeGrid(domain=domain, nx_axis=nx_axis, nt=nt, nx_cross=nx_cross)
+    grid = SpaceTimeGrid(domain=domain, nx_axis=nx_axis, nt=nt, nx_cross=nx_cross)
+    # The step matrix divides by h**2, and the standard exact solution
+    # squares pi / L for a length L >= 2h.
+    for name, h in (("axis", grid.hx_axis), ("cross", grid.hx_cross))[:domain.n]:
+        if not (0 < h * h < math.inf and (math.pi / h) * (math.pi / h) < math.inf):
+            raise BadResolution(f"h**2 or (pi/h)**2 overflows for the {name} spacing h = {h:g}")
+    return grid
 
 
 def eval_nodes(fn, grid: SpaceTimeGrid, times: np.ndarray) -> np.ndarray:
@@ -360,9 +367,9 @@ class StackOperator:
     Step k's matrix is the ranges' step-k matrices placed block-diagonally
     in one band, so one LAPACK solve advances every range by one step.  Each
     range orders its unknowns by _strides, and `bandwidth` is the widest
-    range's; march() returns node arrays, whatever the order.  A
-    step's matrix depends on the coefficient values at t_k and the face
-    rules only, never on the iterate or the data.  The first march prepares
+    range's; _unstack gives node arrays, whatever the order.  A step's
+    matrix depends on the coefficient values at t_k and the face rules
+    only, never on the iterate or the data.  Building the operator prepares
     the data of every step at once: f on the whole (nt+1) x axis x cross
     grid in one call (and g on the two lateral planes in 2D), sliced into
     the static right-hand side (nt+1, N), whose Dirichlet face rows rhs()
@@ -372,9 +379,7 @@ class StackOperator:
     One rule gives every step its factors: a step reuses the previous
     step's while its key repeats, else takes its key's kept factors, else
     is assembled and factored then, and kept if the kept bytes stay within
-    the cap read at preparation (FACTOR_CACHE_BYTES; 0 for march() without
-    an operator, which thus holds one step's factors at a time).  Results do
-    not depend on the cap.
+    FACTOR_CACHE_BYTES.  Results do not depend on the cap.
     """
 
     def __init__(self, problem: ParabolicProblem, grid: SpaceTimeGrid,
@@ -385,6 +390,7 @@ class StackOperator:
         self.bandwidth = _bandwidth(grid, self.ranges)
         self.factorizations = 0
         self.nbytes = 0  # factors kept
+        self._lus = {}   # coefficient values -> factors kept
         ends = np.cumsum([0] + [(r.hi - r.lo + 1) * J for r in self.ranges])
         self.slices = [slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
         self.size = int(ends[-1])
@@ -403,12 +409,25 @@ class StackOperator:
                 if face.kind == "dirichlet":
                     self.takes_prev[face_rows] = 0.0
                 self._faces.append((face_rows, face, low))
-        self.u0 = None        # (N,), filled by the first march
-        self._static = None   # (nt+1, N), filled by the first march
-        self._coefs = None    # per face: Robin data factors, (2, nt+1)
-        self._keys = None     # per step: the coefficient values at t_k
-        self._lus = {}        # coefficient values -> factors kept
-        self._keep_bytes = 0  # the cap on nbytes, set by the first march
+
+        times = grid.times()
+        nodes = eval_nodes(problem.f, grid, times)
+        if n == 2:
+            cross, axis = grid.cross_nodes(), grid.axis_nodes()
+            for j in (0, -1):
+                nodes[:, :, j] = problem.g(times[:, None], cross[j], axis)
+        self._static = self._stack(nodes)  # (nt+1, N)
+        self.u0 = self._stack(eval_nodes(problem.g, grid, times[:1])[0])
+        # Per step: the coefficient values at t_k; per face: the Robin data
+        # factors, (2, nt+1).
+        self._keys: List[Optional[tuple]] = [None] + [
+            _coefficient_values(problem.coeffs, t) for t in times[1:]]
+        self._coefs = np.zeros((len(self._faces), 2, grid.nt + 1))
+        for i, (_, face, low) in enumerate(self._faces):
+            if face.kind == "robin":
+                for k in range(1, grid.nt + 1):
+                    self._coefs[i, :, k] = _robin_data_coefficients(
+                        self._keys[k], grid, face, low)
 
     def _stack(self, nodes: np.ndarray) -> np.ndarray:
         """Whole-grid node values (..., nx_axis, ncross) as the ranges'
@@ -425,33 +444,17 @@ class StackOperator:
                 for r, rows, (sa, sc) in zip(self.ranges, self.slices, self._strides)]
 
     def _factor(self, values: Tuple[float, ...]) -> Union[BandedLU, TridiagonalLU]:
-        """Assemble and factor the step matrix of these coefficient values."""
+        """Assemble and factor the step matrix of these coefficient values,
+        and keep the factors if they fit FACTOR_CACHE_BYTES."""
         bw = self.bandwidth
         work = np.zeros((3 * bw + 1, self.size), order="F")
         assemble_step(values, self.grid, self.ranges, work[bw:])
         lu = _factor_band(work, bw)
         self.factorizations += 1
+        if self.nbytes + lu.nbytes <= FACTOR_CACHE_BYTES:
+            self._lus[values] = lu
+            self.nbytes += lu.nbytes
         return lu
-
-    def _prepare(self, keep_bytes: int) -> None:
-        problem, grid = self.problem, self.grid
-        times = grid.times()
-        nodes = eval_nodes(problem.f, grid, times)
-        if problem.domain.n == 2:
-            cross, axis = grid.cross_nodes(), grid.axis_nodes()
-            for j in (0, -1):
-                nodes[:, :, j] = problem.g(times[:, None], cross[j], axis)
-        static = self._stack(nodes)
-        self.u0 = self._stack(eval_nodes(problem.g, grid, times[:1])[0])
-
-        keys: List[Optional[tuple]] = [None] + [
-            _coefficient_values(problem.coeffs, t) for t in times[1:]]
-        coefs = np.zeros((len(self._faces), 2, grid.nt + 1))
-        for i, (_, face, low) in enumerate(self._faces):
-            if face.kind == "robin":
-                for k in range(1, grid.nt + 1):
-                    coefs[i, :, k] = _robin_data_coefficients(keys[k], grid, face, low)
-        self._static, self._coefs, self._keys, self._keep_bytes = static, coefs, keys, keep_bytes
 
     def rhs(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """Every step's right-hand side for zero u_prev, (nt+1, N); row 0 is
@@ -459,10 +462,7 @@ class StackOperator:
 
         faces[i] holds the (nt+1, ncross) data of range i's low and high
         face: solution values on a Dirichlet face, Robin data on a Robin one.
-        The first call prepares the steps' data.
         """
-        if self._static is None:
-            self._prepare(FACTOR_CACHE_BYTES)
         n = self.problem.domain.n
         out = self._static.copy()
         data = [vals for pair in faces for vals in pair]
@@ -490,22 +490,12 @@ class StackOperator:
             rhs *= take
             rhs += b[k]
             if keys[k] != keys[k - 1]:
-                lu = None  # let the previous step's factors go first
-                lu = self.factors(k)
+                # The previous step's factors go before new ones are made.
+                lu = self._lus.get(keys[k])
+                if lu is None:
+                    lu = self._factor(keys[k])
             u[k] = lu.solve(rhs)
         return u
-
-    def factors(self, k: int) -> Union[BandedLU, TridiagonalLU]:
-        """Step k's LU factors: the kept ones, or made afresh and kept if
-        they fit; after rhs()."""
-        values = self._keys[k]
-        lu = self._lus.get(values)
-        if lu is None:
-            lu = self._factor(values)
-            if self.nbytes + lu.nbytes <= self._keep_bytes:
-                self._lus[values] = lu
-                self.nbytes += lu.nbytes
-        return lu
 
 
 def check_faces(grid: SpaceTimeGrid, ranges: Sequence[AxisRange],
@@ -523,20 +513,14 @@ def check_faces(grid: SpaceTimeGrid, ranges: Sequence[AxisRange],
 
 
 def march(problem: ParabolicProblem, grid: SpaceTimeGrid, ranges: Sequence[AxisRange],
-          faces: Sequence[Tuple[np.ndarray, np.ndarray]],
-          operator: Optional[StackOperator] = None) -> List[np.ndarray]:
-    """Backward-Euler march of axis node ranges side by side; returns one
-    (nt+1, m, ncross) array per range.
+          faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> List[np.ndarray]:
+    """Backward-Euler march of axis node ranges side by side, on a
+    StackOperator built for this march; returns one (nt+1, m, ncross) array
+    per range.
 
     faces[i] holds the (nt+1, ncross) data of range i's low and high axis
-    face (see check_faces); lateral faces (n=2) always carry Dirichlet data
-    g.  `operator` keeps the ranges' prepared steps between marches; without
-    one, the steps are prepared for this march only and keep no factors.
+    face (see check_faces); lateral faces (n=2) always carry Dirichlet data g.
     """
     check_faces(grid, ranges, faces)
-    if operator is None:
-        operator = StackOperator(problem, grid, ranges)
-        operator._prepare(keep_bytes=0)
-    elif (operator.problem, operator.grid, operator.ranges) != (problem, grid, tuple(ranges)):
-        raise ValueError("operator was built for another problem, grid or axis range")
+    operator = StackOperator(problem, grid, ranges)
     return operator._unstack(operator.solve(faces))

@@ -17,8 +17,8 @@ and must broadcast over numpy arrays.
 
 from __future__ import annotations
 
-import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
@@ -120,13 +120,25 @@ class CoefficientSet:
 
         Samples are linearly interpolated in t (constant extrapolation at
         the ends, matching numpy.interp), so t must be finite and strictly
-        increasing.
+        increasing.  An empty file, a table without rows and rows of unequal
+        length raise a one-line ValueError.
         """
-        data = np.genfromtxt(source, delimiter=",", names=True)
+        with warnings.catch_warnings():
+            # numpy warns on an empty file, then fails on its missing header.
+            warnings.filterwarnings("error", "genfromtxt: Empty input file", UserWarning)
+            try:
+                data = np.genfromtxt(source, delimiter=",", names=True)
+            except UserWarning:
+                raise ValueError("coefficient table is empty") from None
+            except ValueError as exc:  # one "Line #i (got m columns ...)" per bad row
+                detail = "; ".join(s.strip() for s in str(exc).splitlines()[1:])
+                raise ValueError(f"malformed coefficient table: {detail or exc}") from None
         cols = list(data.dtype.names)
         if cols[0] != "t" or cols[-1] != "c":
             raise ValueError("coefficient table header must start with t and end with c")
         t = np.atleast_1d(data["t"])
+        if t.size == 0:
+            raise ValueError("coefficient table has no rows")
         if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
             raise ValueError("coefficient table t column must be finite and strictly increasing")
         if cols[1:4] == ["a11", "a12", "a22"]:
@@ -193,7 +205,8 @@ def check_assumptions(coeffs: CoefficientSet, times: Sequence[float]) -> Ellipti
         if not np.all(np.isfinite(A)):
             raise ValueError(f"non-finite diffusion sample at t={t}")
         max_asym = max(max_asym, float(np.max(np.abs(A - A.T))))
-        nu0 = min(nu0, float(np.linalg.eigvalsh(0.5 * (A + A.T))[0]))
+        # The symmetric part, halved first so that A + A.T cannot overflow.
+        nu0 = min(nu0, float(np.linalg.eigvalsh(0.5 * A + 0.5 * A.T)[0]))
         bvals = coeffs.b_vector(t)
         cval = coeffs.c_value(t)
         if not (np.all(np.isfinite(bvals)) and np.isfinite(cval)):

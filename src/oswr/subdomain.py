@@ -67,7 +67,7 @@ def solve_subdomain(problem: ParabolicProblem, grid: SpaceTimeGrid,
                     entry: SubdomainEntry, left: np.ndarray, right: np.ndarray,
                     p: RobinParameter) -> SubdomainSolution:
     """March one strip over the whole time window with the given (nt+1,
-    ncross) face data, preparing every step afresh."""
+    ncross) face data."""
     values, = march(problem, grid, [axis_range(entry, p)], [(left, right)])
     return SubdomainSolution(index=entry.index, i_left=entry.i_left, values=values)
 

@@ -336,7 +336,7 @@ def test_criterion_6_brute_force_equivalence_2d():
     assert widest < grid.nx_cross and operator.bandwidth == widest + 1
     guess = InitialGuess(kind="random-smooth", seed=2)
     traces = initial_traces(guess, layout, grid, prob)
-    production = sweep_once(prob, grid, layout, traces, p, operator)
+    production = sweep_once(prob, grid, layout, traces, p)
     dense = _dense_one_sweep_2d(prob, grid, layout, traces, p)
     worst = max(float(np.max(np.abs(sol.values - ref)))
                 for sol, ref in zip(production, dense))

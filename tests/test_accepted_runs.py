@@ -1,0 +1,144 @@
+"""Accepted means runnable: INI configs drawn from the config schema.
+
+`oswr check` exits 0, or 2 with one stderr line.  After an exit 0,
+`oswr run` exits 0, 3 or 4; its stderr holds one-line warnings and, for a
+failed run, exactly one error line, never a traceback or a source line.
+Values come from small edge sets on tiny grids; table files are valid,
+empty, header-only or ragged.
+"""
+
+import configparser
+import contextlib
+import io
+import os
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oswr.cli import main
+from oswr.config import _SCHEMA, _float_list
+from oswr.problem import PRESET_NAMES
+
+FLOATS = ("0", "-1", "1e-300", "1e300", "inf", "nan", "0.2", "1", "2.5")
+INTS = ("-1", "0", "1", "2", "3")
+WORDS = {
+    "preset": PRESET_NAMES + ("heat3d",),
+    "table": ("valid", "empty", "header-only", "ragged"),
+    "orientation": ("outward", "paper", "sideways"),
+    "guess": ("zero", "constant", "random-smooth", "noise"),
+}
+GRID = {"nx_axis": st.integers(3, 12), "nt": st.integers(1, 4), "nx_cross": st.integers(3, 5)}
+TABLES = {
+    "valid": {"1": "t,a11,b1,c\n0,1,0.5,1\n1,2,0.5,1\n",
+              "2": "t,a11,a12,a22,b1,b2,c\n0,1,0.2,1,0,0.5,1\n1,2,0.2,1,0,0.5,1\n"},
+    "empty": "",
+    "header-only": "t,a11,b1,c\n",
+    "ragged": "t,a11,b1,c\n0,1,0\n1,1,0,0\n",
+}
+
+ERROR = re.compile(r"(run 0: )?numerical error: \S")
+WARNING = re.compile(r"(run 0: )?warning: \S")
+VERDICT = re.compile(r"run 0: contraction verdict failed \(max ratio above \S+\)$")
+
+
+def _value(key, parse):
+    if key in GRID:
+        return GRID[key].map(str)
+    if key in WORDS:
+        return st.sampled_from(WORDS[key])
+    if parse is _float_list:
+        return st.lists(st.sampled_from(FLOATS), min_size=1, max_size=3).map(", ".join)
+    return st.sampled_from(INTS if parse is int else FLOATS)
+
+
+@st.composite
+def configs(draw):
+    """Sections of keys and values as INI text takes them.  Each key is set
+    with probability about 1/5, nx_axis and nt always; b_list comes with
+    a_list, and n is the preset's dimension unless drawn itself."""
+    ini = {}
+    for section, keys in _SCHEMA.items():
+        if section == "output":  # the test's own directory
+            continue
+        chosen = {}
+        for key, parse in keys.items():
+            if key in ("nx_axis", "nt") or draw(st.integers(0, 4)) == 0:
+                chosen[key] = draw(_value(key, parse))
+        ini[section] = chosen
+    lists = ini["decomposition"]
+    if "a_list" in lists:
+        lists.setdefault("b_list", draw(_value("b_list", _float_list)))
+    problem = ini["problem"]
+    if problem.get("preset", "").endswith("2d"):
+        problem.setdefault("n", "2")
+    return ini
+
+
+def _readme_ini(**grid):
+    """README's INI example, with these [grid] values."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = configparser.ConfigParser()
+    parser.read_string(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    ini = {s: dict(parser[s]) for s in parser.sections() if s != "output"}
+    ini["grid"].update({k: str(v) for k, v in grid.items()})
+    return ini
+
+
+def _main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def _write(ini, tmp):
+    lines = []
+    for section, keys in ini.items():
+        lines.append(f"[{section}]")
+        for key, value in keys.items():
+            if key == "table":
+                table = TABLES[value]
+                if value == "valid":
+                    table = table["2" if ini["problem"].get("n") == "2" else "1"]
+                value = os.path.join(tmp, "coeffs.csv")
+                Path(value).write_text(table)
+            lines.append(f"{key} = {value}")
+    lines += ["[output]", f"directory = {os.path.join(tmp, 'out')}"]
+    path = os.path.join(tmp, "exp.ini")
+    Path(path).write_text("\n".join(lines) + "\n")
+    return path
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ini=configs())
+@example(ini={"problem": {"table": "empty"}, "grid": {"nx_axis": "11", "nt": "4"}})
+@example(ini={"problem": {"table": "ragged"}, "grid": {"nx_axis": "11", "nt": "4"}})
+@example(ini={"problem": {"table": "header-only"}, "grid": {"nx_axis": "11", "nt": "4"}})
+@example(ini={"problem": {"beta": "1e-200"}, "grid": {"nx_axis": "11", "nt": "2"},
+              "decomposition": {"overlap": "2e-201"}})
+@example(ini={"problem": {"preset": "heat2d", "n": "2", "cross_lo": "1e300",
+                          "cross_hi": "1.0000001e300"},
+              "grid": {"nx_axis": "5", "nx_cross": "3", "nt": "2"}})
+@example(ini={"problem": {"preset": "affine1d", "T": "1e308"},
+              "grid": {"nx_axis": "11", "nt": "4"}})
+@example(ini=_readme_ini())
+@example(ini=_readme_ini(nx_axis=3, nt=2))
+@example(ini={**_readme_ini(nx_axis=11),
+              "decomposition": {"count": "50", "overlap": "0.001"}})
+def test_accepted_config_runs(ini):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(ini, tmp)
+        code, err = _main(["check", path])
+        assert (code, len(err)) in ((0, 0), (2, 1)), err
+        if code:
+            assert err[0].startswith("config error: ")
+            return
+        code, err = _main(["run", path])
+    assert code in (0, 3, 4), err
+    verdicts = [line for line in err if VERDICT.match(line)]
+    errors = [line for line in err if ERROR.match(line)]
+    assert len(verdicts) + len(errors) + sum(map(bool, map(WARNING.match, err))) == len(err)
+    assert (len(errors), len(verdicts)) == {0: (0, 0), 3: (1, 0), 4: (0, 1)}[code], err

@@ -38,6 +38,14 @@ def write(tmp_path, text, name="exp.ini"):
     return str(path)
 
 
+def oswr(verb, path, cwd):
+    """`oswr verb path` in a fresh interpreter on this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "oswr.cli", verb, path],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+
+
 class TestLoadConfig:
     def test_defaults_filled(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL))
@@ -257,9 +265,10 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: count must be at least 2\n"
         assert not os.path.exists("out")
 
-    def test_numerical_exit_on_snap_failure(self, tmp_path, monkeypatch):
+    def test_numerical_exit_on_snap_failure(self, tmp_path, monkeypatch, capsys):
         # Overlap below one grid cell collapses when snapped: the run fails
-        # numerically but still writes its meta file.
+        # numerically but still writes its meta file.  The snap warnings are
+        # one stderr line each.
         monkeypatch.chdir(tmp_path)
         path = write(tmp_path, MINIMAL.replace("overlap = 0.2",
                                                "overlap = 0.001") + """
@@ -267,12 +276,27 @@ class TestExitCodes:
 nx_axis = 11
 nt = 4
 """)
-        with pytest.warns(UserWarning, match="snapped") as record:
-            assert main(["run", path]) == EXIT_NUMERICAL
-        assert [str(w.message) for w in record] == [
-            "interface abscissa 0.5005 snapped to node with shift -0.0005",
-            "interface abscissa 0.4995 snapped to node with shift 0.0005"]
+        assert main(["run", path]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.splitlines() == [
+            "run 0: warning: interface abscissa 0.5005 snapped to node with shift -0.0005",
+            "run 0: warning: interface abscissa 0.4995 snapped to node with shift 0.0005",
+            "run 0: numerical error: snapped overlap between strips 1 and 2 collapsed "
+            "below one grid cell"]
         assert os.path.exists("out/meta")
+
+    def test_warnings_are_run_lines(self, tmp_path):
+        # README's example on 3 nodes: four snap warnings, then the run
+        # fails; the process prints each warning as one line, no source line.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = write(tmp_path, text.replace("nx_axis = 101", "nx_axis = 3")
+                     .replace("nt = 50", "nt = 2"))
+        proc = oswr("run", path, tmp_path)
+        assert proc.returncode == EXIT_NUMERICAL
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 5
+        assert all(line.startswith("run 0: warning: interface abscissa") for line in lines[:4])
+        assert lines[4] == "run 0: numerical error: interface a_2 not interior to strip 1"
 
     def test_contraction_exit(self, tmp_path, monkeypatch):
         # An unreachable ratio bound makes the verdict fail -> exit 4, with
@@ -325,13 +349,9 @@ nt = 4
         # A finite guess whose Robin data overflow in the first sweep: exit 3
         # with the non-finite trace's one line on stderr and no numpy warning.
         path = write(tmp_path, _fast(MINIMAL + "guess = constant\nguess_value = 1e308\n"))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "oswr.cli", "check", path],
-                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        proc = oswr("check", path, tmp_path)
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
-        proc = subprocess.run([sys.executable, "-m", "oswr.cli", "run", path],
-                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        proc = oswr("run", path, tmp_path)
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr.splitlines() == [
             "run 0: numerical error: trace values contain non-finite entries"]
@@ -466,6 +486,20 @@ CONFIG_CASES = {
     "infinite-table-t": (
         "[problem]\ntable = {table}\n", "t,a11,b1,c\n0,1,0,0\ninf,1,0,0\n",
         "coefficient table t column must be finite and strictly increasing"),
+    "empty-table": (
+        "[problem]\ntable = {table}\n", "", "coefficient table is empty"),
+    "header-only-table": (
+        "[problem]\ntable = {table}\n", "t,a11,b1,c\n", "coefficient table has no rows"),
+    "ragged-table": (
+        "[problem]\ntable = {table}\n", "t,a11,b1,c\n0,1,0\n1,1,0,0\n",
+        "malformed coefficient table: Line #2 (got 3 columns instead of 4)"),
+    "tiny-axis-spacing": (
+        MINIMAL.replace("preset = heat1d", "preset = heat1d\nbeta = 1e-200")
+        .replace("overlap = 0.2", "overlap = 2e-201") + "\n[grid]\nnx_axis = 11\nnt = 2\n",
+        None, "h**2 or (pi/h)**2 overflows for the axis spacing h = 1e-201"),
+    "huge-cross-spacing": (
+        _TINY_2D.replace("n = 2", "n = 2\ncross_lo = 1e300\ncross_hi = 1.0000001e300"),
+        None, "h**2 or (pi/h)**2 overflows for the cross spacing h = 2.5e+292"),
     # The table file stands in for any file where the directory should be.
     "directory-is-a-file": (
         MINIMAL + "\n[output]\ndirectory = coeffs.csv\n", "not a directory\n",

@@ -280,8 +280,7 @@ class TestIterationHistory:
         hist = IterationHistory(window=2)
         for k, E in enumerate([1.0, 0.5, 0.2, 0.1], start=1):
             hist.rows.append(IterationRecord(
-                k=k, E=E, sup_e_max=E / 2, sup_e_per_sub=(E / 2,),
-                phi_boundary_ok=True, trace_increment=E / 4))
+                k=k, E=E, sup_e_max=E / 2, phi_boundary_ok=True, trace_increment=E / 4))
         hist.termination = "max_iters"
         return hist
 
@@ -302,8 +301,7 @@ class TestIterationHistory:
         hist = IterationHistory(window=2)
         for k, E in enumerate([0.0, 0.0, 1.0, 1.0], start=1):
             hist.rows.append(IterationRecord(
-                k=k, E=E, sup_e_max=E, sup_e_per_sub=(E,), phi_boundary_ok=True,
-                trace_increment=0.0))
+                k=k, E=E, sup_e_max=E, phi_boundary_ok=True, trace_increment=0.0))
         buf = io.StringIO()
         hist.write_csv(buf)
         gammas = [line.split(",")[3] for line in buf.getvalue().splitlines()[1:]]

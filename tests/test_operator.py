@@ -2,8 +2,7 @@
 stack operator against per-step assembly and per-strip solves: results, the
 block-diagonal stacked matrix and static right-hand side, the bandwidth of
 the chosen order, shared factorizations, the factor cache cap and the steps
-it keeps, the factors a march without an operator holds, and singular
-steps."""
+it keeps, the factors a one-off march holds, and singular steps."""
 
 import warnings
 import weakref
@@ -16,7 +15,7 @@ import oswr.grid
 from oswr import (AxisRange, BandedSystem, CoefficientSet, DecompositionSpec,
                   FaceRule, GlobalSolution, InitialGuess, ParabolicProblem,
                   RobinParameter, StackOperator, SWRConfig, assemble_step, build_grid,
-                  initial_traces, march, problem_from_table, problem_preset, run, snap,
+                  initial_traces, problem_from_table, problem_preset, run, snap,
                   solve_global, solve_subdomain, sweep_once)
 from oswr.errors import SingularSystem
 from oswr.grid import _coefficient_values, eval_plane
@@ -219,9 +218,9 @@ def test_operator_matches_per_step_assembly(monkeypatch, preset, nx, nx_cross, n
     ranges = [AxisRange(2, nx - 4, *rules), AxisRange(1, nx - 2, *rules[::-1])]
     operator = StackOperator(prob, grid, ranges)
     rng = np.random.default_rng(9)
-    for _ in range(3):  # the first march prepares the steps, later ones reuse them
+    for _ in range(3):  # the first march factors the steps, later ones reuse the kept ones
         data = rng.standard_normal((len(ranges), 2, grid.nt + 1, grid.nx_cross))
-        got = march(prob, grid, ranges, data, operator)
+        got = operator._unstack(operator.solve(data))
         for r, faces, values in zip(ranges, data, got):
             ref = _per_step_reference(prob, grid, r, faces)
             assert np.max(np.abs(values - ref)) <= 1e-12
@@ -275,12 +274,14 @@ def test_sweep_matches_per_strip_solves(preset, nx_cross):
     p = RobinParameter(1.0)
     operator = _stack(prob, grid, layout, p)
     traces = initial_traces(InitialGuess("random-smooth", seed=3), layout, grid, prob)
+    sols = sweep_once(prob, grid, layout, traces, p)
     for _ in range(2):  # the second sweep runs on the kept factors
-        sols = sweep_once(prob, grid, layout, traces, p, operator)
-        for entry, sol in zip(layout.entries, sols):
+        values = operator._unstack(operator.solve(traces))
+        for entry, sol, v in zip(layout.entries, sols, values):
             ref = solve_subdomain(prob, grid, entry, *traces[entry.index], p)
             assert (sol.index, sol.i_left) == (ref.index, ref.i_left)
             assert np.max(np.abs(sol.values - ref.values)) <= 1e-12
+            assert np.max(np.abs(v - ref.values)) <= 1e-12
 
 
 @pytest.mark.parametrize("preset,per_run", [("heat1d", 1), ("tvar1d", 6)])
@@ -290,7 +291,7 @@ def test_factorizations_per_run(preset, per_run):
     operator = _stack(prob, grid, layout, p)
     traces = initial_traces(InitialGuess("random-smooth", seed=1), layout, grid, prob)
     for _ in range(3):
-        sweep_once(prob, grid, layout, traces, p, operator)
+        operator.solve(traces)
     assert operator.factorizations == per_run
     assert operator.nbytes > 0
 
@@ -299,11 +300,11 @@ def test_cap_zero_refactors_every_step(monkeypatch):
     prob, grid, layout = _tiny_run("heat1d")
     p = RobinParameter(1.0)
     operator = _stack(prob, grid, layout, p)
-    # The cap is read when the steps are prepared, not when the operator is built.
+    # The cap is read when factors are kept, not when the operator is built.
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 0)
     traces = initial_traces(InitialGuess(), layout, grid, prob)
     for _ in range(3):
-        sweep_once(prob, grid, layout, traces, p, operator)
+        operator.solve(traces)
     # Nothing is kept, so every march factors again; heat1d's steps are all
     # equal, so a march factors its first step and reuses it for the rest.
     assert operator.factorizations == 3
@@ -324,10 +325,10 @@ def test_equal_steps_share_factors(monkeypatch, tmp_path):
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
         operator = _stack(prob, grid, layout, p)
         for _ in range(3):
-            sols[cap] = sweep_once(prob, grid, layout, traces, p, operator)
+            sols[cap] = operator.solve(traces)
         # Kept: one per plateau per run; not kept: one per plateau per sweep.
         assert operator.factorizations == (2 if cap else 2 * 3)
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(sols[0], sols[2 ** 40]))
+    assert np.array_equal(sols[0], sols[2 ** 40])
 
 
 def test_run_history_independent_of_cap(monkeypatch):
@@ -368,15 +369,6 @@ def test_singular_banded_step_raises(monkeypatch, cap):
     _singular_run("heat2d", nx_cross=7)  # bandwidth 8: ?gbtrf
 
 
-def test_march_rejects_operator_of_another_strip():
-    prob, grid, _ = _tiny_run("heat1d")
-    rule = FaceRule("dirichlet")
-    operator = StackOperator(prob, grid, [AxisRange(0, 10, rule, rule)])
-    zero = np.zeros((grid.nt + 1, 1))
-    with pytest.raises(ValueError, match="another problem, grid or axis range"):
-        march(prob, grid, [AxisRange(0, 12, rule, rule)], [(zero, zero)], operator)
-
-
 def _wide_layout_ranges():
     # tvar2d-wide's layout: 41 x 41 nodes, 20 steps, 3 strips of 18/23/18
     # axis nodes.
@@ -412,7 +404,7 @@ def test_wide_layout_keeps_three_steps():
     prob, grid, ranges = _wide_layout_ranges()
     operator = StackOperator(prob, grid, ranges)
     zero = np.zeros((grid.nt + 1, grid.nx_cross))
-    march(prob, grid, ranges, [(zero, zero)] * len(ranges), operator)
+    operator.solve([(zero, zero)] * len(ranges))
     # The first march factors all 20 steps and keeps the first three.
     assert operator.factorizations == grid.nt == 20
     assert list(operator._lus) == operator._keys[1:4]
@@ -431,15 +423,14 @@ def test_cap_keeps_the_first_steps(monkeypatch, preset, nx_cross, kept):
     data = rng.standard_normal((3, len(ranges), 2, grid.nt + 1, grid.nx_cross))
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 2 ** 40)
     every = StackOperator(prob, grid, ranges)
-    ref = [march(prob, grid, ranges, faces, every) for faces in data]
+    ref = [every.solve(faces) for faces in data]
     step_bytes = every.nbytes // grid.nt
     assert every.nbytes == grid.nt * step_bytes and len(every._lus) == grid.nt
     for cap in (kept * step_bytes, (kept + 1) * step_bytes - 1):
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
         operator = StackOperator(prob, grid, ranges)
         for faces, values in zip(data, ref):
-            got = march(prob, grid, ranges, faces, operator)
-            assert all(np.array_equal(a, b) for a, b in zip(got, values))
+            assert np.array_equal(operator.solve(faces), values)
         assert list(operator._lus) == operator._keys[1:kept + 1]
         assert operator.nbytes == kept * step_bytes
         assert operator.factorizations == kept + 3 * (grid.nt - kept)
@@ -447,9 +438,9 @@ def test_cap_keeps_the_first_steps(monkeypatch, preset, nx_cross, kept):
 
 @pytest.mark.parametrize("preset,factored", [("heat1d", 1), ("tvar1d", 6), ("plateaus", 2)])
 def test_one_off_march_holds_one_step(monkeypatch, tmp_path, preset, factored):
-    # A march without an operator keeps no factors: it makes a step's factors
-    # only when the step's matrix differs from the previous step's, after
-    # letting the previous ones go.
+    # A one-off march keeps its factors within the cap and holds no others:
+    # it makes a step's factors only when the step's matrix differs from the
+    # previous step's, after letting the previous ones go.
     prob, grid, _ = _tiny_run("heat1d" if preset == "plateaus" else preset)
     if preset == "plateaus":  # a11 changes once, between t = 0.5 and t = 0.667
         table = tmp_path / "plateaus.csv"
@@ -459,7 +450,8 @@ def test_one_off_march_holds_one_step(monkeypatch, tmp_path, preset, factored):
     factor_band = oswr.grid._factor_band
 
     def tracked(work, bw):
-        assert all(ref() is None for ref in made)  # no other step's factors held
+        kept = [id(lu) for lu in operators[0]._lus.values()]
+        assert all(ref() is None or id(ref()) in kept for ref in made)  # none but the kept
         lu = factor_band(work, bw)
         made.append(weakref.ref(lu))
         return lu
@@ -474,7 +466,8 @@ def test_one_off_march_holds_one_step(monkeypatch, tmp_path, preset, factored):
     values = solve_global(prob, grid).values
     operator, = operators
     assert operator.factorizations == len(made) == factored
-    assert operator.nbytes == 0 and not operator._lus
+    assert 0 < operator.nbytes <= oswr.grid.FACTOR_CACHE_BYTES
+    assert operator.nbytes == sum(lu.nbytes for lu in operator._lus.values())
     monkeypatch.undo()
     assert np.array_equal(values, _per_step_global(prob, grid))
 
@@ -482,8 +475,8 @@ def test_one_off_march_holds_one_step(monkeypatch, tmp_path, preset, factored):
 def _per_step_global(prob, grid):
     """The monolithic march on an operator that keeps every step."""
     rule = FaceRule("dirichlet")
-    whole = [AxisRange(0, grid.nx_axis - 1, rule, rule)]
+    operator = StackOperator(prob, grid, [AxisRange(0, grid.nx_axis - 1, rule, rule)])
     faces = [(eval_plane(prob.g, grid, prob.domain.alpha),
               eval_plane(prob.g, grid, prob.domain.beta))]
-    values, = march(prob, grid, whole, faces, StackOperator(prob, grid, whole))
+    values, = operator._unstack(operator.solve(faces))
     return values
