@@ -4,8 +4,7 @@ from .config import ExperimentConfig, load_config, validate_config
 from .decomposition import DecompositionSpec, SubdomainEntry, SubdomainLayout, snap, validate
 from .diagnostics import (ContractionReport, ErrorFields, IterationHistory,
                           WeightSpec, compute_E, compute_error_fields,
-                          contraction_report, default_gamma, phi_boundary_check,
-                          pointwise_error_trend)
+                          contraction_report, default_gamma, phi_boundary_check)
 from .engine import InitialGuess, SWRConfig, exchange, initial_traces, run, sweep_once
 from .grid import (AxisRange, BandedSystem, FaceRule, SpaceTimeGrid, StackOperator,
                    assemble_step, build_grid, march)
@@ -28,7 +27,7 @@ __all__ = [
     "WeightSpec", "assemble_step", "build_grid", "check_assumptions",
     "compute_E", "compute_error_fields", "contraction_report", "default_gamma",
     "exchange", "extract_robin_trace", "initial_traces", "manufactured_forcing",
-    "march", "phi_boundary_check", "pointwise_error_trend", "problem_from_table",
+    "march", "phi_boundary_check", "problem_from_table",
     "problem_preset", "run", "snap", "solve_global", "solve_subdomain",
     "standard_exact", "sweep_once", "validate",
 ]

@@ -139,12 +139,19 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse an INI config, apply defaults, and validate every field."""
-    if not os.path.exists(path):
-        raise ValidationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # Values are literal (no %-interpolation), and with no default section
+    # a [DEFAULT] header is a section like any other, so it is rejected.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
+    except FileNotFoundError:
+        raise ValidationError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except configparser.MissingSectionHeaderError as exc:  # a ParsingError too
         raise ParseError(f"{path}: missing section header at line {exc.lineno}") from exc
     except configparser.ParsingError as exc:

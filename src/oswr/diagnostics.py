@@ -291,25 +291,6 @@ def contraction_report(E: Sequence[float], window: int,
 
 
 @dataclass(frozen=True)
-class TrendReport:
-    ok: bool
-    peak: float
-    final: float
-
-
-def pointwise_error_trend(sup_e: Sequence[float], window: int,
-                          stop_tol: float) -> TrendReport:
-    """Pass iff the final sup|e| is at most 10 stop_tol or has decayed
-    100-fold from its peak."""
-    vals = [float(v) for v in sup_e]
-    if len(vals) < 2 * window:
-        raise TooShort(f"need at least {2 * window} sweeps, got {len(vals)}")
-    peak, final = max(vals), vals[-1]
-    ok = final <= stop_tol * 10.0 or (peak > 0 and final <= peak / 100.0)
-    return TrendReport(ok=ok, peak=peak, final=final)
-
-
-@dataclass(frozen=True)
 class IterationRecord:
     k: int
     E: float

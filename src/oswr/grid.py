@@ -19,8 +19,9 @@ A step's matrix depends on the coefficient values at t_next and the face
 rules only, never on the iterate or the data.  A StackOperator places the
 step matrices of several axis node ranges (the strips of one sweep, which
 are independent within it) block-diagonally in one band.  When built, it
-evaluates f (and the lateral g) once on the whole space-time grid; each
-march applies the face data in one right-hand-side build for all steps and
+evaluates f (and the lateral g) once on the whole space-time grid and the
+coefficients once at every grid time; each march adds every face's data,
+times its per-step factor, in one right-hand-side build for all steps and
 factors a step when it first needs it.  With its factors kept, every later
 march costs one LAPACK solve per step.
 """
@@ -260,26 +261,25 @@ class BandedSystem:
         return dense
 
 
-def _coefficient_values(coeffs: CoefficientSet, t: float) -> Tuple[float, ...]:
-    """(a_nn, b_n, c, a_11, a_12, b_1) at t, the last three 0 for n=1.
+def _coefficient_table(coeffs: CoefficientSet, times: np.ndarray) -> np.ndarray:
+    """(a_nn, b_n, c, a_11, a_12, b_1) at each time, (len(times), 6), the
+    last three 0 for n=1, from one CoefficientSet.sample.
 
-    Steps of one strip with equal values and face rules have equal matrices.
+    A row as a tuple of floats is its step's key: steps of one strip with
+    equal values and face rules have equal matrices.
     """
-    n = coeffs.n
-    axis = (float(coeffs.a[n - 1][n - 1](t)), float(coeffs.b[n - 1](t)),
-            float(coeffs.c(t)))
-    if n == 1:
-        return axis + (0.0, 0.0, 0.0)
-    return axis + (float(coeffs.a[0][0](t)), float(coeffs.a[0][1](t)),
-                   float(coeffs.b[0](t)))
+    a, b, c = coeffs.sample(times)
+    cross = (a[:, 0, 0], a[:, 0, 1], b[:, 0]) if coeffs.n == 2 else (np.zeros_like(c),) * 3
+    return np.stack((a[:, -1, -1], b[:, -1], c) + cross, axis=1)
 
 
-def _robin_data_coefficients(values: Tuple[float, ...], grid: SpaceTimeGrid,
-                             face: FaceRule, low: bool) -> Tuple[float, float]:
-    """Factors of data[j] and of data[j+1] - data[j-1] in a Robin face row."""
-    a_ax, b_ax, _, _, a_mx, _ = values
+def _robin_data_coefficients(table: np.ndarray, grid: SpaceTimeGrid,
+                             face: FaceRule, low: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Factors of data[j] and of data[j+1] - data[j-1] in a Robin face row,
+    one per row of the coefficient table."""
+    a_ax, b_ax, a_mx = table[:, 0], table[:, 1], table[:, 4]
     s, h = face.sign, grid.hx_axis
-    mixed = a_mx / (s * grid.hx_cross) if grid.domain.n == 2 else 0.0
+    mixed = a_mx / (s * grid.hx_cross) if grid.domain.n == 2 else a_mx  # 0 in 1D
     if low:
         return -(2.0 * a_ax / (s * h) + b_ax / s), mixed
     return 2.0 * a_ax / (s * h) - b_ax / s, mixed
@@ -290,7 +290,8 @@ def assemble_step(values: Tuple[float, ...], grid: SpaceTimeGrid,
     """The step matrix of the axis ranges, placed block-diagonally in one
     band in scipy solve_banded layout, (2*bw + 1, N).
 
-    `values` are the coefficient values at t_next (see _coefficient_values).
+    `values` are the coefficient values at t_next, a row of
+    _coefficient_table.
     Each range's unknowns are ordered by _strides: axis neighbours sit at
     +-sa, cross neighbours at +-sc and corners at +-(sa + sc), +-(sa - sc).
     `ab`, if given, is a zeroed (2*bw + 1, N) array (or view) that receives
@@ -372,9 +373,13 @@ class StackOperator:
     only, never on the iterate or the data.  Building the operator prepares
     the data of every step at once: f on the whole (nt+1) x axis x cross
     grid in one call (and g on the two lateral planes in 2D), sliced into
-    the static right-hand side (nt+1, N), whose Dirichlet face rows rhs()
-    overwrites with the face data; u0 from g at t=0 the same way; each
-    step's coefficient values (its key) and Robin data factors.
+    the static right-hand side (nt+1, N); u0 from g at t=0 the same way;
+    and from one coefficient table (_coefficient_table) each step's key
+    and every face's data factors.  Every face's data enter its rows the
+    same way, data times the face's factor at step k (plus, in 2D, the
+    cross difference of the data times a second factor): a Robin face's
+    factors come from the ghost elimination, a Dirichlet face's are 1 and
+    0 on rows whose static value and u_prev weight are zero.
 
     One rule gives every step its factors: a step reuses the previous
     step's while its key repeats, else takes its key's kept factors, else
@@ -400,16 +405,6 @@ class StackOperator:
         if n == 2:
             for take in self._unstack(self.takes_prev):
                 take[:, [0, -1]] = 0.0
-        j0, j1 = (1, J - 1) if n == 2 else (0, 1)
-        self._faces = []  # (rows, rule, is low face) per face, range by range
-        for r, rows, (sa, sc) in zip(self.ranges, self.slices, self._strides):
-            for face, low in ((r.low, True), (r.high, False)):
-                first = rows.start + (0 if low else (r.hi - r.lo) * sa)
-                face_rows = slice(first + j0 * sc, first + j1 * sc, sc)
-                if face.kind == "dirichlet":
-                    self.takes_prev[face_rows] = 0.0
-                self._faces.append((face_rows, face, low))
-
         times = grid.times()
         nodes = eval_nodes(problem.f, grid, times)
         if n == 2:
@@ -418,16 +413,26 @@ class StackOperator:
                 nodes[:, :, j] = problem.g(times[:, None], cross[j], axis)
         self._static = self._stack(nodes)  # (nt+1, N)
         self.u0 = self._stack(eval_nodes(problem.g, grid, times[:1])[0])
-        # Per step: the coefficient values at t_k; per face: the Robin data
-        # factors, (2, nt+1).
-        self._keys: List[Optional[tuple]] = [None] + [
-            _coefficient_values(problem.coeffs, t) for t in times[1:]]
-        self._coefs = np.zeros((len(self._faces), 2, grid.nt + 1))
-        for i, (_, face, low) in enumerate(self._faces):
-            if face.kind == "robin":
-                for k in range(1, grid.nt + 1):
-                    self._coefs[i, :, k] = _robin_data_coefficients(
-                        self._keys[k], grid, face, low)
+        table = _coefficient_table(problem.coeffs, times)
+        self._keys: List[Optional[tuple]] = [None] + [tuple(v) for v in table[1:].tolist()]
+        # Each face's rows (inner cross nodes in 2D), its data's columns
+        # among all faces' data side by side, and its per-step factors.
+        j0, j1 = (1, J - 1) if n == 2 else (0, 1)
+        rows, factors = [], []
+        for r, stack_rows, (sa, sc) in zip(self.ranges, self.slices, self._strides):
+            for face, low in ((r.low, True), (r.high, False)):
+                first = stack_rows.start + (0 if low else (r.hi - r.lo) * sa)
+                rows.append(np.arange(first + j0 * sc, first + j1 * sc, sc))
+                if face.kind == "dirichlet":
+                    self.takes_prev[rows[-1]] = 0.0
+                    self._static[:, rows[-1]] = 0.0
+                    factors.append((np.ones(grid.nt + 1), np.zeros(grid.nt + 1)))
+                else:
+                    factors.append(_robin_data_coefficients(table, grid, face, low))
+        self._rows = np.concatenate(rows)
+        self._cols = (J * np.arange(len(rows))[:, None] + np.arange(j0, j1)).ravel()
+        self._data_factor, self._cross_factor = (
+            np.repeat(np.stack(f, axis=1), j1 - j0, axis=1) for f in zip(*factors))
 
     def _stack(self, nodes: np.ndarray) -> np.ndarray:
         """Whole-grid node values (..., nx_axis, ncross) as the ranges'
@@ -463,17 +468,12 @@ class StackOperator:
         faces[i] holds the (nt+1, ncross) data of range i's low and high
         face: solution values on a Dirichlet face, Robin data on a Robin one.
         """
-        n = self.problem.domain.n
         out = self._static.copy()
-        data = [vals for pair in faces for vals in pair]
-        for (rows, face, _), vals, (dc, mc) in zip(self._faces, data, self._coefs):
-            inner = vals[:, 1:-1] if n == 2 else vals
-            if face.kind == "dirichlet":
-                out[:, rows] = inner
-                continue
-            out[:, rows] += dc[:, None] * inner
-            if n == 2:
-                out[:, rows] += mc[:, None] * (vals[:, 2:] - vals[:, :-2])
+        data = np.concatenate([vals for pair in faces for vals in pair], axis=1)
+        cols = self._cols
+        out[:, self._rows] += self._data_factor * data[:, cols]
+        if self.problem.domain.n == 2:
+            out[:, self._rows] += self._cross_factor * (data[:, cols + 1] - data[:, cols - 1])
         return out
 
     def solve(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:

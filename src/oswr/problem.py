@@ -85,9 +85,11 @@ class DomainSpec:
 class CoefficientSet:
     """Time-dependent coefficients a_ij(t), b_i(t), c(t).
 
-    `a` is an n x n tuple-of-tuples of callables of t; symmetry and uniform
-    ellipticity are checked by :func:`check_assumptions`, not at
-    construction.
+    `a` is an n x n tuple-of-tuples of callables of t, `b` a tuple of n.
+    Every callable takes an array of times and returns an array of that
+    shape or a scalar; :meth:`sample` evaluates them all at once.  Symmetry
+    and uniform ellipticity are checked by :func:`check_assumptions`, not
+    at construction.
     """
 
     n: int
@@ -171,14 +173,17 @@ class CoefficientSet:
             bvec = (interp_fn("b1"), interp_fn("b2"))
         return cls(n=n, a=amat, b=bvec, c=interp_fn("c"))
 
-    def a_matrix(self, t) -> np.ndarray:
-        return np.array([[float(fn(t)) for fn in row] for row in self.a])
+    def sample(self, times) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coefficient values at these times: a (T, n, n), b (T, n) and
+        c (T,), one call per callable on the whole time array (a scalar
+        result is broadcast)."""
+        t = np.asarray(times, dtype=float)
 
-    def b_vector(self, t) -> np.ndarray:
-        return np.array([float(fn(t)) for fn in self.b])
+        def at(fn):
+            return np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
 
-    def c_value(self, t) -> float:
-        return float(self.c(t))
+        a = np.stack([np.stack([at(fn) for fn in row], axis=-1) for row in self.a], axis=-2)
+        return a, np.stack([at(fn) for fn in self.b], axis=-1), at(self.c)
 
 
 @dataclass(frozen=True)
@@ -192,25 +197,24 @@ def check_assumptions(coeffs: CoefficientSet, times: Sequence[float]) -> Ellipti
     """Sample the coefficients and estimate ellipticity/symmetry.
 
     nu0 is the minimum over sampled t of the smallest eigenvalue of the
-    diffusion matrix.  Violations raise NonElliptic /
+    diffusion matrix.  A non-finite sample raises ValueError naming the
+    first such t in the order given; violations raise NonElliptic /
     AsymmetricCoefficients.
     """
     times = list(times)
     if not times:
         raise ValueError("times must be nonempty")
-    nu0 = np.inf
-    max_asym = 0.0
-    for t in times:
-        A = coeffs.a_matrix(t)
-        if not np.all(np.isfinite(A)):
-            raise ValueError(f"non-finite diffusion sample at t={t}")
-        max_asym = max(max_asym, float(np.max(np.abs(A - A.T))))
-        # The symmetric part, halved first so that A + A.T cannot overflow.
-        nu0 = min(nu0, float(np.linalg.eigvalsh(0.5 * A + 0.5 * A.T)[0]))
-        bvals = coeffs.b_vector(t)
-        cval = coeffs.c_value(t)
-        if not (np.all(np.isfinite(bvals)) and np.isfinite(cval)):
-            raise ValueError(f"non-finite lower-order coefficient at t={t}")
+    A, b, c = coeffs.sample(times)
+    bad_a = ~np.isfinite(A).all(axis=(1, 2))
+    bad = bad_a | ~(np.isfinite(b).all(axis=1) & np.isfinite(c))
+    if bad.any():
+        i = int(np.argmax(bad))
+        which = "diffusion sample" if bad_a[i] else "lower-order coefficient"
+        raise ValueError(f"non-finite {which} at t={times[i]}")
+    AT = A.transpose(0, 2, 1)
+    max_asym = float(np.max(np.abs(A - AT)))
+    # The symmetric part, halved first so that A + A.T cannot overflow.
+    nu0 = float(np.min(np.linalg.eigvalsh(0.5 * A + 0.5 * AT)[:, 0]))
     symmetric = max_asym <= SYMMETRY_TOL
     if not symmetric:
         raise AsymmetricCoefficients(

@@ -1,14 +1,18 @@
-"""Accepted means runnable: INI configs drawn from the config schema.
+"""Accepted means runnable as written: INI configs drawn from the config schema.
 
-`oswr check` exits 0, or 2 with one stderr line.  After an exit 0,
-`oswr run` exits 0, 3 or 4; its stderr holds one-line warnings and, for a
-failed run, exactly one error line, never a traceback or a source line.
+`oswr check` exits 0, or 2 with one stderr line.  After an exit 0, every
+key written holds the value its parser gives, and `oswr run` and
+`oswr sweep` each exit 0, 3 or 4 (`sweep` exits 2 without p_values or
+overlap_values).  Their stderr holds one-line warnings, exactly one error
+line per failed run and one verdict line per failed verdict, never a
+traceback or a source line, and summary.csv has one row per scheduled run.
 Values come from small edge sets on tiny grids; table files are valid,
 empty, header-only or ragged.
 """
 
 import configparser
 import contextlib
+import csv
 import io
 import os
 import re
@@ -19,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oswr.cli import main
-from oswr.config import _SCHEMA, _float_list
+from oswr.config import _SCHEMA, _float_list, load_config
 from oswr.problem import PRESET_NAMES
 
 FLOATS = ("0", "-1", "1e-300", "1e300", "inf", "nan", "0.2", "1", "2.5")
@@ -31,6 +35,12 @@ WORDS = {
     "guess": ("zero", "constant", "random-smooth", "noise"),
 }
 GRID = {"nx_axis": st.integers(3, 12), "nt": st.integers(1, 4), "nx_cross": st.integers(3, 5)}
+# Sweep lists for README's example: each key's values, most of them valid.
+SWEEP = st.fixed_dictionaries({}, optional={
+    key: st.lists(st.sampled_from(values), min_size=1, max_size=3).map(", ".join)
+    for key, values in (("p_values", ("1", "2.5", "0.5", "1e-300", "0", "nan")),
+                        ("overlap_values", ("0.2", "0.05", "0.001", "1e-300", "0.5", "0")))
+}).filter(bool)
 TABLES = {
     "valid": {"1": "t,a11,b1,c\n0,1,0.5,1\n1,2,0.5,1\n",
               "2": "t,a11,a12,a22,b1,b2,c\n0,1,0.2,1,0,0.5,1\n1,2,0.2,1,0,0.5,1\n"},
@@ -39,9 +49,11 @@ TABLES = {
     "ragged": "t,a11,b1,c\n0,1,0\n1,1,0,0\n",
 }
 
-ERROR = re.compile(r"(run 0: )?numerical error: \S")
-WARNING = re.compile(r"(run 0: )?warning: \S")
-VERDICT = re.compile(r"run 0: contraction verdict failed \(max ratio above \S+\)$")
+ORACLE_ERROR = re.compile(r"numerical error: \S")
+ERROR = re.compile(r"run (\d+): numerical error: \S")
+WARNING = re.compile(r"(run \d+: )?warning: \S")
+VERDICT = re.compile(r"run (\d+): contraction verdict failed \(max ratio above \S+\)$")
+PARSERS = {key: parse for keys in _SCHEMA.values() for key, parse in keys.items()}
 
 
 def _value(key, parse):
@@ -95,7 +107,10 @@ def _main(argv):
 
 
 def _write(ini, tmp):
-    lines = []
+    """The config file and the (key, value) pairs written to it.  A lone
+    surrogate in a value, such as "\\udce9", is written as that raw byte."""
+    lines, written = [], []
+    ini = {**ini, "output": {"directory": os.path.join(tmp, "out")}}
     for section, keys in ini.items():
         lines.append(f"[{section}]")
         for key, value in keys.items():
@@ -106,10 +121,28 @@ def _write(ini, tmp):
                 value = os.path.join(tmp, "coeffs.csv")
                 Path(value).write_text(table)
             lines.append(f"{key} = {value}")
-    lines += ["[output]", f"directory = {os.path.join(tmp, 'out')}"]
+            written.append((key, value))
     path = os.path.join(tmp, "exp.ini")
-    Path(path).write_text("\n".join(lines) + "\n")
-    return path
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    return path, written
+
+
+def _check_runs(code, err, summary, scheduled):
+    """The exit code and stderr of `run` or `sweep` agree with summary.csv."""
+    assert code in (0, 3, 4), err
+    if not os.path.exists(summary):  # the oracle failed; no run was made
+        assert (code, len(err)) == (3, 1) and ORACLE_ERROR.match(err[0]), err
+        return
+    with open(summary) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == scheduled
+    failed = [r["run"] for r in rows if r["termination"] in ("error", "nonfinite_E")]
+    verdicts = [r["run"] for r in rows if r["verdict"] == "fail"]
+    errors = [m.group(1) for m in map(ERROR.match, err) if m]
+    failures = [m.group(1) for m in map(VERDICT.match, err) if m]
+    assert len(errors) + len(failures) + sum(map(bool, map(WARNING.match, err))) == len(err)
+    assert (errors, failures) == (failed, verdicts), err
+    assert code == (4 if verdicts else 3 if failed else 0), err
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -128,17 +161,43 @@ def _write(ini, tmp):
 @example(ini=_readme_ini(nx_axis=3, nt=2))
 @example(ini={**_readme_ini(nx_axis=11),
               "decomposition": {"count": "50", "overlap": "0.001"}})
+@example(ini={**_readme_ini(nx_axis=11, nt=4),
+              "sweep": {"p_values": "1, 2", "overlap_values": "0.2, 0.001"}})
+@example(ini={"grid": {"nx_axis": "1%x", "nt": "4"}})
+@example(ini={"grid": {"nx_axis": "11", "nt": "4"}, "iteration": {"guess": "%(nt)s"}})
+@example(ini={"grid": {"nx_axis": "11", "nt": "4", "nx_cross": "%(nt)s"}})
+@example(ini={"DEFAULT": {"directory": "elsewhere"}})
+@example(ini={"problem": {"preset": "heat1d\udce9"}, "grid": {"nx_axis": "11", "nt": "4"}})
 def test_accepted_config_runs(ini):
+    _check_accepted(ini)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(grid=st.fixed_dictionaries({key: GRID[key] for key in ("nx_axis", "nt")}), sweep=SWEEP)
+def test_accepted_sweep_runs(grid, sweep):
+    """README's INI example on a tiny grid with drawn sweep lists."""
+    _check_accepted({**_readme_ini(**grid), "sweep": sweep})
+
+
+def _check_accepted(ini):
     with tempfile.TemporaryDirectory() as tmp:
-        path = _write(ini, tmp)
+        path, written = _write(ini, tmp)
         code, err = _main(["check", path])
         assert (code, len(err)) in ((0, 0), (2, 1)), err
         if code:
             assert err[0].startswith("config error: ")
             return
+        cfg = load_config(path)
+        fields = dict(vars(cfg), cross_lo=cfg.cross[0], cross_hi=cfg.cross[1])
+        for key, value in written:
+            assert repr(fields[key]) == repr(PARSERS[key](value)), (key, value)
+        summary = os.path.join(tmp, "out", "summary.csv")
         code, err = _main(["run", path])
-    assert code in (0, 3, 4), err
-    verdicts = [line for line in err if VERDICT.match(line)]
-    errors = [line for line in err if ERROR.match(line)]
-    assert len(verdicts) + len(errors) + sum(map(bool, map(WARNING.match, err))) == len(err)
-    assert (len(errors), len(verdicts)) == {0: (0, 0), 3: (1, 0), 4: (0, 1)}[code], err
+        _check_runs(code, err, summary, 1)
+        Path(summary).unlink(missing_ok=True)
+        code, err = _main(["sweep", path])
+        if not (cfg.p_values or cfg.overlap_values):
+            assert (code, err) == (2, ["config error: sweep mode needs p_values or "
+                                       "overlap_values"])
+            return
+        _check_runs(code, err, summary, len(cfg.scheduled_runs(sweep=True)))

@@ -216,6 +216,13 @@ class TestRunVerb:
         assert len(rows) == 2  # header + single sweep
         assert float(rows[1][1]) == 0.0
 
+    def test_percent_is_literal(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for directory in ("out%x", "o_%(nt)s"):
+            path = write(tmp_path, _fast(MINIMAL) + f"\n[output]\ndirectory = {directory}\n")
+            assert main(["run", path]) == EXIT_OK
+            assert os.path.exists(f"{directory}/history.csv")
+
     def test_check_verb(self, tmp_path):
         path = write(tmp_path, MINIMAL)
         assert main(["check", path]) == EXIT_OK
@@ -389,7 +396,8 @@ _OVERFLOWS = "must be below 709.78, where exp(p (x_n - alpha)) overflows"
 
 # (config text, table text or None, expected message).  Each config once
 # passed `check` and then crashed, failed numerically or ran on wrongly
-# interpolated coefficients in `run`/`sweep`, or set a key that is gone.
+# interpolated coefficients in `run`/`sweep`, set a key that is gone, or was
+# read other than as written (%-interpolation, a [DEFAULT] section).
 # "{table}" in the config stands for the path of the table file.
 CONFIG_CASES = {
     "overlap-wider-than-strip": (
@@ -500,6 +508,19 @@ CONFIG_CASES = {
     "huge-cross-spacing": (
         _TINY_2D.replace("n = 2", "n = 2\ncross_lo = 1e300\ncross_hi = 1.0000001e300"),
         None, "h**2 or (pi/h)**2 overflows for the cross spacing h = 2.5e+292"),
+    "percent-in-a-value": (
+        MINIMAL + "\n[grid]\nnx_axis = 1%x\n",
+        None, "[grid] nx_axis has invalid value '1%x'"),
+    "interpolation-of-a-key": (
+        MINIMAL + "\n[grid]\nnt = 4\nnx_cross = %(nt)s\n",
+        None, "[grid] nx_cross has invalid value '%(nt)s'"),
+    "interpolation-of-a-missing-key": (
+        MINIMAL + "guess = %(nt)s\n",
+        None, "guess kind must be zero, constant or random-smooth"),
+    "default-section": (
+        "[DEFAULT]\nnx_axis = 11\n", None, "unknown section [DEFAULT]"),
+    "empty-default-section": (
+        "[DEFAULT]\n" + MINIMAL, None, "unknown section [DEFAULT]"),
     # The table file stands in for any file where the directory should be.
     "directory-is-a-file": (
         MINIMAL + "\n[output]\ndirectory = coeffs.csv\n", "not a directory\n",
@@ -546,6 +567,18 @@ class TestOneValidationPath:
         assert main([verb, path]) == EXIT_VALIDATION
         assert capsys.readouterr().err == (
             f"config error: {path}: missing section header at line 1\n")
+        assert not os.path.exists("out")
+
+    @pytest.mark.parametrize("verb", ["check", "run", "sweep"])
+    def test_unreadable_file(self, tmp_path, monkeypatch, capsys, verb):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("dir.ini")
+        Path("latin1.ini").write_bytes(b"# caf\xe9\n" + MINIMAL.encode())
+        assert main([verb, "dir.ini"]) == EXIT_VALIDATION
+        assert main([verb, "latin1.ini"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "config error: cannot read config file dir.ini: Is a directory\n"
+            "config error: latin1.ini: not UTF-8 text (invalid continuation byte)\n")
         assert not os.path.exists("out")
 
     def test_elliptic_table_accepted(self, tmp_path):

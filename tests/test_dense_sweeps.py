@@ -1,0 +1,86 @@
+"""Acceptance criterion 6 over drawn cases: one sweep and one Robin exchange
+against dense space-time solves.
+
+A preset (1D or 2D), a tiny grid, a uniform decomposition whose cuts and
+overlaps fall on grid nodes, p, the orientation and an initial guess are
+drawn.  In 2D the cross section has 3 to 9 nodes, so strips are both
+narrower than it (cross-major unknowns) and wider (axis-major).  One
+sweep_once must equal the dense solves to 1e-10.  StackExchange.update must
+put sign * (u[i+1] - u[i-1]) / (2h) + p * u[i] in place of each Robin face's
+data: exactly as computed from the stacked iterate, and within the error
+those formulas carry from 1e-10 in u when computed from the dense fields.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oswr import (DecompositionSpec, InitialGuess, RobinParameter, StackOperator,
+                  build_grid, initial_traces, problem_preset, snap, sweep_once)
+from oswr.engine import StackExchange
+from oswr.problem import PRESET_NAMES
+from oswr.subdomain import axis_range
+from tests.dense import dense_one_sweep, dense_one_sweep_2d
+
+TOL = 1e-10
+
+
+@st.composite
+def cases(draw):
+    preset = draw(st.sampled_from(PRESET_NAMES))
+    count = draw(st.integers(2, 3))
+    width = draw(st.integers(3, 6))  # strip width in cells, between cuts
+    half = draw(st.integers(1, (width - 1) // 2))  # half the overlap in cells
+    nx_cross = draw(st.integers(3, 9)) if preset.endswith("2d") else None
+    return dict(preset=preset, count=count, width=width, half=half, nx_cross=nx_cross,
+                nt=draw(st.integers(1, 3)), p=draw(st.sampled_from((0.5, 1.0, 3.0))),
+                orientation=draw(st.sampled_from(("outward", "paper"))),
+                guess=InitialGuess(draw(st.sampled_from(("zero", "constant", "random-smooth"))),
+                                   value=draw(st.sampled_from((-2.0, 0.5))),
+                                   seed=draw(st.integers(0, 5))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=cases())
+@example(case=dict(preset="tvar2d", count=2, width=3, half=1, nx_cross=9, nt=2, p=1.0,
+                   orientation="outward", guess=InitialGuess("random-smooth", seed=1)))
+@example(case=dict(preset="tvar2d", count=3, width=6, half=2, nx_cross=3, nt=2, p=3.0,
+                   orientation="paper", guess=InitialGuess("constant", value=0.5)))
+def test_sweep_and_exchange_match_dense_solves(case):
+    prob = problem_preset(case["preset"])
+    count, width, half = case["count"], case["width"], case["half"]
+    grid = build_grid(prob.domain, count * width + 1, case["nt"], case["nx_cross"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the cuts and overlaps lie on nodes
+        layout = snap(DecompositionSpec.uniform(prob.domain, count, 2 * half * grid.hx_axis),
+                      grid)
+    p = RobinParameter(case["p"], case["orientation"])
+    traces = initial_traces(case["guess"], layout, grid, prob)
+
+    dense = (dense_one_sweep_2d if prob.domain.n == 2 else dense_one_sweep)(
+        prob, grid, layout, traces, p)
+    dense = [d.reshape(d.shape[0], d.shape[1], -1) for d in dense]  # (nt+1, m, ncross)
+    for sol, ref in zip(sweep_once(prob, grid, layout, traces, p), dense):
+        assert np.max(np.abs(sol.values - ref)) <= TOL
+
+    operator = StackOperator(prob, grid, [axis_range(e, p) for e in layout.entries])
+    robin = StackExchange(operator, traces)
+    u = operator.solve(robin.faces)
+    increment = robin.update(u)
+    fields, h = operator._unstack(u), grid.hx_axis
+    deltas = []
+    for entry in layout.entries:
+        l = entry.index
+        for face, src, side in ((0, l - 1, "left"), (1, l + 1, "right")):
+            if (entry.left_kind, entry.right_kind)[face] != "robin":
+                assert robin.faces[l][face] is traces[l][face]
+                continue
+            i = (entry.i_left, entry.i_right)[face] - layout.entries[src].i_left
+            s = p.sign(side)
+            for field, tol in ((fields[src], 0.0), (dense[src], TOL * (1.0 / h + p.p))):
+                expect = s * ((field[:, i + 1] - field[:, i - 1]) / (2.0 * h)) + p.p * field[:, i]
+                assert np.max(np.abs(robin.faces[l][face] - expect)) <= tol
+            deltas.append(np.max(np.abs(robin.faces[l][face] - traces[l][face])))
+    assert increment == max(deltas)

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from oswr import (DecompositionSpec, GlobalSolution, RobinParameter, SWRConfig,
                   SubdomainSolution, WeightSpec, build_grid, compute_E,
                   compute_error_fields, contraction_report, default_gamma,
-                  phi_boundary_check, pointwise_error_trend, problem_preset, run,
-                  snap, solve_global)
+                  phi_boundary_check, problem_preset, run, snap, solve_global)
 from oswr.diagnostics import (HISTORY_HEADER, ErrorFields, IterationHistory,
                               IterationRecord, axis_derivative)
 from oswr.errors import ShapeMismatch, TooShort
@@ -262,17 +261,6 @@ class TestContractionReport:
         assert scaled.verdict == base.verdict
         for r1, r2 in zip(base.ratios, scaled.ratios):
             assert r2 == pytest.approx(r1, rel=1e-12)
-
-
-class TestPointwiseTrend:
-    def test_halving_passes(self):
-        sup_e = [2.0 ** -k for k in range(10)]
-        rep = pointwise_error_trend(sup_e, window=2, stop_tol=1e-30)
-        assert rep.ok  # decayed 512x >= 100x
-
-    def test_stagnation_fails(self):
-        rep = pointwise_error_trend([1.0] * 10, window=2, stop_tol=1e-30)
-        assert not rep.ok
 
 
 class TestIterationHistory:

@@ -18,8 +18,13 @@ from oswr import (AxisRange, BandedSystem, CoefficientSet, DecompositionSpec,
                   initial_traces, problem_from_table, problem_preset, run, snap,
                   solve_global, solve_subdomain, sweep_once)
 from oswr.errors import SingularSystem
-from oswr.grid import _coefficient_values, eval_plane
+from oswr.grid import _coefficient_table, eval_plane
 from oswr.subdomain import axis_range
+
+
+def _values(coeffs, t):
+    """The coefficient values at t as assemble_step takes them."""
+    return tuple(_coefficient_table(coeffs, np.array([t]))[0].tolist())
 
 
 def _nodes(fn, grid, t, r):
@@ -164,7 +169,7 @@ def test_assembly_matches_loop_reference(preset, nx, nx_cross, kinds, low_sign):
         r = AxisRange(lo, hi, FaceRule(kinds[0], 1.7, low_sign), FaceRule(kinds[1], 0.9))
         zero = np.zeros((m, J))
         # The band at a time between grid times.
-        ab = assemble_step(_coefficient_values(prob.coeffs, 0.37), grid, [r])
+        ab = assemble_step(_values(prob.coeffs, 0.37), grid, [r])
         ref, _ = _loop_assemble(prob.coeffs, grid, 0.37, r, np.zeros((2, J)),
                                 np.zeros((2, m)), zero, zero)
         assert np.array_equal(ab, _reordered_band(ref, ref_bw, order, bw))
@@ -173,7 +178,7 @@ def test_assembly_matches_loop_reference(preset, nx, nx_cross, kinds, low_sign):
         faces = rng.standard_normal((2, grid.nt + 1, J))
         rhs = StackOperator(prob, grid, [r]).rhs([faces])
         for k, t in enumerate(grid.times()[1:], start=1):
-            ab = assemble_step(_coefficient_values(prob.coeffs, t), grid, [r])
+            ab = assemble_step(_values(prob.coeffs, t), grid, [r])
             ref, ref_rhs = _loop_assemble(prob.coeffs, grid, t, r, faces[:, k],
                                           _lateral(prob, grid, t, r), zero,
                                           _nodes(prob.f, grid, t, r))
@@ -263,7 +268,7 @@ def test_stacked_matrix_is_block_diagonal(preset, nx_cross):
             rhs.append(b)
         stacked = BandedSystem(
             bandwidth=bw, rhs=static[k],
-            ab=assemble_step(_coefficient_values(prob.coeffs, t), grid, operator.ranges))
+            ab=assemble_step(_values(prob.coeffs, t), grid, operator.ranges))
         assert np.array_equal(stacked.to_dense()[np.ix_(order, order)], block_diag(*blocks))
         assert np.array_equal(stacked.rhs[order], np.concatenate(rhs))
 
