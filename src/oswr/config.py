@@ -19,7 +19,7 @@ from .decomposition import DecompositionSpec, validate
 from .diagnostics import default_gamma
 from .engine import InitialGuess, SWRConfig
 from .errors import OswrError, ParseError, ValidationError
-from .grid import build_grid
+from .grid import build_grid, check_step_matrices
 from .problem import (PRESET_NAMES, DomainSpec, ParabolicProblem,
                       check_assumptions, problem_from_table, problem_preset)
 from .subdomain import RobinParameter
@@ -193,7 +193,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     The domain, the table, the grid, the coefficient assumptions
     (ellipticity, symmetry), every decomposition of `run` and `sweep` and
     every SWRConfig are constructed here, so their own checks apply; only
-    checks that no constructor makes are written out.  Snapping to the grid
+    checks that no constructor makes are written out, and the step-matrix
+    entries at every step time and p are checked.  Snapping to the grid
     is left to the run (a collapsed overlap is a numerical failure).
     """
     if cfg.table is None:
@@ -235,5 +236,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             if reach >= _EXP_LIMIT:
                 raise ValidationError(f"p * (beta - alpha) = {reach:g} must be below "
                                       f"{_EXP_LIMIT:.2f}, where exp(p (x_n - alpha)) overflows")
+        check_step_matrices(problem, grid, sorted({p for p, _ in runs}))
     except (ValueError, OSError, OswrError) as exc:
         raise ValidationError(str(exc)) from exc

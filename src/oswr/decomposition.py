@@ -44,6 +44,8 @@ class DecompositionSpec:
         cuts = [domain.alpha + i * width for i in range(1, count)]
         a = (domain.alpha,) + tuple(c - overlap / 2 for c in cuts)
         b = tuple(c + overlap / 2 for c in cuts) + (domain.beta,)
+        if not all(lo < c < hi for lo, c, hi in zip(a[1:], cuts, b)):
+            raise ValueError(f"overlap {overlap:g} does not move the strip ends off the cuts")
         return cls(count=count, a=a, b=b)
 
     def overlaps(self) -> Tuple[float, ...]:

@@ -7,8 +7,11 @@ uses the four-corner centered cross stencil.  Robin faces along the
 decomposed axis are closed by ghost-node elimination, which keeps the
 boundary rows second-order accurate.
 
-Unknowns are all nodes of the (local) box; Dirichlet nodes carry identity
-rows so the band structure is uniform.  Each axis range orders its m x ncross
+Unknowns are all nodes of the (local) box.  A Dirichlet node's row is its
+step's interior diagonal d_k (_stencil) times the prescribed value,
+d_k u = d_k g, so the band structure is uniform and the row is as large as
+its neighbours': partial pivoting then swaps no row, and the face values
+keep their digits at any dt and h.  Each axis range orders its m x ncross
 nodes by whichever way gives the narrower band: cross-major
 (index = j_cross * m + i_axis) when the range is narrower than the cross
 section, axis-major (index = i_axis * ncross + j_cross) otherwise.  A strip
@@ -28,6 +31,7 @@ march costs one LAPACK solve per step.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -39,11 +43,12 @@ from .errors import BadResolution, DataMismatch, SingularSystem
 from .problem import CoefficientSet, DomainSpec, ParabolicProblem
 
 # Bytes of LU factors one StackOperator keeps, read each time it factors a
-# step.  A step's factors take about (3*bw + 1) * N * 8 bytes plus N pivots,
-# for N unknowns over all ranges and bw = 1 in 1D, min(widest range,
-# nx_cross) + 1 in 2D.  Steps are kept in the order they are first
-# factored, time order, while they fit; the others are factored again in
-# every march.
+# step.  A kept step's factors take (2*bw + 1 + fill rows) * N * 8 bytes plus
+# N pivots, for N unknowns over all ranges and bw = 1 in 1D, min(widest
+# range, nx_cross) + 1 in 2D; the up to bw fill rows of ?gbtrf hold entries
+# only when it swaps rows, and there are none when no row was swapped.
+# Steps are kept in the order they are first factored, time order, while
+# they fit; the others are factored again in every march.
 FACTOR_CACHE_BYTES = 5 * 2 ** 20
 
 
@@ -183,7 +188,7 @@ class BandedLU:
     """LU factors of a banded matrix from ?gbtrf, for repeated solves."""
 
     bandwidth: int
-    lu: np.ndarray   # (3 * bandwidth + 1, N), Fortran order
+    lu: np.ndarray   # (2 * bandwidth + 1 + fill rows, N), Fortran order
     piv: np.ndarray
 
     @property
@@ -191,8 +196,10 @@ class BandedLU:
         return self.lu.nbytes + self.piv.nbytes
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        # ?gbtrs reports only invalid arguments, which the factors rule out.
-        x, _ = dgbtrs(self.lu, self.bandwidth, self.bandwidth, rhs, self.piv)
+        # U has bandwidth + fill rows superdiagonals.  ?gbtrs reports only
+        # invalid arguments, which the factors rule out.
+        ku = self.lu.shape[0] - 1 - 2 * self.bandwidth
+        x, _ = dgbtrs(self.lu, self.bandwidth, ku, rhs, self.piv)
         return x
 
 
@@ -273,6 +280,38 @@ def _coefficient_table(coeffs: CoefficientSet, times: np.ndarray) -> np.ndarray:
     return np.stack((a[:, -1, -1], b[:, -1], c) + cross, axis=1)
 
 
+def _stencil(values, grid: SpaceTimeGrid) -> Tuple:
+    """The entries of an interior row of the step matrix, for the six
+    coefficient values of a _coefficient_table row (or its six columns, one
+    entry per row): the diagonal d_k = 1/dt + c + 2 a_nn/h**2 (plus
+    2 a_11/hc**2 in 2D), which Dirichlet rows take too, the axis neighbours
+    up and down, the cross neighbours up and down and the corner entry of
+    (i+1, j+1) and (i-1, j-1), the last three 0 in 1D."""
+    a_ax, b_ax, cc, a_cr, a_mx, b_cr = values
+    n, h = grid.domain.n, grid.hx_axis
+    hc = grid.hx_cross if n == 2 else np.inf  # cross terms vanish in 1D
+    diag = 1.0 / grid.dt + cc + 2.0 * a_ax / h ** 2 + (2.0 * a_cr / hc ** 2 if n == 2 else 0.0)
+    return (diag, -a_ax / h ** 2 + b_ax / (2.0 * h), -a_ax / h ** 2 - b_ax / (2.0 * h),
+            -a_cr / hc ** 2 + b_cr / (2.0 * hc), -a_cr / hc ** 2 - b_cr / (2.0 * hc),
+            -a_mx / (2.0 * h * hc))
+
+
+def _robin_row(values, stencil: Tuple, grid: SpaceTimeGrid, face: FaceRule,
+               low: bool) -> Tuple:
+    """The entries of a Robin face row, for coefficient values (or columns)
+    as _stencil takes them and their _stencil: the diagonal, the inward
+    axis neighbour and the cross neighbours up and down.  Ghost
+    elimination: s*(u_inner - u_ghost)/(2h) + p*u_face = data on the low
+    face, mirrored on the high face."""
+    a_ax, b_ax, _, _, a_mx, _ = values
+    p, s, h = face.p, face.sign, grid.hx_axis
+    hc = grid.hx_cross if grid.domain.n == 2 else np.inf
+    drift = -2.0 * a_ax * p / (s * h) if low else 2.0 * a_ax * p / (s * h)
+    diag, _, _, up_cr, dn_cr, _ = stencil
+    return (diag + drift - b_ax * p / s, -2.0 * a_ax / h ** 2,
+            up_cr + a_mx * p / (s * hc), dn_cr - a_mx * p / (s * hc))
+
+
 def _robin_data_coefficients(table: np.ndarray, grid: SpaceTimeGrid,
                              face: FaceRule, low: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Factors of data[j] and of data[j+1] - data[j-1] in a Robin face row,
@@ -283,6 +322,35 @@ def _robin_data_coefficients(table: np.ndarray, grid: SpaceTimeGrid,
     if low:
         return -(2.0 * a_ax / (s * h) + b_ax / s), mixed
     return 2.0 * a_ax / (s * h) - b_ax / s, mixed
+
+
+def check_step_matrices(problem: ParabolicProblem, grid: SpaceTimeGrid,
+                        p_values: Sequence[float]) -> None:
+    """Raise ValueError, naming a coefficient and a step time t, if at t an
+    entry of the step matrix (the interior stencil, whose diagonal the
+    Dirichlet rows take too, or a Robin face row for any p in p_values,
+    sign and face) or a Robin data factor is not finite.  The coefficient
+    named is the one whose term in the stencil is largest at t."""
+    times = grid.times()[1:]
+    table = _coefficient_table(problem.coeffs, times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stencil = _stencil(table.T, grid)
+        bad = ~np.isfinite(stencil).all(axis=0)
+        for p, sign, low in itertools.product(p_values, (1.0, -1.0), (True, False)):
+            face = FaceRule("robin", p, sign)
+            for entry in (_robin_row(table.T, stencil, grid, face, low)
+                          + _robin_data_coefficients(table, grid, face, low)):
+                bad |= ~np.isfinite(entry)
+        if not bad.any():
+            return
+        k = int(np.argmax(bad))
+        h, hc = grid.hx_axis, grid.hx_cross if grid.domain.n == 2 else 1.0
+        terms = np.abs(table[k]) * [1 / h ** 2, 1 / h, 1.0, 1 / hc ** 2, 1 / (h * hc), 1 / hc]
+    i = int(np.argmax(terms))
+    name = (("a11", "b1", "c") if grid.domain.n == 1
+            else ("a22", "b2", "c", "a11", "a12", "b1"))[i]
+    raise ValueError(f"{name} = {table[k, i]:g} at t={times[k]:g} "
+                     "makes a step-matrix entry overflow")
 
 
 def assemble_step(values: Tuple[float, ...], grid: SpaceTimeGrid,
@@ -297,20 +365,10 @@ def assemble_step(values: Tuple[float, ...], grid: SpaceTimeGrid,
     `ab`, if given, is a zeroed (2*bw + 1, N) array (or view) that receives
     the matrix in place of a new one.
     """
-    n, J, h, dt = grid.domain.n, grid.nx_cross, grid.hx_axis, grid.dt
-    a_ax, b_ax, cc, a_cr, a_mx, b_cr = values
+    n, J = grid.domain.n, grid.nx_cross
     bw = _bandwidth(grid, ranges)
-    hc = grid.hx_cross if n == 2 else np.inf  # cross terms vanish in 1D
-
-    diag = 1.0 / dt + cc + 2.0 * a_ax / h ** 2 + (2.0 * a_cr / hc ** 2 if n == 2 else 0.0)
-    up_ax = -a_ax / h ** 2 + b_ax / (2.0 * h)
-    dn_ax = -a_ax / h ** 2 - b_ax / (2.0 * h)
-    if n == 2:
-        up_cr = -a_cr / hc ** 2 + b_cr / (2.0 * hc)
-        dn_cr = -a_cr / hc ** 2 - b_cr / (2.0 * hc)
-        corner = -a_mx / (2.0 * h * hc)  # sign for (i+1,j+1) and (i-1,j-1)
-    else:
-        up_cr = dn_cr = corner = 0.0
+    stencil = _stencil(values, grid)
+    diag, up_ax, dn_ax, up_cr, dn_cr, corner = stencil
 
     if ab is None:
         ab = np.zeros((2 * bw + 1, sum(r.hi - r.lo + 1 for r in ranges) * J))
@@ -341,24 +399,21 @@ def assemble_step(values: Tuple[float, ...], grid: SpaceTimeGrid,
                 put(di, dj, inner, cross, value)
             # Lateral faces: Dirichlet along the whole axis range, corners
             # included (lateral data wins at corners).
-            put(0, 0, (0, m), (0, 1), 1.0)
-            put(0, 0, (0, m), (J - 1, J), 1.0)
+            put(0, 0, (0, m), (0, 1), diag)
+            put(0, 0, (0, m), (J - 1, J), diag)
 
         for face, low in ((r.low, True), (r.high, False)):
             i = 0 if low else m - 1
             rows = (i, i + 1)
             if face.kind == "dirichlet":
-                put(0, 0, rows, cross, 1.0)
+                put(0, 0, rows, cross, diag)
                 continue
-            p, s = face.p, face.sign
-            # Ghost elimination: s*(u_inner - u_ghost)/(2h) + p*u_face = data
-            # (low face; mirrored for the high face).
-            drift = -2.0 * a_ax * p / (s * h) if low else 2.0 * a_ax * p / (s * h)
-            put(0, 0, rows, cross, diag + drift - b_ax * p / s)
-            put(1 if low else -1, 0, rows, cross, -2.0 * a_ax / h ** 2)
+            face_diag, inward, face_up, face_dn = _robin_row(values, stencil, grid, face, low)
+            put(0, 0, rows, cross, face_diag)
+            put(1 if low else -1, 0, rows, cross, inward)
             if n == 2:
-                put(0, 1, rows, cross, up_cr + a_mx * p / (s * hc))
-                put(0, -1, rows, cross, dn_cr - a_mx * p / (s * hc))
+                put(0, 1, rows, cross, face_up)
+                put(0, -1, rows, cross, face_dn)
     return ab
 
 
@@ -378,8 +433,9 @@ class StackOperator:
     and every face's data factors.  Every face's data enter its rows the
     same way, data times the face's factor at step k (plus, in 2D, the
     cross difference of the data times a second factor): a Robin face's
-    factors come from the ghost elimination, a Dirichlet face's are 1 and
-    0 on rows whose static value and u_prev weight are zero.
+    factors come from the ghost elimination, a Dirichlet face's are the
+    step diagonal d_k and 0, on rows whose static value and u_prev weight
+    are zero (the lateral g in the static value is scaled by d_k too).
 
     One rule gives every step its factors: a step reuses the previous
     step's while its key repeats, else takes its key's kept factors, else
@@ -406,15 +462,16 @@ class StackOperator:
             for take in self._unstack(self.takes_prev):
                 take[:, [0, -1]] = 0.0
         times = grid.times()
+        table = _coefficient_table(problem.coeffs, times)
+        self._keys: List[Optional[tuple]] = [None] + [tuple(v) for v in table[1:].tolist()]
+        diag = _stencil(table.T, grid)[0]  # each Dirichlet row's diagonal
         nodes = eval_nodes(problem.f, grid, times)
         if n == 2:
             cross, axis = grid.cross_nodes(), grid.axis_nodes()
             for j in (0, -1):
-                nodes[:, :, j] = problem.g(times[:, None], cross[j], axis)
+                nodes[:, :, j] = diag[:, None] * problem.g(times[:, None], cross[j], axis)
         self._static = self._stack(nodes)  # (nt+1, N)
         self.u0 = self._stack(eval_nodes(problem.g, grid, times[:1])[0])
-        table = _coefficient_table(problem.coeffs, times)
-        self._keys: List[Optional[tuple]] = [None] + [tuple(v) for v in table[1:].tolist()]
         # Each face's rows (inner cross nodes in 2D), its data's columns
         # among all faces' data side by side, and its per-step factors.
         j0, j1 = (1, J - 1) if n == 2 else (0, 1)
@@ -426,7 +483,7 @@ class StackOperator:
                 if face.kind == "dirichlet":
                     self.takes_prev[rows[-1]] = 0.0
                     self._static[:, rows[-1]] = 0.0
-                    factors.append((np.ones(grid.nt + 1), np.zeros(grid.nt + 1)))
+                    factors.append((diag, np.zeros(grid.nt + 1)))
                 else:
                     factors.append(_robin_data_coefficients(table, grid, face, low))
         self._rows = np.concatenate(rows)
@@ -456,7 +513,16 @@ class StackOperator:
         assemble_step(values, self.grid, self.ranges, work[bw:])
         lu = _factor_band(work, bw)
         self.factorizations += 1
-        if self.nbytes + lu.nbytes <= FACTOR_CACHE_BYTES:
+        # The leading fill rows of a band LU that hold no entry (all bw when
+        # ?gbtrf swapped no row) are left out of kept factors only: trimming
+        # is a copy, which a factor used for one step does not repay.
+        empty = 0
+        if bw > 1:
+            filled = np.flatnonzero(lu.lu[:bw].any(axis=1))
+            empty = int(filled[0]) if filled.size else bw
+        if self.nbytes + lu.nbytes - empty * self.size * 8 <= FACTOR_CACHE_BYTES:
+            if empty:
+                lu = BandedLU(bw, np.asfortranarray(lu.lu[empty:]), lu.piv)
             self._lus[values] = lu
             self.nbytes += lu.nbytes
         return lu

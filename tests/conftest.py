@@ -49,6 +49,15 @@ def make_zero_problem(base: ParabolicProblem) -> ParabolicProblem:
                             f=zero, g=zero)
 
 
+def make_huge_data_problem(base: ParabolicProblem, scale: float = 1e306) -> ParabolicProblem:
+    """Same domain/coefficients, with f and g times `scale`: a step diagonal
+    d_k of a few hundred makes the Dirichlet rows' data d_k * g overflow,
+    though every coefficient and step-matrix entry is finite."""
+    return ParabolicProblem(domain=base.domain, coeffs=base.coeffs,
+                            f=lambda *args: scale * base.f(*args),
+                            g=lambda *args: scale * base.g(*args))
+
+
 @pytest.fixture(scope="session")
 def zero_problem(heat1d_problem):
     return make_zero_problem(heat1d_problem)

@@ -7,7 +7,9 @@ overlap_values).  Their stderr holds one-line warnings, exactly one error
 line per failed run and one verdict line per failed verdict, never a
 traceback or a source line, and summary.csv has one row per scheduled run.
 Values come from small edge sets on tiny grids; table files are valid,
-empty, header-only or ragged.
+empty, header-only or ragged.  Each edge set leads with a value valid for
+most keys, drawn most of the time, so at least half of the examples of
+test_accepted_config_runs must pass `check` and reach `run`.
 """
 
 import configparser
@@ -26,9 +28,12 @@ from oswr.cli import main
 from oswr.config import _SCHEMA, _float_list, load_config
 from oswr.problem import PRESET_NAMES
 
-FLOATS = ("0", "-1", "1e-300", "1e300", "inf", "nan", "0.2", "1", "2.5")
-INTS = ("-1", "0", "1", "2", "3")
-WORDS = {
+# Edge sets, each led by a value valid for most keys (_edges draws it
+# most of the time), so that most drawn configs are accepted ones.
+FLOATS = ("0.2", "1", "2.5", "0", "-1", "1e-300", "1e300", "inf", "nan")
+INTS = ("2", "3", "1", "0", "-1")
+WORDS = {  # keys with their own set; n = 2 needs a 2D preset
+    "n": ("1", "2", "0", "3"),
     "preset": PRESET_NAMES + ("heat3d",),
     "table": ("valid", "empty", "header-only", "ragged"),
     "orientation": ("outward", "paper", "sideways"),
@@ -54,32 +59,36 @@ ERROR = re.compile(r"run (\d+): numerical error: \S")
 WARNING = re.compile(r"(run \d+: )?warning: \S")
 VERDICT = re.compile(r"run (\d+): contraction verdict failed \(max ratio above \S+\)$")
 PARSERS = {key: parse for keys in _SCHEMA.values() for key, parse in keys.items()}
+# Every key a config may set, as (section, key, parser); [output] directory
+# is the test's own.
+KEYS = [(section, key, parse) for section, keys in _SCHEMA.items() if section != "output"
+        for key, parse in keys.items()]
 
 
 def _value(key, parse):
+    """A key's values: an edge set, whose first element is valid for most
+    keys."""
     if key in GRID:
         return GRID[key].map(str)
-    if key in WORDS:
-        return st.sampled_from(WORDS[key])
     if parse is _float_list:
-        return st.lists(st.sampled_from(FLOATS), min_size=1, max_size=3).map(", ".join)
-    return st.sampled_from(INTS if parse is int else FLOATS)
+        return st.lists(_edges(FLOATS), min_size=1, max_size=3).map(", ".join)
+    return _edges(WORDS.get(key) or (INTS if parse is int else FLOATS))
+
+
+def _edges(values):
+    """The first value about 3/4 of the time, else any of them."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(values if i == 3 else values[:1]))
 
 
 @st.composite
 def configs(draw):
-    """Sections of keys and values as INI text takes them.  Each key is set
-    with probability about 1/5, nx_axis and nt always; b_list comes with
+    """Sections of keys and values as INI text takes them: nx_axis and nt,
+    and up to four other keys, none in the simplest draw; b_list comes with
     a_list, and n is the preset's dimension unless drawn itself."""
-    ini = {}
-    for section, keys in _SCHEMA.items():
-        if section == "output":  # the test's own directory
-            continue
-        chosen = {}
-        for key, parse in keys.items():
-            if key in ("nx_axis", "nt") or draw(st.integers(0, 4)) == 0:
-                chosen[key] = draw(_value(key, parse))
-        ini[section] = chosen
+    ini = {section: {} for section, _, _ in KEYS}
+    chosen = draw(st.lists(st.sampled_from(KEYS), max_size=4, unique=True))
+    for section, key, parse in [("grid", "nx_axis", int), ("grid", "nt", int)] + chosen:
+        ini[section][key] = draw(_value(key, parse))
     lists = ini["decomposition"]
     if "a_list" in lists:
         lists.setdefault("b_list", draw(_value("b_list", _float_list)))
@@ -145,6 +154,10 @@ def _check_runs(code, err, summary, scheduled):
     assert code == (4 if verdicts else 3 if failed else 0), err
 
 
+# Per example of test_accepted_config_runs: whether `check` accepted it.
+REACHED = []
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(ini=configs())
 @example(ini={"problem": {"table": "empty"}, "grid": {"nx_axis": "11", "nt": "4"}})
@@ -168,25 +181,34 @@ def _check_runs(code, err, summary, scheduled):
 @example(ini={"grid": {"nx_axis": "11", "nt": "4", "nx_cross": "%(nt)s"}})
 @example(ini={"DEFAULT": {"directory": "elsewhere"}})
 @example(ini={"problem": {"preset": "heat1d\udce9"}, "grid": {"nx_axis": "11", "nt": "4"}})
-def test_accepted_config_runs(ini):
-    _check_accepted(ini)
+def _accepted_config_runs(ini):
+    REACHED.append(_check_accepted(ini))
+
+
+def test_accepted_config_runs():
+    """Most drawn configs are accepted ones, so their runs are checked."""
+    REACHED.clear()
+    _accepted_config_runs()
+    assert 2 * sum(REACHED) >= len(REACHED), REACHED
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(grid=st.fixed_dictionaries({key: GRID[key] for key in ("nx_axis", "nt")}), sweep=SWEEP)
+@example(grid={"nx_axis": 11, "nt": 4}, sweep={"overlap_values": "0.2, 1e-300"})
 def test_accepted_sweep_runs(grid, sweep):
     """README's INI example on a tiny grid with drawn sweep lists."""
     _check_accepted({**_readme_ini(**grid), "sweep": sweep})
 
 
 def _check_accepted(ini):
+    """Whether `check` accepted the config; if so, its runs are checked."""
     with tempfile.TemporaryDirectory() as tmp:
         path, written = _write(ini, tmp)
         code, err = _main(["check", path])
         assert (code, len(err)) in ((0, 0), (2, 1)), err
         if code:
             assert err[0].startswith("config error: ")
-            return
+            return False
         cfg = load_config(path)
         fields = dict(vars(cfg), cross_lo=cfg.cross[0], cross_hi=cfg.cross[1])
         for key, value in written:
@@ -199,5 +221,6 @@ def _check_accepted(ini):
         if not (cfg.p_values or cfg.overlap_values):
             assert (code, err) == (2, ["config error: sweep mode needs p_values or "
                                        "overlap_values"])
-            return
+            return True
         _check_runs(code, err, summary, len(cfg.scheduled_runs(sweep=True)))
+        return True

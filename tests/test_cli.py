@@ -15,7 +15,7 @@ from oswr import build_grid, config, load_config
 from oswr.cli import (EXIT_CONTRACTION, EXIT_NUMERICAL, EXIT_OK,
                       EXIT_VALIDATION, main, run_experiment)
 from oswr.errors import ParseError, ValidationError
-from tests.conftest import make_zero_problem
+from tests.conftest import make_huge_data_problem, make_zero_problem
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -365,16 +365,34 @@ nt = 4
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     def test_nonfinite_oracle_one_line(self, tmp_path, monkeypatch, capsys, verb):
-        # T = 1e-200 passes check (1/dt is finite), but the reference march
-        # overflows: exit 3 with one line and no numpy warning.
+        # Data g near 1e306 pass check (it reads the coefficients), but the
+        # reference march overflows: exit 3 with one line and no numpy warning.
         monkeypatch.chdir(tmp_path)
-        path = write(tmp_path, MINIMAL.replace("preset = heat1d", "preset = heat1d\nT = 1e-200")
-                     + "\n[grid]\nnx_axis = 21\nnt = 10\n\n[sweep]\np_values = 1, 2\n")
+        build = config.ExperimentConfig.build_problem
+        monkeypatch.setattr(config.ExperimentConfig, "build_problem",
+                            lambda cfg: make_huge_data_problem(build(cfg)))
+        path = write(tmp_path, MINIMAL + "\n[grid]\nnx_axis = 21\nnt = 10\n"
+                     "\n[sweep]\np_values = 1, 2\n")
         assert main(["check", path]) == EXIT_OK
         assert capsys.readouterr().err == ""
         assert main([verb, path]) == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
-            "numerical error: the reference solution is not finite (dt = 1e-201)\n")
+            "numerical error: the reference solution is not finite (dt = 0.1)\n")
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_tiny_T_runs_on_an_exact_oracle(self, tmp_path, monkeypatch, capsys, verb):
+        # At T = 1e-200 (1/dt = 1e201) the oracle keeps its face values, and
+        # the strips hardly move from g: every run stops after sweep 1 with
+        # E_k = 0 and sup|e| = 0.
+        monkeypatch.chdir(tmp_path)
+        path = write(tmp_path, MINIMAL.replace("preset = heat1d", "preset = heat1d\nT = 1e-200")
+                     + "\n[grid]\nnx_axis = 21\nnt = 10\n\n[sweep]\np_values = 1, 2\n")
+        assert main([verb, path]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        for rundir in (["out/run_000", "out/run_001"] if verb == "sweep" else ["out"]):
+            with open(os.path.join(rundir, "history.csv")) as fh:
+                rows = list(csv.DictReader(fh))
+            assert [(r["k"], r["E_k"], r["sup_e_max"]) for r in rows] == [("1", "0.0", "0.0")]
 
 
 TABLE_1D = "t,a11,b1,c\n0,{a},0,0\n1,{a},0,0\n"
@@ -396,8 +414,9 @@ _OVERFLOWS = "must be below 709.78, where exp(p (x_n - alpha)) overflows"
 
 # (config text, table text or None, expected message).  Each config once
 # passed `check` and then crashed, failed numerically or ran on wrongly
-# interpolated coefficients in `run`/`sweep`, set a key that is gone, or was
-# read other than as written (%-interpolation, a [DEFAULT] section).
+# interpolated coefficients in `run`/`sweep`, set a key that is gone, was
+# read other than as written (%-interpolation, a [DEFAULT] section), or was
+# rejected for strip ends it did not write (a vanishing overlap).
 # "{table}" in the config stands for the path of the table file.
 CONFIG_CASES = {
     "overlap-wider-than-strip": (
@@ -521,6 +540,27 @@ CONFIG_CASES = {
         "[DEFAULT]\nnx_axis = 11\n", None, "unknown section [DEFAULT]"),
     "empty-default-section": (
         "[DEFAULT]\n" + MINIMAL, None, "unknown section [DEFAULT]"),
+    "overflowing-step-diagonal": (
+        "[problem]\ntable = {table}\n\n[grid]\nnx_axis = 21\n", TABLE_1D.format(a="1e306"),
+        "a11 = 1e+306 at t=0.02 makes a step-matrix entry overflow"),
+    "overflowing-advection": (
+        "[problem]\ntable = {table}\n\n[grid]\nnx_axis = 21\n",
+        "t,a11,b1,c\n0,1,1e308,0\n1,1,1e308,0\n",
+        "b1 = 1e+308 at t=0.02 makes a step-matrix entry overflow"),
+    "overflowing-cross-diffusion": (
+        "[problem]\ntable = {table}\nn = 2\n\n[grid]\nnx_axis = 11\nnt = 4\nnx_cross = 5\n",
+        "t,a11,a12,a22,b1,b2,c\n0,1e307,0,1,0,0,0\n1,1e307,0,1,0,0,0\n",
+        "a11 = 1e+307 at t=0.25 makes a step-matrix entry overflow"),
+    "overflowing-robin-row": (
+        "[problem]\ntable = {table}\n\n[grid]\nnx_axis = 21\n\n[iteration]\np = 700\n",
+        TABLE_1D.format(a="1e305"),
+        "a11 = 1e+305 at t=0.02 makes a step-matrix entry overflow"),
+    "vanishing-overlap": (
+        MINIMAL.replace("overlap = 0.2", "overlap = 1e-300"),
+        None, "overlap 1e-300 does not move the strip ends off the cuts"),
+    "vanishing-overlap_values": (
+        MINIMAL + "\n[sweep]\noverlap_values = 0.2, 1e-300\n",
+        None, "overlap 1e-300 does not move the strip ends off the cuts"),
     # The table file stands in for any file where the directory should be.
     "directory-is-a-file": (
         MINIMAL + "\n[output]\ndirectory = coeffs.csv\n", "not a directory\n",

@@ -9,6 +9,8 @@ sweep_once must equal the dense solves to 1e-10.  StackExchange.update must
 put sign * (u[i+1] - u[i-1]) / (2h) + p * u[i] in place of each Robin face's
 data: exactly as computed from the stacked iterate, and within the error
 those formulas carry from 1e-10 in u when computed from the dense fields.
+StackDiagnostics' E_k, sup|e| and each strip's Phi interior and boundary
+maxima must match plain numpy on the dense fields, within the same error.
 """
 
 import warnings
@@ -18,7 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oswr import (DecompositionSpec, InitialGuess, RobinParameter, StackOperator,
-                  build_grid, initial_traces, problem_preset, snap, sweep_once)
+                  build_grid, initial_traces, problem_preset, snap, solve_global, sweep_once)
+from oswr.diagnostics import StackDiagnostics, WeightSpec, default_gamma
 from oswr.engine import StackExchange
 from oswr.problem import PRESET_NAMES
 from oswr.subdomain import axis_range
@@ -36,6 +39,7 @@ def cases(draw):
     nx_cross = draw(st.integers(3, 9)) if preset.endswith("2d") else None
     return dict(preset=preset, count=count, width=width, half=half, nx_cross=nx_cross,
                 nt=draw(st.integers(1, 3)), p=draw(st.sampled_from((0.5, 1.0, 3.0))),
+                theta=draw(st.sampled_from((0.0, 2.0))),
                 orientation=draw(st.sampled_from(("outward", "paper"))),
                 guess=InitialGuess(draw(st.sampled_from(("zero", "constant", "random-smooth"))),
                                    value=draw(st.sampled_from((-2.0, 0.5))),
@@ -45,9 +49,10 @@ def cases(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=cases())
 @example(case=dict(preset="tvar2d", count=2, width=3, half=1, nx_cross=9, nt=2, p=1.0,
-                   orientation="outward", guess=InitialGuess("random-smooth", seed=1)))
+                   theta=0.0, orientation="outward",
+                   guess=InitialGuess("random-smooth", seed=1)))
 @example(case=dict(preset="tvar2d", count=3, width=6, half=2, nx_cross=3, nt=2, p=3.0,
-                   orientation="paper", guess=InitialGuess("constant", value=0.5)))
+                   theta=2.0, orientation="paper", guess=InitialGuess("constant", value=0.5)))
 def test_sweep_and_exchange_match_dense_solves(case):
     prob = problem_preset(case["preset"])
     count, width, half = case["count"], case["width"], case["half"]
@@ -84,3 +89,31 @@ def test_sweep_and_exchange_match_dense_solves(case):
                 assert np.max(np.abs(robin.faces[l][face] - expect)) <= tol
             deltas.append(np.max(np.abs(robin.faces[l][face] - traces[l][face])))
     assert increment == max(deltas)
+
+    # StackDiagnostics on the stacked iterate against numpy on the dense
+    # fields: e = u - oracle, eps = e exp(p x), nu = d eps / dx (centred
+    # inside, second-order one-sided at the ends: np.gradient), Phi = nu**2
+    # exp(-gamma x) exp(-theta t).  The 1e-10 between the fields moves nu by
+    # at most dnu, and E and Phi's maxima (weights <= 1) by 2 |nu| dnu + dnu**2.
+    oracle = solve_global(prob, grid)
+    theta = case["theta"]
+    d = StackDiagnostics(operator, oracle, p, WeightSpec(default_gamma(prob.domain), theta))(u)
+    dnu = 4.0 / h * np.exp(p.p * prob.domain.axis_length) * TOL
+    times, E, sup_e = grid.times(), 0.0, 0.0
+    for entry, field, interior_max, boundary_max in zip(layout.entries, dense, d.interior_max,
+                                                        d.boundary_max):
+        x = grid.axis_nodes()[entry.i_left:entry.i_right + 1] - prob.domain.alpha
+        e = field - oracle.values[:, entry.i_left:entry.i_right + 1]
+        nu = np.gradient(e * np.exp(p.p * x)[:, None], h, axis=1, edge_order=2)
+        phi = (nu ** 2 * np.exp(-default_gamma(prob.domain) * x)[:, None]
+               * np.exp(-theta * times)[:, None, None])
+        boundary = [phi[0], phi[:, 0], phi[:, -1]]
+        if grid.nx_cross > 1:
+            boundary += [phi[..., 0], phi[..., -1]]
+        interior = phi[1:, 1:-1, 1:-1] if grid.nx_cross > 1 else phi[1:, 1:-1]
+        slack = 2.0 * np.max(np.abs(nu)) * dnu + dnu ** 2
+        assert abs(interior_max - np.max(interior)) <= slack
+        assert abs(boundary_max - max(np.max(b) for b in boundary)) <= slack
+        E, sup_e = max(E, np.max(np.abs(nu)) ** 2), max(sup_e, np.max(np.abs(e)))
+    assert abs(d.E - E) <= 2.0 * np.sqrt(E) * dnu + dnu ** 2
+    assert abs(d.sup_e - sup_e) <= TOL

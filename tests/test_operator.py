@@ -2,7 +2,8 @@
 stack operator against per-step assembly and per-strip solves: results, the
 block-diagonal stacked matrix and static right-hand side, the bandwidth of
 the chosen order, shared factorizations, the factor cache cap and the steps
-it keeps, the factors a one-off march holds, and singular steps."""
+it keeps (without empty fill rows), the factors a one-off march holds, and
+singular steps."""
 
 import warnings
 import weakref
@@ -48,7 +49,8 @@ def _lateral(prob, grid, t, r):
 def _loop_assemble(coeffs, grid, t, r, face_vals, lateral, u_prev, f_vals):
     """Row-by-row assembly of one range's step: the reference for the
     vectorized row patches.  face_vals holds the low and high face data at
-    t, lateral the (m,) g values at j=0 and j=J-1 (n=2)."""
+    t, lateral the (m,) g values at j=0 and j=J-1 (n=2).  A Dirichlet row
+    reads diag * u = diag * value, with diag the interior diagonal."""
     n, m, J = coeffs.n, r.hi - r.lo + 1, grid.nx_cross
     N, h, dt = m * J, grid.hx_axis, grid.dt
     a_ax, b_ax, cc = (float(coeffs.a[n - 1][n - 1](t)), float(coeffs.b[n - 1](t)),
@@ -88,8 +90,8 @@ def _loop_assemble(coeffs, grid, t, r, face_vals, lateral, u_prev, f_vals):
 
     def dirichlet(r, value):
         clear(r)
-        put(r, r, 1.0)
-        rhs[r] = value
+        put(r, r, diag)
+        rhs[r] = diag * value
 
     if n == 2:
         for i in range(m):
@@ -405,15 +407,45 @@ def test_bandwidth_follows_the_narrower_ordering():
     assert StackOperator(heat1d, line, [AxisRange(0, 40, rule, rule)]).bandwidth == 1
 
 
-def test_wide_layout_keeps_three_steps():
+def test_wide_layout_keeps_five_steps():
     prob, grid, ranges = _wide_layout_ranges()
     operator = StackOperator(prob, grid, ranges)
     zero = np.zeros((grid.nt + 1, grid.nx_cross))
     operator.solve([(zero, zero)] * len(ranges))
-    # The first march factors all 20 steps and keeps the first three.
+    # The first march factors all 20 steps and keeps the first five: ?gbtrf
+    # swaps no row, so each kept step holds its 2*bw + 1 band rows and no
+    # fill rows.
+    bw, N = operator.bandwidth, operator.size
     assert operator.factorizations == grid.nt == 20
-    assert list(operator._lus) == operator._keys[1:4]
-    assert 0 < operator.nbytes <= 4.3e6 < oswr.grid.FACTOR_CACHE_BYTES
+    assert list(operator._lus) == operator._keys[1:6]
+    for lu in operator._lus.values():
+        assert lu.lu.shape == (2 * bw + 1, N) and lu.lu.flags.f_contiguous
+        assert np.array_equal(lu.piv, np.arange(N))
+    assert operator.nbytes == 5 * ((2 * bw + 1) * N * 8 + N * 4)
+    assert operator.nbytes <= oswr.grid.FACTOR_CACHE_BYTES < 6 * operator.nbytes / 5
+
+
+def test_pivoting_step_keeps_its_fill_rows(monkeypatch):
+    # Axis advection b/(2h) = 1500 beside a diagonal of 276: ?gbtrf swaps
+    # rows, so the kept factors hold fill rows from the first one with an
+    # entry, and solve as the factors that are not kept do.
+    base = problem_preset("heat2d")
+    coeffs = CoefficientSet.build([[1.0, 0.0], [0.0, 1.0]], [0.0, 300.0], 0.0)
+    prob = ParabolicProblem(domain=base.domain, coeffs=coeffs, f=base.f, g=base.g)
+    grid = build_grid(prob.domain, 11, 4, 7)
+    rule = FaceRule("robin", 1.0)
+    ranges = [AxisRange(0, 6, FaceRule("dirichlet"), rule), AxisRange(4, 10, rule, rule)]
+    faces = np.random.default_rng(3).standard_normal((2, 2, grid.nt + 1, grid.nx_cross))
+    sols = {}
+    for cap in (0, 2 ** 40):
+        monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
+        operator = StackOperator(prob, grid, ranges)
+        sols[cap] = [operator.solve(faces) for _ in range(2)]
+    lu, = operator._lus.values()  # heat2d's steps are all equal
+    bw = operator.bandwidth
+    assert np.any(lu.piv != np.arange(operator.size))
+    assert 2 * bw + 1 < lu.lu.shape[0] <= 3 * bw + 1 and np.any(lu.lu[0])
+    assert np.array_equal(sols[0], sols[2 ** 40])
 
 
 @pytest.mark.parametrize("preset,nx_cross", [("tvar1d", None), ("tvar2d", 7)])

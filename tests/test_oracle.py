@@ -7,7 +7,7 @@ from oswr import (CoefficientSet, ParabolicProblem, RobinParameter, build_grid,
                   problem_preset, solve_global, solve_subdomain)
 from oswr.decomposition import SubdomainEntry
 from oswr.errors import NonFiniteSolution
-from tests.conftest import make_zero_problem
+from tests.conftest import make_huge_data_problem, make_zero_problem
 
 
 def test_zero_data_zero_solution():
@@ -79,8 +79,30 @@ def test_2d_oracle_accuracy():
 
 
 def test_overflowing_march_raises():
-    # 1/dt = 1e201 is finite, but the march overflows; numpy's warnings,
-    # errors in tier-1, stay silent.
-    prob = problem_preset("heat1d", T=1e-200)
+    # The step diagonal is 810, so the Dirichlet data 810 * 1e306 g overflow;
+    # numpy's warnings, errors in tier-1, stay silent.
+    prob = make_huge_data_problem(problem_preset("heat1d"))
     with pytest.raises(NonFiniteSolution, match=r"^the reference solution is not finite"):
         solve_global(prob, build_grid(prob.domain, 21, 10))
+
+
+@pytest.mark.parametrize("T", [1e-12, 1e-20, 1e-200])
+def test_small_T_oracle_is_exact(T):
+    # With 1/dt up to 1e201, the Dirichlet rows are as large as the
+    # interior ones, so no row is swapped and the face values keep their
+    # digits: the march stays within 1e-13 of g (the solution hardly moves).
+    prob = problem_preset("heat1d", T=T)
+    grid = build_grid(prob.domain, 21, 10)
+    exact = prob.g(grid.times()[:, None], grid.axis_nodes())
+    assert np.max(np.abs(solve_global(prob, grid).values[:, :, 0] - exact)) <= 1e-13
+
+
+def test_fine_h_faces_equal_g():
+    # 2/h**2 = 8e8 beside 1/dt = 10: the Dirichlet face values equal g to
+    # rounding of g's own scale.
+    prob = problem_preset("heat1d")
+    grid = build_grid(prob.domain, 20001, 10)
+    values = solve_global(prob, grid).values[:, :, 0]
+    times = grid.times()
+    for node, x in ((0, prob.domain.alpha), (-1, prob.domain.beta)):
+        assert np.max(np.abs(values[:, node] - prob.g(times, x))) <= 1e-14
