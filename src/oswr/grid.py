@@ -27,20 +27,49 @@ coefficients once at every grid time; each march adds every face's data,
 times its per-step factor, in one right-hand-side build for all steps and
 factors a step when it first needs it.  With its factors kept, every later
 march costs one LAPACK solve per step.
+
+The four LAPACK routines come from scipy.linalg._flapack, loaded on its own:
+scipy.linalg's package init would about double the start-up of a process.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+import scipy
 
 from .errors import BadResolution, DataMismatch, SingularSystem
 from .problem import CoefficientSet, DomainSpec, ParabolicProblem
+
+
+def _flapack():
+    """scipy.linalg._flapack, registered under its full name, so a later
+    `import scipy.linalg` uses this module object and its routines."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(name, [where])
+        if spec is None:
+            raise ImportError(f"scipy's LAPACK wrappers _flapack not found in {where}")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(sys.modules[name])
+        except BaseException:
+            del sys.modules[name]
+            raise
+    return sys.modules[name]
+
+
+_lapack = _flapack()
+dgbtrf, dgbtrs, dgttrf, dgttrs = _lapack.dgbtrf, _lapack.dgbtrs, _lapack.dgttrf, _lapack.dgttrs
 
 # Bytes of LU factors one StackOperator keeps, read each time it factors a
 # step.  A kept step's factors take (2*bw + 1 + fill rows) * N * 8 bytes plus

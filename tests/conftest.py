@@ -1,10 +1,23 @@
 """Shared fixtures: small problems, grids, and reusable solver runs."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oswr import (DecompositionSpec, ParabolicProblem, build_grid,
                   problem_preset, snap, solve_global)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def source_env():
+    """The environment for a fresh interpreter that imports this checkout's
+    sources: os.environ with src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def pytest_collection_modifyitems(items):

@@ -15,9 +15,7 @@ from oswr import build_grid, config, load_config
 from oswr.cli import (EXIT_CONTRACTION, EXIT_NUMERICAL, EXIT_OK,
                       EXIT_VALIDATION, main, run_experiment)
 from oswr.errors import ParseError, ValidationError
-from tests.conftest import make_huge_data_problem, make_zero_problem
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from tests.conftest import make_huge_data_problem, make_zero_problem, source_env
 
 MINIMAL = """\
 [problem]
@@ -40,10 +38,8 @@ def write(tmp_path, text, name="exp.ini"):
 
 def oswr(verb, path, cwd):
     """`oswr verb path` in a fresh interpreter on this checkout's sources."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "oswr.cli", verb, path],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=source_env(), capture_output=True, text=True)
 
 
 class TestLoadConfig:

@@ -1,14 +1,14 @@
 """The demo scripts run to completion against the current API."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from tests.conftest import source_env
+
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # (script, lines its output must contain)
 HEADERS = {
@@ -35,10 +35,8 @@ def test_every_demo_is_covered():
 
 @pytest.mark.parametrize("script", sorted(HEADERS))
 def test_demo_runs(tmp_path, script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(DEMOS / script)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=source_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     for header in HEADERS[script]:

@@ -1,4 +1,8 @@
-"""Grid construction, implicit-step assembly and discretization accuracy."""
+"""Grid construction, implicit-step assembly, discretization accuracy and
+how grid.py loads its LAPACK routines."""
+
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import pytest
 from oswr import (AxisRange, BandedSystem, DomainSpec, FaceRule, assemble_step,
                   build_grid, march, problem_preset, solve_global)
 from oswr.errors import BadResolution
-from tests.conftest import make_zero_problem
+from tests.conftest import make_zero_problem, source_env
 
 UNIT = DomainSpec(n=1, alpha=0.0, beta=1.0, T=1.0)
 
@@ -108,3 +112,48 @@ class TestDiscretizationOrders:
         coarse = _final_time_error(prob, 11, 400, nx_cross=11)
         fine = _final_time_error(prob, 21, 400, nx_cross=21)
         assert 3.4 <= coarse / fine <= 4.6
+
+
+def fresh(code):
+    """Run `code` in a fresh interpreter on this checkout's sources."""
+    return subprocess.run([sys.executable, "-c", code], env=source_env(),
+                          capture_output=True, text=True)
+
+
+class TestLapackLoading:
+    """grid.py takes dgttrf, dgttrs, dgbtrf and dgbtrs from scipy.linalg._flapack
+    without importing scipy.linalg, and they are the objects scipy.linalg.lapack
+    exports whichever of the two is imported first."""
+
+    ROUTINES = ("dgttrf", "dgttrs", "dgbtrf", "dgbtrs")
+
+    def test_cli_import_leaves_out_scipy_linalg(self):
+        proc = fresh("import sys, oswr.cli; print('scipy.linalg' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("imports", ["import oswr.grid, scipy.linalg.lapack",
+                                         "import scipy.linalg.lapack, oswr.grid"])
+    def test_routines_are_scipys(self, imports):
+        proc = fresh(f"{imports}\nfrom oswr import grid\nfrom scipy.linalg import lapack\n"
+                     f"print([getattr(grid, n) is getattr(lapack, n) for n in {self.ROUTINES}])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[True, True, True, True]\n"
+
+    @pytest.mark.parametrize("body", [None, "raise RuntimeError('broken')"])
+    def test_failed_load_leaves_no_module(self, tmp_path, body):
+        """A scipy without _flapack in its linalg directory, or whose _flapack
+        fails to execute: the error names the directory or is the module's
+        own, and sys.modules keeps no half-loaded entry."""
+        where = tmp_path / "scipy" / "linalg"
+        if body is not None:
+            where.mkdir(parents=True)
+            (where / "_flapack.py").write_text(body)
+        proc = fresh(f"import sys, scipy\nscipy.__file__ = {str(where.parent / 'x.py')!r}\n"
+                     "try:\n    import oswr.grid\nexcept Exception as exc:\n"
+                     "    print(type(exc).__name__, exc)\n"
+                     "print('scipy.linalg._flapack' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        error = (f"ImportError scipy's LAPACK wrappers _flapack not found in {where}"
+                 if body is None else "RuntimeError broken")
+        assert proc.stdout == f"{error}\nFalse\n"
