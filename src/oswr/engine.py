@@ -9,10 +9,12 @@ where they enter: by march, and for run() by StackExchange.  The strips of
 a sweep are independent, so a sweep marches them side by side, one
 block-diagonal solve per time step; a run builds one StackOperator, which
 prepares every step's data, and reuses the factors it keeps from one sweep
-to the next.  `run()` takes each sweep's diagnostics (StackDiagnostics) and
-Robin exchange (StackExchange) from the stacked (nt+1, N) iterate in a few
-array operations, whatever the number of strips; sweep_once and exchange
-are the per-strip forms of the same sweep and exchange.
+to the next; when they do not fit the cap, it marches blocks of sweeps
+time-outer, as sweep s + 1 at step k reads only sweep s's step-k traces.
+`run()` takes each sweep's diagnostics (StackDiagnostics) and Robin
+exchange (StackExchange) from the stacked (nt+1, N) iterate in a few array
+operations, whatever the number of strips; sweep_once and exchange are the
+per-strip forms of the same sweep and exchange.
 """
 
 from __future__ import annotations
@@ -155,10 +157,13 @@ class StackExchange:
 
     `faces` holds each range's (low, high) face data, as march takes it;
     range l's low (high) Robin face takes the data of range l - 1 (l + 1)
-    at node lo (hi), with its rule's sign and p.  update() gathers every
-    outgoing Robin trace from the iterate in one pass, sign * D_h u + p u as
-    extract_robin_trace computes it, puts it in place of the Robin face data
-    and returns the trace increment; Dirichlet faces keep their data.
+    at node lo (hi), with its rule's sign and p.  traces() gathers every
+    outgoing Robin trace from the iterate, of all steps or of one, in one
+    pass: sign * D_h u + p u as extract_robin_trace computes it.  update()
+    puts a sweep's traces in place of the Robin face data and returns the
+    trace increment; Dirichlet faces keep their data.  march() runs a block
+    of sweeps on StackOperator.solve_block, each sweep's step-k traces
+    being the next sweep's step-k Robin data.
     """
 
     def __init__(self, operator: StackOperator, faces: Sequence[SubTraces]):
@@ -180,21 +185,46 @@ class StackExchange:
                 signs.append(rule.sign)
                 ps.append(rule.p)
                 self.slots.append((l, face))
-        self.cols = np.stack(sources, axis=1)  # (3, traces, ncross): node, node +- 1
+        # (traces, ncross, 3): the source node, node + 1 and node - 1
+        self.cols = np.stack(sources).transpose(0, 2, 1)
         self.signs, self.p = np.array(signs)[:, None], np.array(ps)[:, None]
         self.h = operator.grid.hx_axis
         self.robin = np.stack([self.faces[l][f] for l, f in self.slots], axis=1)
 
+    def traces(self, u: np.ndarray) -> np.ndarray:
+        """The outgoing Robin traces of a stacked iterate (..., N), of all
+        steps or of one: (..., traces, ncross)."""
+        g = u[..., self.cols]
+        return self.signs * ((g[..., 1] - g[..., 2]) / (2.0 * self.h)) + self.p * g[..., 0]
+
+    def _faces_with(self, vals: np.ndarray) -> List[List[np.ndarray]]:
+        """The face data with each Robin face's taken from the traces vals."""
+        faces = [list(pair) for pair in self.faces]
+        for q, (l, f) in enumerate(self.slots):
+            faces[l][f] = vals[:, q]
+        return faces
+
     def update(self, u: np.ndarray) -> float:
-        g = u[:, self.cols]
-        vals = self.signs * ((g[:, 1] - g[:, 2]) / (2.0 * self.h)) + self.p * g[:, 0]
+        vals = self.traces(u)
         if not np.isfinite(vals).all():
             raise DataMismatch("trace values contain non-finite entries")
         increment = float(np.max(np.abs(vals - self.robin)))
-        for q, (l, f) in enumerate(self.slots):
-            self.faces[l][f] = vals[:, q]
-        self.robin = vals
+        self.faces, self.robin = self._faces_with(vals), vals
         return increment
+
+    def march(self, operator: StackOperator, count: int) -> List[np.ndarray]:
+        """The iterates of `count` sweeps from the face data, marched
+        time-outer: each later sweep's Robin data at step k are the
+        previous sweep's traces at step k.  The face data stay as they are;
+        update() takes the sweeps' iterates in turn."""
+        relayed = [np.empty_like(self.robin) for _ in range(count - 1)]
+
+        def relay(j, k, u_k):
+            if j < count - 1:
+                relayed[j][k] = self.traces(u_k)
+
+        return operator.solve_block([self.faces] + [self._faces_with(v) for v in relayed],
+                                    relay)
 
 
 def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
@@ -205,7 +235,11 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
     the diagnostics rows, with the reason in `termination`.
 
     The oracle is used for error metrics only and never enters the
-    iteration's dataflow.
+    iteration's dataflow.  If StackOperator.block > 1, max_iters is split
+    evenly into the fewest blocks of at most that many sweeps, each marched
+    time-outer (StackExchange.march); then its sweeps are diagnosed,
+    exchanged, passed to `on_sweep` and tested for a stop one by one, as
+    unblocked sweeps are, with the same bits.  A stop discards the rest.
     """
     gamma = config.gamma if config.gamma is not None else default_gamma(problem.domain)
     history = IterationHistory(window=layout.count)
@@ -218,24 +252,32 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
     diagnose = StackDiagnostics(operator, oracle, config.p,
                                 WeightSpec(gamma=gamma, theta=config.theta))
     robin = StackExchange(operator, initial_traces(config.guess, layout, grid, problem))
-    for k in range(1, config.max_iters + 1):
+    blocks, k = math.ceil(config.max_iters / operator.block), 0
+    for b in range(blocks):
+        size = config.max_iters // blocks + (b < config.max_iters % blocks)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                u = operator.solve(robin.faces)
+                sweeps = (robin.march(operator, size) if operator.block > 1
+                          else [operator.solve(robin.faces)])
             except OswrError as exc:
-                raise type(exc)(f"sweep {k}: {exc}") from exc
-            d = diagnose(u)
-            increment = robin.update(u)
-        history.rows.append(IterationRecord(
-            k=k, E=d.E, sup_e_max=d.sup_e, phi_boundary_ok=d.phi_ok, trace_increment=increment))
-        if on_sweep is not None:
-            on_sweep(k, [SubdomainSolution(index=e.index, i_left=e.i_left, values=v)
-                         for e, v in zip(entries, operator._unstack(u))])
-        if not math.isfinite(d.E):
-            history.termination = "nonfinite_E"
-            return history
-        if d.E <= config.stop_tol:
-            history.termination = "stop_tol"
-            return history
+                raise type(exc)(f"sweep {k + 1}: {exc}") from exc
+        for u in sweeps:
+            k += 1
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = diagnose(u)
+                increment = robin.update(u)
+            history.rows.append(IterationRecord(
+                k=k, E=d.E, sup_e_max=d.sup_e, phi_boundary_ok=d.phi_ok,
+                trace_increment=increment))
+            if on_sweep is not None:
+                on_sweep(k, [SubdomainSolution(index=e.index, i_left=e.i_left, values=v)
+                             for e, v in zip(entries, operator._unstack(u))])
+            if not math.isfinite(d.E):
+                history.termination = "nonfinite_E"
+                return history
+            if d.E <= config.stop_tol:
+                history.termination = "stop_tol"
+                return history
+        del sweeps, u  # a block's iterates go before the next block is marched
     history.termination = "max_iters"
     return history

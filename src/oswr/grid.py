@@ -26,7 +26,10 @@ evaluates f (and the lateral g) once on the whole space-time grid and the
 coefficients once at every grid time; each march adds every face's data,
 times its per-step factor, in one right-hand-side build for all steps and
 factors a step when it first needs it.  With its factors kept, every later
-march costs one LAPACK solve per step.
+march costs one LAPACK solve per step.  When the factors of its distinct
+steps do not fit the cap, a block of marches can go time-outer instead
+(solve_block): each step is factored once for the whole block, and each
+march takes that step's data from the one before it.
 
 The four LAPACK routines come from scipy.linalg._flapack, loaded on its own:
 scipy.linalg's package init would about double the start-up of a process.
@@ -41,7 +44,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy
@@ -73,11 +76,14 @@ dgbtrf, dgbtrs, dgttrf, dgttrs = _lapack.dgbtrf, _lapack.dgbtrs, _lapack.dgttrf,
 
 # Bytes of LU factors one StackOperator keeps, read each time it factors a
 # step.  A kept step's factors take (2*bw + 1 + fill rows) * N * 8 bytes plus
-# N pivots, for N unknowns over all ranges and bw = 1 in 1D, min(widest
-# range, nx_cross) + 1 in 2D; the up to bw fill rows of ?gbtrf hold entries
-# only when it swaps rows, and there are none when no row was swapped.
-# Steps are kept in the order they are first factored, time order, while
-# they fit; the others are factored again in every march.
+# N pivots, for N unknowns over all ranges and bw = min(widest range,
+# nx_cross) + 1 in 2D (in 1D, ?gttrf's four diagonals take (4N - 4) * 8);
+# the up to bw fill rows of ?gbtrf hold entries only when it swaps rows,
+# and there are none when no row was swapped.  Steps are kept in the order
+# they are first factored, time order, while they fit; the others are
+# factored again in every march.  When built, an operator also reads it as
+# the bytes of (nt+1, N) iterates one block of marches may hold, which it
+# uses when that factors fewer steps than re-factoring (StackOperator.block).
 FACTOR_CACHE_BYTES = 5 * 2 ** 20
 
 
@@ -470,6 +476,13 @@ class StackOperator:
     step's while its key repeats, else takes its key's kept factors, else
     is assembled and factored then, and kept if the kept bytes stay within
     FACTOR_CACHE_BYTES.  Results do not depend on the cap.
+
+    `block` is the number of marches solve_block may take at once, decided
+    when the operator is built: as many (nt+1, N) iterates as fit
+    FACTOR_CACHE_BYTES, if at least two do and a block of them factors
+    fewer steps per march (distinct steps / block) than march by march
+    re-factors (the distinct steps whose factors do not fit the cap); else
+    1, march by march with kept factors.
     """
 
     def __init__(self, problem: ParabolicProblem, grid: SpaceTimeGrid,
@@ -519,6 +532,12 @@ class StackOperator:
         self._cols = (J * np.arange(len(rows))[:, None] + np.arange(j0, j1)).ravel()
         self._data_factor, self._cross_factor = (
             np.repeat(np.stack(f, axis=1), j1 - j0, axis=1) for f in zip(*factors))
+        N, bw = self.size, self.bandwidth
+        step_bytes = 8 * (4 * N - 4 if bw == 1 else (2 * bw + 1) * N) + 4 * N
+        distinct = len(set(self._keys[1:]))
+        refactored = distinct - FACTOR_CACHE_BYTES // step_bytes  # per march
+        fit = FACTOR_CACHE_BYTES // ((grid.nt + 1) * N * 8)
+        self.block = fit if fit >= 2 and distinct < refactored * fit else 1
 
     def _stack(self, nodes: np.ndarray) -> np.ndarray:
         """Whole-grid node values (..., nx_axis, ncross) as the ranges'
@@ -534,14 +553,17 @@ class StackOperator:
         return [_node_view(u[..., rows], r.hi - r.lo + 1, self.grid.nx_cross, sa, sc)
                 for r, rows, (sa, sc) in zip(self.ranges, self.slices, self._strides)]
 
-    def _factor(self, values: Tuple[float, ...]) -> Union[BandedLU, TridiagonalLU]:
+    def _factor(self, values: Tuple[float, ...],
+                keep: bool = True) -> Union[BandedLU, TridiagonalLU]:
         """Assemble and factor the step matrix of these coefficient values,
-        and keep the factors if they fit FACTOR_CACHE_BYTES."""
+        and, if `keep`, keep the factors if they fit FACTOR_CACHE_BYTES."""
         bw = self.bandwidth
         work = np.zeros((3 * bw + 1, self.size), order="F")
         assemble_step(values, self.grid, self.ranges, work[bw:])
         lu = _factor_band(work, bw)
         self.factorizations += 1
+        if not keep:
+            return lu
         # The leading fill rows of a band LU that hold no entry (all bw when
         # ?gbtrf swapped no row) are left out of kept factors only: trimming
         # is a copy, which a factor used for one step does not repay.
@@ -556,19 +578,22 @@ class StackOperator:
             self.nbytes += lu.nbytes
         return lu
 
-    def rhs(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Every step's right-hand side for zero u_prev, (nt+1, N); row 0 is
-        not used.
+    def rhs(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]],
+            k: Union[int, slice] = slice(None)) -> np.ndarray:
+        """Every step's right-hand side for zero u_prev, (nt+1, N), whose
+        row 0 is not used; for an int k, step k's alone, (N,), with the
+        same elementwise operations, so the same bits.
 
         faces[i] holds the (nt+1, ncross) data of range i's low and high
         face: solution values on a Dirichlet face, Robin data on a Robin one.
         """
-        out = self._static.copy()
-        data = np.concatenate([vals for pair in faces for vals in pair], axis=1)
+        out = self._static[k].copy()
+        data = np.concatenate([vals[k] for pair in faces for vals in pair], axis=-1)
         cols = self._cols
-        out[:, self._rows] += self._data_factor * data[:, cols]
+        out[..., self._rows] += self._data_factor[k] * data[..., cols]
         if self.problem.domain.n == 2:
-            out[:, self._rows] += self._cross_factor * (data[:, cols + 1] - data[:, cols - 1])
+            out[..., self._rows] += self._cross_factor[k] * (data[..., cols + 1]
+                                                             - data[..., cols - 1])
         return out
 
     def solve(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -591,6 +616,31 @@ class StackOperator:
                     lu = self._factor(keys[k])
             u[k] = lu.solve(rhs)
         return u
+
+    def solve_block(self, faces: Sequence[Sequence[Tuple[np.ndarray, np.ndarray]]],
+                    relay: Callable[[int, int, np.ndarray], None]) -> List[np.ndarray]:
+        """One march per face set in `faces`, time-outer and keeping no
+        factors: each step is factored once (or reuses the previous step's
+        factors if its key repeats), then march j = 0, 1, ... advances by
+        that step from rhs(faces[j], k) and calls relay(j, k, u_j[k]),
+        which may fill step k of a later face set's data.  Each returned
+        iterate is bit for bit solve(faces[j]) on the data relay left.
+        """
+        us = [np.empty((self.grid.nt + 1, self.size)) for _ in faces]
+        for u in us:
+            u[0] = self.u0
+        take, dt, keys, lu = self.takes_prev, self.grid.dt, self._keys, None
+        for k in range(1, self.grid.nt + 1):
+            if keys[k] != keys[k - 1]:
+                lu = None  # the previous step's factors go before new ones are made
+                lu = self._factor(keys[k], keep=False)
+            for j, (u, data) in enumerate(zip(us, faces)):
+                rhs = u[k - 1] / dt  # as in solve()
+                rhs *= take
+                rhs += self.rhs(data, k)
+                u[k] = lu.solve(rhs)
+                relay(j, k, u[k])
+        return us
 
 
 def check_faces(grid: SpaceTimeGrid, ranges: Sequence[AxisRange],

@@ -122,8 +122,9 @@ class CoefficientSet:
 
         Samples are linearly interpolated in t (constant extrapolation at
         the ends, matching numpy.interp), so t must be finite and strictly
-        increasing.  An empty file, a table without rows and rows of unequal
-        length raise a one-line ValueError.
+        increasing.  An empty file, a table without rows, rows of unequal
+        length and a coefficient cell that is not a finite number (text,
+        empty, nan or inf) raise a one-line ValueError.
         """
         with warnings.catch_warnings():
             # numpy warns on an empty file, then fails on its missing header.
@@ -171,6 +172,11 @@ class CoefficientSet:
             a12 = interp_fn("a12")
             amat = ((interp_fn("a11"), a12), (a12, interp_fn("a22")))
             bvec = (interp_fn("b1"), interp_fn("b2"))
+        cells = np.stack([np.atleast_1d(data[name]) for name in cols[1:]], axis=1)
+        if not np.isfinite(cells).all():
+            row, col = np.argwhere(~np.isfinite(cells))[0]
+            raise ValueError(f"coefficient table data row {row + 1}, column {cols[col + 1]}: "
+                             "not a finite number")
         return cls(n=n, a=amat, b=bvec, c=interp_fn("c"))
 
     def sample(self, times) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

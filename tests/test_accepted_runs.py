@@ -7,8 +7,8 @@ overlap_values).  Their stderr holds one-line warnings, exactly one error
 line per failed run and one verdict line per failed verdict, never a
 traceback or a source line, and summary.csv has one row per scheduled run.
 Values come from small edge sets on tiny grids; table files are valid,
-empty, header-only or ragged.  Each edge set leads with a value valid for
-most keys, drawn most of the time, so at least half of the examples of
+empty, header-only, ragged or hold a cell that is not a number.  Each edge
+set leads with a value valid for most keys, drawn most of the time, so at least half of the examples of
 test_accepted_config_runs must pass `check` and reach `run`.
 """
 
@@ -52,6 +52,7 @@ TABLES = {
     "empty": "",
     "header-only": "t,a11,b1,c\n",
     "ragged": "t,a11,b1,c\n0,1,0\n1,1,0,0\n",
+    "not-a-number": "t,a11,b1,c\n0,abc,0.5,1\n1,2,0.5,1\n",
 }
 
 ORACLE_ERROR = re.compile(r"numerical error: \S")
@@ -163,6 +164,7 @@ REACHED = []
 @example(ini={"problem": {"table": "empty"}, "grid": {"nx_axis": "11", "nt": "4"}})
 @example(ini={"problem": {"table": "ragged"}, "grid": {"nx_axis": "11", "nt": "4"}})
 @example(ini={"problem": {"table": "header-only"}, "grid": {"nx_axis": "11", "nt": "4"}})
+@example(ini={"problem": {"table": "not-a-number"}, "grid": {"nx_axis": "11", "nt": "4"}})
 @example(ini={"problem": {"beta": "1e-200"}, "grid": {"nx_axis": "11", "nt": "2"},
               "decomposition": {"overlap": "2e-201"}})
 @example(ini={"problem": {"preset": "heat2d", "n": "2", "cross_lo": "1e300",

@@ -509,6 +509,9 @@ CONFIG_CASES = {
     "infinite-table-t": (
         "[problem]\ntable = {table}\n", "t,a11,b1,c\n0,1,0,0\ninf,1,0,0\n",
         "coefficient table t column must be finite and strictly increasing"),
+    "text-in-a-table-cell": (
+        "[problem]\ntable = {table}\n", "t,a11,b1,c\n0,abc,0.5,1\n1,2,0.5,1\n",
+        "coefficient table data row 1, column a11: not a finite number"),
     "empty-table": (
         "[problem]\ntable = {table}\n", "", "coefficient table is empty"),
     "header-only-table": (

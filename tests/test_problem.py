@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oswr import (CoefficientSet, DomainSpec, ManufacturedSolution,
-                  check_assumptions, manufactured_forcing, problem_preset,
-                  standard_exact)
+                  check_assumptions, manufactured_forcing, problem_from_table,
+                  problem_preset, standard_exact)
 from oswr.errors import (AsymmetricCoefficients, MissingDerivative,
                          NonElliptic)
 from oswr.problem import PRESET_NAMES
@@ -151,6 +151,20 @@ class TestCoefficientTable:
         path.write_text("t,a11,c\n0.0,1.0,0.5\n")
         with pytest.raises(ValueError):
             CoefficientSet.from_table(str(path))
+
+    @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf", "np.float64(0.0)"])
+    @pytest.mark.parametrize("preset,table,row,col", [
+        ("heat1d", "t,a11,b1,c\n0,1,0.5,1\n0.5,1,{},1\n1,2,0.5,1\n", 2, "b1"),
+        ("heat2d", "t,a11,a12,a22,b1,b2,c\n0,1,{},1,0,0.5,1\n1,2,0.2,1,0,0.5,1\n", 1, "a12")])
+    def test_cell_not_a_number(self, tmp_path, cell, preset, table, row, col):
+        # Such a cell used to be read as nan (or inf) and sampled as such.
+        path = tmp_path / "coeffs.csv"
+        path.write_text(table.format(cell))
+        message = f"^coefficient table data row {row}, column {col}: not a finite number$"
+        with pytest.raises(ValueError, match=message):
+            CoefficientSet.from_table(str(path))
+        with pytest.raises(ValueError, match=message):
+            problem_from_table(str(path), problem_preset(preset).domain)
 
 
 class TestDomainSpec:
