@@ -157,9 +157,10 @@ class StackDiagnostics:
     operations per sweep whatever the number of strips.  The oracle, the
     space weights and the column indices of each strip's ends, boundary
     and interior are stacked once, when this is built.  With theta = 0,
-    Phi's maxima are taken from max_t |nu| and the space weight applied
-    after: squaring and a nonnegative weight are monotone under rounding,
-    so the maxima are the same as those of the full field.
+    Phi's maxima are taken from max_t |2h nu| and the division by 2h and
+    the space weight applied after: division by a positive constant,
+    squaring and a nonnegative weight are monotone under rounding, so the
+    maxima are the same as those of the full field.
     """
 
     def __init__(self, operator: StackOperator, oracle: GlobalSolution,
@@ -219,22 +220,24 @@ class StackDiagnostics:
     def __call__(self, u: np.ndarray) -> SweepDiagnostics:
         e, nu, h = self._e, self._nu, self.h
         np.subtract(u, self.ref, out=e)
-        np.abs(e, out=nu)
-        sup_e = float(nu.max())
+        # max(max e, -min e) is max|e|, nan and inf included; abs() clears
+        # the sign of a zero.
+        sup_e = abs(float(np.maximum(e.max(), -e.min())))
         e *= self.grow  # eps
+        # nu times 2h; with theta = 0 only the maxima are divided by 2h.
         for lo, hi, s in self.runs:
-            inner = nu[:, lo + s:hi - s]
-            np.subtract(e[:, lo + 2 * s:hi], e[:, lo:hi - 2 * s], out=inner)
-            inner /= 2.0 * h
+            np.subtract(e[:, lo + 2 * s:hi], e[:, lo:hi - 2 * s], out=nu[:, lo + s:hi - s])
         a, w = e[:, self.ends], self.end_weights
-        nu[:, self.ends[0]] = (w[0] * a[:, 0] + w[1] * a[:, 1] - w[2] * a[:, 2]) / (2.0 * h)
+        nu[:, self.ends[0]] = w[0] * a[:, 0] + w[1] * a[:, 1] - w[2] * a[:, 2]
 
         if self.w_time is None:
             r = np.abs(nu, out=e)
             reduced = np.stack([r[0], r[1:].max(axis=0)])
+            reduced /= 2.0 * h
             m = float(reduced.max())
             reduced = reduced ** 2 * self.w_space
         else:
+            nu /= 2.0 * h
             m = float(np.abs(nu).max())
             phi = nu ** 2 * self.w_space * self.w_time
             reduced = np.stack([phi[0], phi[1:].max(axis=0)])

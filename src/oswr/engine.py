@@ -10,7 +10,9 @@ a sweep are independent, so a sweep marches them side by side, one
 block-diagonal solve per time step; a run builds one StackOperator, which
 prepares every step's data, and reuses the factors it keeps from one sweep
 to the next; when they do not fit the cap, it marches blocks of sweeps
-time-outer, as sweep s + 1 at step k reads only sweep s's step-k traces.
+time-outer, as sweep s + 1 at step k reads only sweep s's step-k traces:
+each step is factored once per block, and each of its sweeps then costs
+one in-place LAPACK solve and a few small array operations at that step.
 `run()` takes each sweep's diagnostics (StackDiagnostics) and Robin
 exchange (StackExchange) from the stacked (nt+1, N) iterate in a few array
 operations, whatever the number of strips; sweep_once and exchange are the
@@ -161,9 +163,9 @@ class StackExchange:
     outgoing Robin trace from the iterate, of all steps or of one, in one
     pass: sign * D_h u + p u as extract_robin_trace computes it.  update()
     puts a sweep's traces in place of the Robin face data and returns the
-    trace increment; Dirichlet faces keep their data.  march() runs a block
-    of sweeps on StackOperator.solve_block, each sweep's step-k traces
-    being the next sweep's step-k Robin data.
+    trace increment; Dirichlet faces keep their data.  The slots follow
+    the operator's Robin faces, so traces() of one step is the next
+    sweep's Robin data in StackOperator.solve_block.
     """
 
     def __init__(self, operator: StackOperator, faces: Sequence[SubTraces]):
@@ -197,34 +199,15 @@ class StackExchange:
         g = u[..., self.cols]
         return self.signs * ((g[..., 1] - g[..., 2]) / (2.0 * self.h)) + self.p * g[..., 0]
 
-    def _faces_with(self, vals: np.ndarray) -> List[List[np.ndarray]]:
-        """The face data with each Robin face's taken from the traces vals."""
-        faces = [list(pair) for pair in self.faces]
-        for q, (l, f) in enumerate(self.slots):
-            faces[l][f] = vals[:, q]
-        return faces
-
     def update(self, u: np.ndarray) -> float:
         vals = self.traces(u)
         if not np.isfinite(vals).all():
             raise DataMismatch("trace values contain non-finite entries")
         increment = float(np.max(np.abs(vals - self.robin)))
-        self.faces, self.robin = self._faces_with(vals), vals
+        for q, (l, f) in enumerate(self.slots):
+            self.faces[l][f] = vals[:, q]
+        self.robin = vals
         return increment
-
-    def march(self, operator: StackOperator, count: int) -> List[np.ndarray]:
-        """The iterates of `count` sweeps from the face data, marched
-        time-outer: each later sweep's Robin data at step k are the
-        previous sweep's traces at step k.  The face data stay as they are;
-        update() takes the sweeps' iterates in turn."""
-        relayed = [np.empty_like(self.robin) for _ in range(count - 1)]
-
-        def relay(j, k, u_k):
-            if j < count - 1:
-                relayed[j][k] = self.traces(u_k)
-
-        return operator.solve_block([self.faces] + [self._faces_with(v) for v in relayed],
-                                    relay)
 
 
 def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
@@ -237,7 +220,7 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
     The oracle is used for error metrics only and never enters the
     iteration's dataflow.  If StackOperator.block > 1, max_iters is split
     evenly into the fewest blocks of at most that many sweeps, each marched
-    time-outer (StackExchange.march); then its sweeps are diagnosed,
+    time-outer (StackOperator.solve_block); then its sweeps are diagnosed,
     exchanged, passed to `on_sweep` and tested for a stop one by one, as
     unblocked sweeps are, with the same bits.  A stop discards the rest.
     """
@@ -257,8 +240,8 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
         size = config.max_iters // blocks + (b < config.max_iters % blocks)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                sweeps = (robin.march(operator, size) if operator.block > 1
-                          else [operator.solve(robin.faces)])
+                sweeps = (operator.solve_block(robin.faces, size, robin.traces)
+                          if operator.block > 1 else [operator.solve(robin.faces)])
             except OswrError as exc:
                 raise type(exc)(f"sweep {k + 1}: {exc}") from exc
         for u in sweeps:

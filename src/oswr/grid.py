@@ -26,10 +26,12 @@ evaluates f (and the lateral g) once on the whole space-time grid and the
 coefficients once at every grid time; each march adds every face's data,
 times its per-step factor, in one right-hand-side build for all steps and
 factors a step when it first needs it.  With its factors kept, every later
-march costs one LAPACK solve per step.  When the factors of its distinct
-steps do not fit the cap, a block of marches can go time-outer instead
-(solve_block): each step is factored once for the whole block, and each
-march takes that step's data from the one before it.
+march costs one LAPACK solve per step, in place in the iterate.  When the
+factors of its distinct steps do not fit the cap, a block of marches can go
+time-outer instead (solve_block): each step is factored once for the whole
+block, and each march takes that step's Robin data from the one before it.
+A one-off march (march(): the oracle, solve_subdomain, sweep_once) is a
+block of one, which keeps no factors.
 
 The four LAPACK routines come from scipy.linalg._flapack, loaded on its own:
 scipy.linalg's package init would about double the start-up of a process.
@@ -84,7 +86,10 @@ dgbtrf, dgbtrs, dgttrf, dgttrs = _lapack.dgbtrf, _lapack.dgbtrs, _lapack.dgttrf,
 # factored again in every march.  When built, an operator also reads it as
 # the bytes of (nt+1, N) iterates one block of marches may hold, which it
 # uses when that factors fewer steps than re-factoring (StackOperator.block).
-FACTOR_CACHE_BYTES = 5 * 2 ** 20
+# 16 MiB, about a third of what an oswr process holds anyway, keeps every
+# step of the 1D runs of a few hundred nodes and steps and lets tvar2d-wide
+# (41 x 41 nodes, 20 steps) march its 20 sweeps as one block.
+FACTOR_CACHE_BYTES = 16 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -231,10 +236,11 @@ class BandedLU:
         return self.lu.nbytes + self.piv.nbytes
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution, in place of rhs if it is a contiguous float vector."""
         # U has bandwidth + fill rows superdiagonals.  ?gbtrs reports only
         # invalid arguments, which the factors rule out.
         ku = self.lu.shape[0] - 1 - 2 * self.bandwidth
-        x, _ = dgbtrs(self.lu, self.bandwidth, ku, rhs, self.piv)
+        x, _ = dgbtrs(self.lu, self.bandwidth, ku, rhs, self.piv, overwrite_b=1)
         return x
 
 
@@ -253,8 +259,9 @@ class TridiagonalLU:
         return sum(a.nbytes for a in (self.dl, self.d, self.du, self.du2, self.ipiv))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution, in place of rhs if it is a contiguous float vector."""
         # ?gttrs reports only invalid arguments, which the factors rule out.
-        x, _ = dgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, rhs)
+        x, _ = dgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, rhs, overwrite_b=1)
         return x
 
 
@@ -291,7 +298,7 @@ class BandedSystem:
         return _factor_band(work, bw)
 
     def solve(self) -> np.ndarray:
-        return self.factor().solve(self.rhs)
+        return self.factor().solve(self.rhs.copy())
 
     def to_dense(self) -> np.ndarray:
         n = self.rhs.size
@@ -474,8 +481,9 @@ class StackOperator:
 
     One rule gives every step its factors: a step reuses the previous
     step's while its key repeats, else takes its key's kept factors, else
-    is assembled and factored then, and kept if the kept bytes stay within
-    FACTOR_CACHE_BYTES.  Results do not depend on the cap.
+    is assembled and factored then, and kept by solve() if the kept bytes
+    stay within FACTOR_CACHE_BYTES; solve_block keeps none.  Results do not
+    depend on the cap.
 
     `block` is the number of marches solve_block may take at once, decided
     when the operator is built: as many (nt+1, N) iterates as fit
@@ -514,10 +522,10 @@ class StackOperator:
                 nodes[:, :, j] = diag[:, None] * problem.g(times[:, None], cross[j], axis)
         self._static = self._stack(nodes)  # (nt+1, N)
         self.u0 = self._stack(eval_nodes(problem.g, grid, times[:1])[0])
-        # Each face's rows (inner cross nodes in 2D), its data's columns
-        # among all faces' data side by side, and its per-step factors.
+        # Each face's rows (inner cross nodes in 2D) and its per-step factors,
+        # faces in range order, low face first; the indices of the Robin faces.
         j0, j1 = (1, J - 1) if n == 2 else (0, 1)
-        rows, factors = [], []
+        rows, factors, robin = [], [], []
         for r, stack_rows, (sa, sc) in zip(self.ranges, self.slices, self._strides):
             for face, low in ((r.low, True), (r.high, False)):
                 first = stack_rows.start + (0 if low else (r.hi - r.lo) * sa)
@@ -527,11 +535,11 @@ class StackOperator:
                     self._static[:, rows[-1]] = 0.0
                     factors.append((diag, np.zeros(grid.nt + 1)))
                 else:
+                    robin.append(len(rows) - 1)
                     factors.append(_robin_data_coefficients(table, grid, face, low))
-        self._rows = np.concatenate(rows)
-        self._cols = (J * np.arange(len(rows))[:, None] + np.arange(j0, j1)).ravel()
-        self._data_factor, self._cross_factor = (
-            np.repeat(np.stack(f, axis=1), j1 - j0, axis=1) for f in zip(*factors))
+        self._rows, self._robin = np.stack(rows), np.array(robin, dtype=int)
+        self._data_factor, self._cross_factor = (  # (nt+1, faces, 1)
+            np.stack(f, axis=1)[..., None] for f in zip(*factors))
         N, bw = self.size, self.bandwidth
         step_bytes = 8 * (4 * N - 4 if bw == 1 else (2 * bw + 1) * N) + 4 * N
         distinct = len(set(self._keys[1:]))
@@ -578,68 +586,81 @@ class StackOperator:
             self.nbytes += lu.nbytes
         return lu
 
-    def rhs(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]],
-            k: Union[int, slice] = slice(None)) -> np.ndarray:
+    def _face_values(self, base: np.ndarray, data: np.ndarray, k,
+                     faces=slice(None)) -> np.ndarray:
+        """base (..., faces, rows) plus the terms of the faces' data (...,
+        faces, ncross) at steps k, added in one order: the data times the
+        face's factor, then, in 2D, their cross difference times the second
+        factor."""
+        j0, w = (1 if self.problem.domain.n == 2 else 0), self._rows.shape[1]
+        out = base + self._data_factor[k, faces] * data[..., j0:j0 + w]
+        if self.problem.domain.n == 2:
+            out += self._cross_factor[k, faces] * (data[..., 2:] - data[..., :-2])
+        return out
+
+    def rhs(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """Every step's right-hand side for zero u_prev, (nt+1, N), whose
-        row 0 is not used; for an int k, step k's alone, (N,), with the
-        same elementwise operations, so the same bits.
+        row 0 is not used.
 
         faces[i] holds the (nt+1, ncross) data of range i's low and high
         face: solution values on a Dirichlet face, Robin data on a Robin one.
         """
-        out = self._static[k].copy()
-        data = np.concatenate([vals[k] for pair in faces for vals in pair], axis=-1)
-        cols = self._cols
-        out[..., self._rows] += self._data_factor[k] * data[..., cols]
-        if self.problem.domain.n == 2:
-            out[..., self._rows] += self._cross_factor[k] * (data[..., cols + 1]
-                                                             - data[..., cols - 1])
+        out = self._static.copy()
+        data = np.stack([vals for pair in faces for vals in pair], axis=-2)
+        out[:, self._rows] = self._face_values(out[:, self._rows], data, slice(None))
         return out
 
     def solve(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """One march of every range from the face data (see rhs()): the
-        stacked iterate (nt+1, N), one LAPACK solve per step; a step whose
-        key repeats the previous step's reuses its factors.
+        stacked iterate (nt+1, N), one LAPACK solve per step, in place; a
+        step whose key repeats the previous step's reuses its factors.
         """
         b = self.rhs(faces)
         u = np.empty_like(b)
         u[0] = self.u0
         take, dt, keys, lu = self.takes_prev, self.grid.dt, self._keys, None
         for k in range(1, self.grid.nt + 1):
-            rhs = u[k - 1] / dt
-            rhs *= take
-            rhs += b[k]
+            step = np.divide(u[k - 1], dt, out=u[k])
+            step *= take
+            step += b[k]
             if keys[k] != keys[k - 1]:
                 # The previous step's factors go before new ones are made.
                 lu = self._lus.get(keys[k])
                 if lu is None:
                     lu = self._factor(keys[k])
-            u[k] = lu.solve(rhs)
+            lu.solve(step)
         return u
 
-    def solve_block(self, faces: Sequence[Sequence[Tuple[np.ndarray, np.ndarray]]],
-                    relay: Callable[[int, int, np.ndarray], None]) -> List[np.ndarray]:
-        """One march per face set in `faces`, time-outer and keeping no
-        factors: each step is factored once (or reuses the previous step's
-        factors if its key repeats), then march j = 0, 1, ... advances by
-        that step from rhs(faces[j], k) and calls relay(j, k, u_j[k]),
-        which may fill step k of a later face set's data.  Each returned
-        iterate is bit for bit solve(faces[j]) on the data relay left.
+    def solve_block(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]], count: int = 1,
+                    traces: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                    ) -> List[np.ndarray]:
+        """`count` marches, time-outer and keeping no factors: each step is
+        factored once (or reuses the previous step's factors if its key
+        repeats), then march j = 0, 1, ... advances by it.  March 0 takes
+        the face data `faces` (see rhs()); march j + 1 takes the same data
+        but on its Robin faces, whose data at step k are traces(u_j[k]), one
+        (ncross,) row per Robin face, in range order, low face first.  Each
+        iterate is bit for bit solve() of the face data it took.
         """
-        us = [np.empty((self.grid.nt + 1, self.size)) for _ in faces]
+        b = self.rhs(faces)  # march 0's; each later march rewrites step k's Robin rows
+        us = [np.empty_like(b) for _ in range(count)]
+        robin = self._robin
+        rows = self._rows[robin]
+        static = self._static[:, rows]
+        take, dt, keys, lu = self.takes_prev, self.grid.dt, self._keys, None
         for u in us:
             u[0] = self.u0
-        take, dt, keys, lu = self.takes_prev, self.grid.dt, self._keys, None
         for k in range(1, self.grid.nt + 1):
             if keys[k] != keys[k - 1]:
                 lu = None  # the previous step's factors go before new ones are made
                 lu = self._factor(keys[k], keep=False)
-            for j, (u, data) in enumerate(zip(us, faces)):
-                rhs = u[k - 1] / dt  # as in solve()
-                rhs *= take
-                rhs += self.rhs(data, k)
-                u[k] = lu.solve(rhs)
-                relay(j, k, u[k])
+            for j, u in enumerate(us):
+                if j:
+                    b[k, rows] = self._face_values(static[k], traces(us[j - 1][k]), k, robin)
+                step = np.divide(u[k - 1], dt, out=u[k])  # as in solve()
+                step *= take
+                step += b[k]
+                lu.solve(step)
         return us
 
 
@@ -668,4 +689,4 @@ def march(problem: ParabolicProblem, grid: SpaceTimeGrid, ranges: Sequence[AxisR
     """
     check_faces(grid, ranges, faces)
     operator = StackOperator(problem, grid, ranges)
-    return operator._unstack(operator.solve(faces))
+    return operator._unstack(operator.solve_block(faces)[0])

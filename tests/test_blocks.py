@@ -56,9 +56,9 @@ def _observe(monkeypatch, cap, case, config):
     calls, sizes = [], []
     solve_block = StackOperator.solve_block
 
-    def spied(self, faces, relay):
-        sizes.append(len(faces))
-        return solve_block(self, faces, relay)
+    def spied(self, faces, count=1, traces=None):
+        sizes.append(count)
+        return solve_block(self, faces, count, traces)
 
     monkeypatch.setattr(StackOperator, "solve_block", spied)
     history = run(prob, grid, layout, config, oracle, on_sweep=lambda k, sols: calls.append(
@@ -126,9 +126,13 @@ def test_nonfinite_trace_inside_a_block(monkeypatch, case):
     monkeypatch.setattr(StackOperator, "solve", solve)
     target = clean[2][2]
     for lu_class in (BandedLU, TridiagonalLU):
-        lu_solve = lu_class.solve
-        monkeypatch.setattr(lu_class, "solve", lambda self, rhs, _solve=lu_solve: (
-            lambda x: x * np.nan if np.array_equal(x, target) else x)(_solve(self, rhs)))
+        def poisoned(self, rhs, _solve=lu_class.solve):
+            x = _solve(self, rhs)
+            if np.array_equal(x, target):
+                x *= np.nan  # in place, as the solve writes the step
+            return x
+
+        monkeypatch.setattr(lu_class, "solve", poisoned)
     observed = []
     for cap in (KEEP_ALL, case[4]):
         calls = []
@@ -168,10 +172,11 @@ def test_singular_step_under_blocks(monkeypatch):
     _singular_run("heat2d", nx_cross=7)
 
 
-def test_wide_layout_marches_two_blocks(monkeypatch):
+def test_wide_layout_marches_one_block(monkeypatch):
     # tvar2d-wide's layout: 41 x 41 nodes, 20 steps, 3 strips.  Its 20
-    # steps' factors do not fit the cap, 12 iterates do: 20 sweeps march in
-    # two blocks of 10, each factoring every step once, keeping none.
+    # steps' factors do not fit the cap, 41 iterates do: 20 sweeps march in
+    # one block, factoring every step once, keeping none; 60 sweeps march
+    # in two blocks of 30, the first block's iterates gone before the second.
     prob = problem_preset("tvar2d")
     grid = build_grid(prob.domain, 41, 20, 41)
     with warnings.catch_warnings():
@@ -186,20 +191,23 @@ def test_wide_layout_marches_two_blocks(monkeypatch):
             super().__init__(*args)
             operators.append(self)
 
-        def solve_block(self, faces, relay):
+        def solve_block(self, faces, count=1, traces=None):
             # The iterates of earlier blocks still alive, and this block's.
-            assert sum(ref() is not None for ref in held) + len(faces) <= self.block
-            sizes.append(len(faces))
-            us = solve_block(self, faces, relay)
+            assert sum(ref() is not None for ref in held) + count <= self.block
+            sizes.append(count)
+            us = solve_block(self, faces, count, traces)
             held.extend(weakref.ref(u) for u in us)
             return us
 
     monkeypatch.setattr(oswr.engine, "StackOperator", Recorded)
     oracle = GlobalSolution(values=np.zeros((grid.nt + 1, grid.nx_axis, grid.nx_cross)))
+    assert len(run(prob, grid, layout, SWRConfig(p=1.0, max_iters=60), oracle).rows) == 60
+    assert sizes == [30, 30] and operators[0].factorizations == 40
+    operators.clear(), sizes.clear()
     history = run(prob, grid, layout, SWRConfig(p=1.0, max_iters=20), oracle)
     operator, = operators
     assert len(history.rows) == 20
-    assert operator.block == oswr.grid.FACTOR_CACHE_BYTES // iterate == 12
-    assert sizes == [10, 10]
-    assert operator.factorizations == 40
+    assert operator.block == oswr.grid.FACTOR_CACHE_BYTES // iterate == 41
+    assert sizes == [20]
+    assert operator.factorizations == 20
     assert operator.nbytes == 0 and not operator._lus

@@ -153,6 +153,19 @@ class TestStackDiagnostics:
                                        WeightSpec(gamma=1.0))
         assert got.phi_ok == ok
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_error_of_zeros(self, zero):
+        # u - oracle is -0.0 everywhere for u = -0.0: sup|e| still reads 0.0.
+        prob = problem_preset("heat1d")
+        grid = build_grid(prob.domain, 21, 5)
+        layout = snap(DecompositionSpec.uniform(prob.domain, 2, 0.2), grid)
+        p = RobinParameter(1.0)
+        operator = StackOperator(prob, grid, [axis_range(e, p) for e in layout.entries])
+        oracle = GlobalSolution(values=np.zeros((grid.nt + 1, 21, 1)))
+        u = np.full((grid.nt + 1, operator.size), zero)
+        got = _assert_same_diagnostics(u, operator, layout, oracle, p, WeightSpec(gamma=1.0))
+        assert repr((got.E, got.sup_e)) == "(0.0, 0.0)"
+
     def test_oracle_on_another_grid_rejected(self):
         prob = problem_preset("heat1d")
         grid = build_grid(prob.domain, 21, 5)
