@@ -7,14 +7,13 @@ Robin data on interior interfaces for the first sweep only.  A strip's face
 data are a (left, right) pair of (nt+1, ncross) arrays (SubTraces), checked
 where they enter: by march, and for run() by StackExchange.  The strips of
 a sweep are independent, so a sweep marches them side by side, one
-block-diagonal solve per time step; a run builds one StackOperator, which
-prepares every step's data, and reuses the factors it keeps from one sweep
-to the next; when they do not fit the cap, it marches blocks of sweeps
-time-outer, as sweep s + 1 at step k reads only sweep s's step-k traces:
-each step is factored once per block, and each of its sweeps then costs
-one in-place LAPACK solve and a few small array operations at that step.
-`run()` takes each sweep's diagnostics (StackDiagnostics) and Robin
-exchange (StackExchange) from the stacked (nt+1, N) iterate in a few array
+block-diagonal solve per time step.  A run builds one StackOperator, which
+prepares every step's data, and takes its sweeps one by one from
+StackOperator.sweeps(), which owns the march schedule: sweep s + 1 at step
+k reads only sweep s's step-k traces, so the sweeps may be marched
+time-outer in blocks, each step factored once per block.  `run()` takes
+each sweep's diagnostics (StackDiagnostics) and Robin exchange
+(StackExchange) from the stacked (nt+1, N) iterate in a few array
 operations, whatever the number of strips; sweep_once and exchange are the
 per-strip forms of the same sweep and exchange.
 """
@@ -161,22 +160,20 @@ class StackExchange:
     range l's low (high) Robin face takes the data of range l - 1 (l + 1)
     at node lo (hi), with its rule's sign and p.  traces() gathers every
     outgoing Robin trace from the iterate, of all steps or of one, in one
-    pass: sign * D_h u + p u as extract_robin_trace computes it.  update()
-    puts a sweep's traces in place of the Robin face data and returns the
-    trace increment; Dirichlet faces keep their data.  The slots follow
-    the operator's Robin faces, so traces() of one step is the next
-    sweep's Robin data in StackOperator.solve_block.
+    pass: sign * D_h u + p u as extract_robin_trace computes it, one row
+    per Robin face as StackOperator.sweeps() takes them.  `robin` holds the
+    last Robin data; update() replaces them by a sweep's traces and returns
+    the trace increment.
     """
 
     def __init__(self, operator: StackOperator, faces: Sequence[SubTraces]):
         ranges = operator.ranges
         check_faces(operator.grid, ranges, faces)
         cols = operator._unstack(np.arange(operator.size))
-        self.faces = [list(pair) for pair in faces]
-        self.slots = []  # (range, face) of each Robin trace
-        sources, signs, ps = [], [], []
+        sources, signs, ps, robin = [], [], [], []
         for l, r in enumerate(ranges):
-            for face, rule, src, node in ((0, r.low, l - 1, r.lo), (1, r.high, l + 1, r.hi)):
+            for rule, src, node, data in ((r.low, l - 1, r.lo, faces[l][0]),
+                                          (r.high, l + 1, r.hi, faces[l][1])):
                 if rule.kind != "robin":
                     continue
                 if not (0 <= src < len(ranges) and ranges[src].lo < node < ranges[src].hi):
@@ -186,12 +183,12 @@ class StackExchange:
                 sources.append(cols[src][[li, li + 1, li - 1]])
                 signs.append(rule.sign)
                 ps.append(rule.p)
-                self.slots.append((l, face))
+                robin.append(data)
         # (traces, ncross, 3): the source node, node + 1 and node - 1
         self.cols = np.stack(sources).transpose(0, 2, 1)
         self.signs, self.p = np.array(signs)[:, None], np.array(ps)[:, None]
         self.h = operator.grid.hx_axis
-        self.robin = np.stack([self.faces[l][f] for l, f in self.slots], axis=1)
+        self.robin = np.stack(robin, axis=1)
 
     def traces(self, u: np.ndarray) -> np.ndarray:
         """The outgoing Robin traces of a stacked iterate (..., N), of all
@@ -204,8 +201,6 @@ class StackExchange:
         if not np.isfinite(vals).all():
             raise DataMismatch("trace values contain non-finite entries")
         increment = float(np.max(np.abs(vals - self.robin)))
-        for q, (l, f) in enumerate(self.slots):
-            self.faces[l][f] = vals[:, q]
         self.robin = vals
         return increment
 
@@ -218,11 +213,11 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
     the diagnostics rows, with the reason in `termination`.
 
     The oracle is used for error metrics only and never enters the
-    iteration's dataflow.  If StackOperator.block > 1, max_iters is split
-    evenly into the fewest blocks of at most that many sweeps, each marched
-    time-outer (StackOperator.solve_block); then its sweeps are diagnosed,
-    exchanged, passed to `on_sweep` and tested for a stop one by one, as
-    unblocked sweeps are, with the same bits.  A stop discards the rest.
+    iteration's dataflow.  The sweeps come one by one from
+    StackOperator.sweeps(), which may march them in blocks; each is
+    diagnosed, exchanged, passed to `on_sweep` and tested for a stop in
+    turn, with the same bits whatever the blocks.  A stop discards the rest
+    of a block.
     """
     gamma = config.gamma if config.gamma is not None else default_gamma(problem.domain)
     history = IterationHistory(window=layout.count)
@@ -234,33 +229,29 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
         operator = StackOperator(problem, grid, [axis_range(e, config.p) for e in entries])
     diagnose = StackDiagnostics(operator, oracle, config.p,
                                 WeightSpec(gamma=gamma, theta=config.theta))
-    robin = StackExchange(operator, initial_traces(config.guess, layout, grid, problem))
-    blocks, k = math.ceil(config.max_iters / operator.block), 0
-    for b in range(blocks):
-        size = config.max_iters // blocks + (b < config.max_iters % blocks)
+    faces = initial_traces(config.guess, layout, grid, problem)
+    robin = StackExchange(operator, faces)
+    sweeps = operator.sweeps(faces, config.max_iters, robin.traces)
+    for k in range(1, config.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                sweeps = (operator.solve_block(robin.faces, size, robin.traces)
-                          if operator.block > 1 else [operator.solve(robin.faces)])
+                u = next(sweeps)
             except OswrError as exc:
-                raise type(exc)(f"sweep {k + 1}: {exc}") from exc
-        for u in sweeps:
-            k += 1
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = diagnose(u)
-                increment = robin.update(u)
-            history.rows.append(IterationRecord(
-                k=k, E=d.E, sup_e_max=d.sup_e, phi_boundary_ok=d.phi_ok,
-                trace_increment=increment))
-            if on_sweep is not None:
-                on_sweep(k, [SubdomainSolution(index=e.index, i_left=e.i_left, values=v)
-                             for e, v in zip(entries, operator._unstack(u))])
-            if not math.isfinite(d.E):
-                history.termination = "nonfinite_E"
-                return history
-            if d.E <= config.stop_tol:
-                history.termination = "stop_tol"
-                return history
-        del sweeps, u  # a block's iterates go before the next block is marched
+                raise type(exc)(f"sweep {k}: {exc}") from exc
+            d = diagnose(u)
+            increment = robin.update(u)
+        history.rows.append(IterationRecord(
+            k=k, E=d.E, sup_e_max=d.sup_e, phi_boundary_ok=d.phi_ok,
+            trace_increment=increment))
+        if on_sweep is not None:
+            on_sweep(k, [SubdomainSolution(index=e.index, i_left=e.i_left, values=v)
+                         for e, v in zip(entries, operator._unstack(u))])
+        del u  # gone before the next sweep, which may make a block of iterates
+        if not math.isfinite(d.E):
+            history.termination = "nonfinite_E"
+            return history
+        if d.E <= config.stop_tol:
+            history.termination = "stop_tol"
+            return history
     history.termination = "max_iters"
     return history

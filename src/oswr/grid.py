@@ -23,15 +23,14 @@ rules only, never on the iterate or the data.  A StackOperator places the
 step matrices of several axis node ranges (the strips of one sweep, which
 are independent within it) block-diagonally in one band.  When built, it
 evaluates f (and the lateral g) once on the whole space-time grid and the
-coefficients once at every grid time; each march adds every face's data,
-times its per-step factor, in one right-hand-side build for all steps and
-factors a step when it first needs it.  With its factors kept, every later
-march costs one LAPACK solve per step, in place in the iterate.  When the
-factors of its distinct steps do not fit the cap, a block of marches can go
-time-outer instead (solve_block): each step is factored once for the whole
-block, and each march takes that step's Robin data from the one before it.
-A one-off march (march(): the oracle, solve_subdomain, sweep_once) is a
-block of one, which keeps no factors.
+coefficients once at every grid time.  Its one march loop, sweeps(), adds
+every face's data, times its per-step factor, in one right-hand-side build
+for all steps, and marches the sweeps of a run time-outer in blocks: each
+step is factored once per block and then costs each of the block's marches
+one LAPACK solve, in place in the iterate.  Blocks of one march, which keep
+their factors under a cap, are the rule when the steps' factors fit it or
+a block would factor more; a one-off march (march(): the oracle,
+solve_subdomain, sweep_once) keeps no factors.
 
 The four LAPACK routines come from scipy.linalg._flapack, loaded on its own:
 scipy.linalg's package init would about double the start-up of a process.
@@ -46,7 +45,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy
@@ -84,8 +83,9 @@ dgbtrf, dgbtrs, dgttrf, dgttrs = _lapack.dgbtrf, _lapack.dgbtrs, _lapack.dgttrf,
 # and there are none when no row was swapped.  Steps are kept in the order
 # they are first factored, time order, while they fit; the others are
 # factored again in every march.  When built, an operator also reads it as
-# the bytes of (nt+1, N) iterates one block of marches may hold, which it
-# uses when that factors fewer steps than re-factoring (StackOperator.block).
+# the bytes of (nt+1, N) iterates one block of sweeps() may hold
+# (StackOperator.block), and marches in such blocks, keeping no factors,
+# when that factors fewer steps than re-factoring march by march.
 # 16 MiB, about a third of what an oswr process holds anyway, keeps every
 # step of the 1D runs of a few hundred nodes and steps and lets tvar2d-wide
 # (41 x 41 nodes, 20 steps) march its 20 sweeps as one block.
@@ -479,13 +479,14 @@ class StackOperator:
     step diagonal d_k and 0, on rows whose static value and u_prev weight
     are zero (the lateral g in the static value is scaled by d_k too).
 
-    One rule gives every step its factors: a step reuses the previous
-    step's while its key repeats, else takes its key's kept factors, else
-    is assembled and factored then, and kept by solve() if the kept bytes
-    stay within FACTOR_CACHE_BYTES; solve_block keeps none.  Results do not
-    depend on the cap.
+    sweeps() is the one march loop.  One rule gives every step its
+    factors: a step reuses the previous step's while its key repeats, else
+    takes its key's kept factors, else is assembled and factored then, and
+    kept if the kept bytes stay within FACTOR_CACHE_BYTES and sweeps()
+    marches more than once in blocks of one.  Results do not depend on the
+    cap.
 
-    `block` is the number of marches solve_block may take at once, decided
+    `block` is the most marches sweeps() takes time-outer at once, decided
     when the operator is built: as many (nt+1, N) iterates as fit
     FACTOR_CACHE_BYTES, if at least two do and a block of them factors
     fewer steps per march (distinct steps / block) than march by march
@@ -561,8 +562,7 @@ class StackOperator:
         return [_node_view(u[..., rows], r.hi - r.lo + 1, self.grid.nx_cross, sa, sc)
                 for r, rows, (sa, sc) in zip(self.ranges, self.slices, self._strides)]
 
-    def _factor(self, values: Tuple[float, ...],
-                keep: bool = True) -> Union[BandedLU, TridiagonalLU]:
+    def _factor(self, values: Tuple[float, ...], keep: bool) -> Union[BandedLU, TridiagonalLU]:
         """Assemble and factor the step matrix of these coefficient values,
         and, if `keep`, keep the factors if they fit FACTOR_CACHE_BYTES."""
         bw = self.bandwidth
@@ -610,58 +610,49 @@ class StackOperator:
         out[:, self._rows] = self._face_values(out[:, self._rows], data, slice(None))
         return out
 
-    def solve(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """One march of every range from the face data (see rhs()): the
-        stacked iterate (nt+1, N), one LAPACK solve per step, in place; a
-        step whose key repeats the previous step's reuses its factors.
-        """
-        b = self.rhs(faces)
-        u = np.empty_like(b)
-        u[0] = self.u0
-        take, dt, keys, lu = self.takes_prev, self.grid.dt, self._keys, None
-        for k in range(1, self.grid.nt + 1):
-            step = np.divide(u[k - 1], dt, out=u[k])
-            step *= take
-            step += b[k]
-            if keys[k] != keys[k - 1]:
-                # The previous step's factors go before new ones are made.
-                lu = self._lus.get(keys[k])
-                if lu is None:
-                    lu = self._factor(keys[k])
-            lu.solve(step)
-        return u
+    def sweeps(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]], count: int = 1,
+               traces: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+               ) -> Iterator[np.ndarray]:
+        """The stacked iterates (nt+1, N) of `count` marches, in order.
 
-    def solve_block(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]], count: int = 1,
-                    traces: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                    ) -> List[np.ndarray]:
-        """`count` marches, time-outer and keeping no factors: each step is
-        factored once (or reuses the previous step's factors if its key
-        repeats), then march j = 0, 1, ... advances by it.  March 0 takes
-        the face data `faces` (see rhs()); march j + 1 takes the same data
-        but on its Robin faces, whose data at step k are traces(u_j[k]), one
-        (ncross,) row per Robin face, in range order, low face first.  Each
-        iterate is bit for bit solve() of the face data it took.
+        March 0 takes the face data `faces` (see rhs()); march j + 1 takes
+        the same data but on its Robin faces, whose data are traces(u_j),
+        one (ncross,) row per Robin face (and step), in range order, low
+        face first.  The marches go time-outer in the fewest blocks of at
+        most `block`, as even as they can be, each block's iterates made
+        when its first is asked for: each step takes its factors, then
+        march j = 0, 1, ... of the block advances by one LAPACK solve in
+        place in its iterate.  A step's factors are kept (under the cap)
+        only in blocks of one, when count > 1.  The generator holds no
+        iterate it has yielded.
         """
-        b = self.rhs(faces)  # march 0's; each later march rewrites step k's Robin rows
-        us = [np.empty_like(b) for _ in range(count)]
+        b = self.rhs(faces)  # march 0's; a later march rewrites the Robin rows
         robin = self._robin
         rows = self._rows[robin]
         static = self._static[:, rows]
         take, dt, keys, lu = self.takes_prev, self.grid.dt, self._keys, None
-        for u in us:
-            u[0] = self.u0
-        for k in range(1, self.grid.nt + 1):
-            if keys[k] != keys[k - 1]:
-                lu = None  # the previous step's factors go before new ones are made
-                lu = self._factor(keys[k], keep=False)
-            for j, u in enumerate(us):
-                if j:
-                    b[k, rows] = self._face_values(static[k], traces(us[j - 1][k]), k, robin)
-                step = np.divide(u[k - 1], dt, out=u[k])  # as in solve()
-                step *= take
-                step += b[k]
-                lu.solve(step)
-        return us
+        keep = self.block == 1 and count > 1
+        blocks = -(-count // self.block)
+        for i in range(blocks):
+            us = [np.empty_like(b) for _ in range(count // blocks + (i < count % blocks))]
+            for u in us:
+                u[0] = self.u0
+            for k in range(1, self.grid.nt + 1):
+                if keys[k] != keys[k - 1]:
+                    lu = None  # the previous step's factors go before new ones are made
+                    lu = self._lus.get(keys[k]) or self._factor(keys[k], keep)
+                for j, u in enumerate(us):
+                    if j:
+                        b[k, rows] = self._face_values(static[k], traces(us[j - 1][k]), k, robin)
+                    step = np.divide(u[k - 1], dt, out=u[k])
+                    step *= take
+                    step += b[k]
+                    lu.solve(step)
+            if i + 1 < blocks:  # the Robin data of the next block's first march
+                b[:, rows] = self._face_values(static, traces(us[-1]), slice(None), robin)
+            del u, step  # views of the last iterate: yielded, it is the caller's
+            while us:
+                yield us.pop(0)
 
 
 def check_faces(grid: SpaceTimeGrid, ranges: Sequence[AxisRange],
@@ -689,4 +680,4 @@ def march(problem: ParabolicProblem, grid: SpaceTimeGrid, ranges: Sequence[AxisR
     """
     check_faces(grid, ranges, faces)
     operator = StackOperator(problem, grid, ranges)
-    return operator._unstack(operator.solve_block(faces)[0])
+    return operator._unstack(next(operator.sweeps(faces)))

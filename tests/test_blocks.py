@@ -1,15 +1,17 @@
 """Sweeps marched in blocks, time-outer, are the sweep-by-sweep run, bit for bit.
 
-run() marches blocks of sweeps (StackOperator.solve_block) when the factors
-of its distinct steps do not fit FACTOR_CACHE_BYTES.  These tests force
-blocks on tiny cases with a cap of a few iterates and compare what the run
-shows (rows, termination, each on_sweep call's iterate, errors) with a run
-that keeps every factor and marches sweep by sweep.
+StackOperator.sweeps() marches a run's sweeps in blocks when the factors of
+its distinct steps do not fit FACTOR_CACHE_BYTES.  These tests force blocks
+on tiny cases with a cap of a few iterates and compare what the run shows
+(rows, termination, each on_sweep call's iterate, errors) with a run that
+keeps every factor and marches sweep by sweep; the factorizations a run
+makes give its blocks.
 """
 
 import dataclasses
 import warnings
 import weakref
+from typing import NamedTuple, Tuple
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from oswr import (DecompositionSpec, GlobalSolution, InitialGuess, RobinParamete
                   StackOperator, SWRConfig, build_grid, problem_preset, run, snap,
                   solve_global)
 from oswr.diagnostics import StackDiagnostics
-from oswr.errors import DataMismatch
+from oswr.engine import StackExchange
+from oswr.errors import DataMismatch, SingularSystem
 from oswr.grid import BandedLU, TridiagonalLU
 from oswr.subdomain import axis_range
 from tests.test_operator import _singular_run, _tiny_run
@@ -34,37 +37,62 @@ def _iterate_bytes(prob, grid, layout):
     return (grid.nt + 1) * operator.size * 8
 
 
-@pytest.fixture(params=[("tvar1d", None, 12, 2, [2, 2, 2, 1], [2, 2]),
-                        ("tvar2d", 7, 6, 4, [4, 3], [4])], ids=["tvar1d", "tvar2d"])
+class Case(NamedTuple):
+    """A tiny tvar run, its oracle and its number of distinct steps; a cap
+    that holds a few of its iterates but not the factors of its distinct
+    steps, with the factorizations of 7 sweeps under it and of the sweeps up
+    to the third (whose block holds a later sweep); and (iterates in the
+    cap, block, factorizations of 7 sweeps) for the caps of other blocks."""
+
+    prob: object
+    grid: object
+    layout: object
+    oracle: object
+    distinct: int
+    cap: int
+    factored: int
+    to_third: int
+    schedules: Tuple[Tuple[int, int, int], ...]
+
+
+# tvar1d: 12 distinct steps.  One iterate holds two steps' factors, so the
+# run marches sweep by sweep and re-factors 10 steps per sweep after the
+# first; two iterates give blocks of 2, 2, 2, 1.  A 1D block of three or
+# more iterates never factors fewer steps than re-factoring.
+# tvar2d: 6 distinct steps, none of whose factors fits one iterate; blocks
+# of 2, 3 and 7 split 7 sweeps into 4, 3 and 1 blocks, and the fixture's 4
+# into 2.
+@pytest.fixture(params=[("tvar1d", None, 12, 2, 48, 24, ((1, 1, 12 + 6 * 10), (2, 2, 48))),
+                        ("tvar2d", 7, 6, 4, 12, 6,
+                         ((1, 1, 7 * 6), (2, 2, 24), (3, 3, 18), (7, 7, 6)))],
+                ids=["tvar1d", "tvar2d"])
 def case(request):
-    """A tiny tvar run, its oracle, and a cap that holds `iterates` of its
-    iterates but not the factors of its distinct steps, so that 7 sweeps
-    march in blocks of these sizes, and the sweeps up to the third in
-    blocks of these (the third has a later sweep in its block)."""
-    preset, nx_cross, nt, iterates, sizes, to_third = request.param
+    preset, nx_cross, nt, iterates, factored, to_third, schedules = request.param
     prob, grid, layout = _tiny_run(preset, nt=nt, nx_cross=nx_cross)
     cap = iterates * _iterate_bytes(prob, grid, layout)
-    return prob, grid, layout, solve_global(prob, grid), cap, sizes, to_third
+    return Case(prob, grid, layout, solve_global(prob, grid), nt, cap, factored, to_third,
+                schedules)
 
 
 def _observe(monkeypatch, cap, case, config):
     """run() under this cap: its rows as text (nan-safe), its termination,
-    each on_sweep call's (k, strip values) and the sizes of the blocks
-    marched."""
-    prob, grid, layout, oracle = case[:4]
+    each on_sweep call's (k, strip values) and its operator's block and
+    factorizations."""
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
-    calls, sizes = [], []
-    solve_block = StackOperator.solve_block
+    calls, operators = [], []
 
-    def spied(self, faces, count=1, traces=None):
-        sizes.append(count)
-        return solve_block(self, faces, count, traces)
+    class Recorded(StackOperator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            operators.append(self)
 
-    monkeypatch.setattr(StackOperator, "solve_block", spied)
-    history = run(prob, grid, layout, config, oracle, on_sweep=lambda k, sols: calls.append(
+    monkeypatch.setattr(oswr.engine, "StackOperator", Recorded)
+    history = run(*case[:3], config, case.oracle, on_sweep=lambda k, sols: calls.append(
         (k, [s.values.copy() for s in sols])))
-    monkeypatch.setattr(StackOperator, "solve_block", solve_block)
-    return repr([dataclasses.astuple(r) for r in history.rows]), history.termination, calls, sizes
+    monkeypatch.setattr(oswr.engine, "StackOperator", StackOperator)
+    operator, = operators
+    return (repr([dataclasses.astuple(r) for r in history.rows]), history.termination, calls,
+            (operator.block, operator.factorizations))
 
 
 def _same_calls(a, b):
@@ -75,24 +103,28 @@ def _same_calls(a, b):
 
 @pytest.mark.parametrize("guess", [InitialGuess(), InitialGuess("random-smooth", seed=4)])
 def test_blocks_are_the_sweeps(monkeypatch, case, guess):
-    # Seven sweeps in blocks, the last shorter than the first.
+    # Seven sweeps under caps of blocks 1 (sweep by sweep, few steps kept),
+    # 2 and 3 (the last block shorter than the first) and 7 (one block).
     config = SWRConfig(p=1.0, max_iters=7, guess=guess)
     ref = _observe(monkeypatch, KEEP_ALL, case, config)
-    got = _observe(monkeypatch, case[4], case, config)
-    assert ref[3] == [] and got[3] == case[5]
-    assert got[:2] == ref[:2] and ref[1] == "max_iters"
-    _same_calls(got[2], ref[2])
+    assert ref[1] == "max_iters" and ref[3] == (1, case.distinct)
+    iterate = _iterate_bytes(*case[:3])
+    for iterates, block, factored in case.schedules:
+        got = _observe(monkeypatch, iterates * iterate, case, config)
+        assert got[3] == (block, factored)
+        assert got[:2] == ref[:2]
+        _same_calls(got[2], ref[2])
 
 
 def test_stop_tol_inside_a_block(monkeypatch, case):
     config = SWRConfig(p=1.0, max_iters=7)
-    ref_rows = run(*case[:3], config, case[3]).rows
+    ref_rows = run(*case[:3], config, case.oracle).rows
     assert ref_rows[2].E < min(ref_rows[0].E, ref_rows[1].E)
     # E_3 ends the run at sweep 3; its block's later sweep is discarded.
     config = dataclasses.replace(config, stop_tol=ref_rows[2].E)
     ref = _observe(monkeypatch, KEEP_ALL, case, config)
-    got = _observe(monkeypatch, case[4], case, config)
-    assert got[3] == case[6] and ref[1] == "stop_tol" and len(ref[2]) == 3
+    got = _observe(monkeypatch, case.cap, case, config)
+    assert got[3][1] == case.to_third and ref[1] == "stop_tol" and len(ref[2]) == 3
     assert got[:2] == ref[:2]
     _same_calls(got[2], ref[2])
 
@@ -103,13 +135,13 @@ def test_nonfinite_E_inside_a_block(monkeypatch, case, bad):
     # sweep 3.
     measure = StackDiagnostics.__call__
     observed = []
-    for cap in (KEEP_ALL, case[4]):
+    for cap in (KEEP_ALL, case.cap):
         sequence = iter([1.0, 0.5, bad, 0.1, 0.05])
         monkeypatch.setattr(StackDiagnostics, "__call__", lambda self, u: dataclasses.replace(
             measure(self, u), E=next(sequence)))
         observed.append(_observe(monkeypatch, cap, case, SWRConfig(p=1.0, max_iters=7)))
     ref, got = observed
-    assert got[3] == case[6] and ref[1] == "nonfinite_E" and len(ref[2]) == 3
+    assert got[3][1] == case.to_third and ref[1] == "nonfinite_E" and len(ref[2]) == 3
     assert got[:2] == ref[:2]
     _same_calls(got[2], ref[2])
 
@@ -119,11 +151,16 @@ def test_nonfinite_trace_inside_a_block(monkeypatch, case):
     # marched in: the LU solve that returns its clean value returns nan.
     config = SWRConfig(p=1.0, max_iters=7)
     clean = []
-    solve = StackOperator.solve
-    monkeypatch.setattr(StackOperator, "solve", lambda self, faces: clean.append(
-        solve(self, faces)) or clean[-1])
-    run(*case[:3], config, case[3])
-    monkeypatch.setattr(StackOperator, "solve", solve)
+    sweeps = StackOperator.sweeps
+
+    def copied(self, *args):
+        for u in sweeps(self, *args):
+            clean.append(u.copy())
+            yield u
+
+    monkeypatch.setattr(StackOperator, "sweeps", copied)
+    run(*case[:3], config, case.oracle)
+    monkeypatch.setattr(StackOperator, "sweeps", sweeps)
     target = clean[2][2]
     for lu_class in (BandedLU, TridiagonalLU):
         def poisoned(self, rhs, _solve=lu_class.solve):
@@ -134,11 +171,11 @@ def test_nonfinite_trace_inside_a_block(monkeypatch, case):
 
         monkeypatch.setattr(lu_class, "solve", poisoned)
     observed = []
-    for cap in (KEEP_ALL, case[4]):
+    for cap in (KEEP_ALL, case.cap):
         calls = []
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
         with pytest.raises(DataMismatch) as raised:
-            run(*case[:3], config, case[3], on_sweep=lambda k, sols: calls.append(k))
+            run(*case[:3], config, case.oracle, on_sweep=lambda k, sols: calls.append(k))
         observed.append((str(raised.value), calls))
     # The first two sweeps' rows and on_sweep calls come before the raise.
     assert observed[0] == observed[1] == ("trace values contain non-finite entries", [1, 2])
@@ -154,7 +191,8 @@ def test_blocks_only_where_they_factor_less(monkeypatch, iterates, block):
     ranges = [axis_range(e, RobinParameter(1.0)) for e in layout.entries]
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", KEEP_ALL)
     every = StackOperator(prob, grid, ranges)
-    every.solve([(np.zeros((grid.nt + 1, 1)),) * 2] * len(ranges))
+    faces = [(np.zeros((grid.nt + 1, 1)),) * 2] * len(ranges)
+    list(every.sweeps(faces, 2, StackExchange(every, faces).traces))
     cap = iterates * _iterate_bytes(prob, grid, layout)
     assert every.nbytes > cap and cap // (every.nbytes // 12) == 3 * iterates - 1
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
@@ -168,8 +206,30 @@ def test_singular_step_under_blocks(monkeypatch):
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
     assert StackOperator(prob, grid, [axis_range(e, RobinParameter(1.0))
                                       for e in layout.entries]).block == 2
-    monkeypatch.setattr(StackOperator, "solve", lambda *_: pytest.fail("swept unblocked"))
+    factor = StackOperator._factor
+    monkeypatch.setattr(StackOperator, "_factor", lambda self, values, keep: (
+        pytest.fail("swept unblocked") if keep else factor(self, values, keep)))
     _singular_run("heat2d", nx_cross=7)
+
+
+def test_march_error_names_its_block(monkeypatch, case):
+    # The second block's first step fails to factor: the error names that
+    # block's first sweep, after the first block's rows and on_sweep calls.
+    monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", case.cap)
+    first = case.cap // _iterate_bytes(*case[:3])  # the first block's sweeps
+    factor, made, calls = StackOperator._factor, [], []
+
+    def failing(self, values, keep):
+        made.append(values)
+        if len(made) > case.distinct:
+            raise SingularSystem("singular matrix: zero pivot at unknown 0")
+        return factor(self, values, keep)
+
+    monkeypatch.setattr(StackOperator, "_factor", failing)
+    with pytest.raises(SingularSystem, match=rf"^sweep {first + 1}: singular matrix"):
+        run(*case[:3], SWRConfig(p=1.0, max_iters=7), case.oracle,
+            on_sweep=lambda k, sols: calls.append(k))
+    assert calls == list(range(1, first + 1))
 
 
 def test_wide_layout_marches_one_block(monkeypatch):
@@ -182,32 +242,37 @@ def test_wide_layout_marches_one_block(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the interfaces snap to nodes
         layout = snap(DecompositionSpec.uniform(prob.domain, 3, 0.2), grid)
-    operators, sizes, held = [], [], []
+    operators, held, factored = [], [], []
     iterate = _iterate_bytes(prob, grid, layout)
-    solve_block = StackOperator.solve_block
+
+    def held_weakly(u, operator):
+        """u, held by a weak reference, and the factorizations made so far."""
+        held.append(weakref.ref(u))
+        factored.append(operator.factorizations)
+        return u
 
     class Recorded(StackOperator):
         def __init__(self, *args):
             super().__init__(*args)
             operators.append(self)
 
-        def solve_block(self, faces, count=1, traces=None):
-            # The iterates of earlier blocks still alive, and this block's.
-            assert sum(ref() is not None for ref in held) + count <= self.block
-            sizes.append(count)
-            us = solve_block(self, faces, count, traces)
-            held.extend(weakref.ref(u) for u in us)
-            return us
+        def sweeps(self, faces, count=1, traces=None):
+            marches = super().sweeps(faces, count, traces)
+            for _ in range(count):
+                # Every iterate yielded so far is gone, from run() and from
+                # the march, so at most a block's iterates are alive when
+                # the next block's are made.
+                assert all(ref() is None for ref in held)
+                yield held_weakly(next(marches), self)
 
     monkeypatch.setattr(oswr.engine, "StackOperator", Recorded)
     oracle = GlobalSolution(values=np.zeros((grid.nt + 1, grid.nx_axis, grid.nx_cross)))
     assert len(run(prob, grid, layout, SWRConfig(p=1.0, max_iters=60), oracle).rows) == 60
-    assert sizes == [30, 30] and operators[0].factorizations == 40
-    operators.clear(), sizes.clear()
+    assert factored == [20] * 30 + [40] * 30  # two blocks of 30
+    operators.clear(), held.clear(), factored.clear()
     history = run(prob, grid, layout, SWRConfig(p=1.0, max_iters=20), oracle)
     operator, = operators
     assert len(history.rows) == 20
     assert operator.block == oswr.grid.FACTOR_CACHE_BYTES // iterate == 41
-    assert sizes == [20]
-    assert operator.factorizations == 20
+    assert factored == [20] * 20
     assert operator.nbytes == 0 and not operator._lus

@@ -127,22 +127,24 @@ def test_sweep_and_exchange_match_dense_solves(case):
 
     operator = StackOperator(prob, grid, [axis_range(e, p) for e in layout.entries])
     robin = StackExchange(operator, traces)
-    u = operator.solve(robin.faces)
+    u = next(operator.sweeps(traces))
     increment = robin.update(u)
     fields, h = operator._unstack(u), grid.hx_axis
+    outgoing = iter(np.moveaxis(robin.robin, 1, 0))  # one per Robin face, in order
     deltas = []
     for entry in layout.entries:
         l = entry.index
         for face, src, side in ((0, l - 1, "left"), (1, l + 1, "right")):
             if (entry.left_kind, entry.right_kind)[face] != "robin":
-                assert robin.faces[l][face] is traces[l][face]
                 continue
+            data = next(outgoing)
             i = (entry.i_left, entry.i_right)[face] - layout.entries[src].i_left
             s = p.sign(side)
             for field, bound in ((fields[src], 0.0), (dense[src], tol * (1.0 / h + p.p))):
                 expect = s * ((field[:, i + 1] - field[:, i - 1]) / (2.0 * h)) + p.p * field[:, i]
-                assert np.max(np.abs(robin.faces[l][face] - expect)) <= bound
-            deltas.append(np.max(np.abs(robin.faces[l][face] - traces[l][face])))
+                assert np.max(np.abs(data - expect)) <= bound
+            deltas.append(np.max(np.abs(data - traces[l][face])))
+    assert next(outgoing, None) is None
     assert increment == max(deltas)
 
     # StackDiagnostics on the stacked iterate against numpy on the dense

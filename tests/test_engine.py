@@ -256,6 +256,6 @@ class TestFaceCheck:
         alpha = prob.domain.alpha
         bad = ParabolicProblem(domain=prob.domain, coeffs=prob.coeffs, f=prob.f,
                                g=lambda t, x: np.where(x == alpha, np.nan, prob.g(t, x)))
-        monkeypatch.setattr(StackOperator, "solve", lambda *_: pytest.fail("swept"))
+        monkeypatch.setattr(StackOperator, "sweeps", lambda *_: pytest.fail("swept"))
         with pytest.raises(DataMismatch, match="^trace values contain non-finite entries$"):
             run(bad, grid, layout, SWRConfig(p=RobinParameter(1.0)), oracle)

@@ -1,9 +1,9 @@
 """Step assembly against a loop reference in either unknown order, and the
-stack operator against per-step assembly and per-strip solves: results, the
-block-diagonal stacked matrix and static right-hand side, the bandwidth of
-the chosen order, shared factorizations, the factor cache cap and the steps
-it keeps (without empty fill rows), the factors a one-off march holds, and
-singular steps."""
+stack operator's marches (StackOperator.sweeps) against per-step assembly
+and per-strip solves: results, the block-diagonal stacked matrix and static
+right-hand side, the bandwidth of the chosen order, shared factorizations,
+the factor cache cap and the steps it keeps (without empty fill rows), the
+factors a one-off march holds, and singular steps."""
 
 import warnings
 import weakref
@@ -18,6 +18,7 @@ from oswr import (AxisRange, BandedSystem, CoefficientSet, DecompositionSpec,
                   RobinParameter, StackOperator, SWRConfig, assemble_step, build_grid,
                   initial_traces, problem_from_table, problem_preset, run, snap,
                   solve_global, solve_subdomain, sweep_once)
+from oswr.engine import StackExchange, exchange
 from oswr.errors import SingularSystem
 from oswr.grid import _coefficient_table, eval_plane
 from oswr.subdomain import axis_range
@@ -206,6 +207,25 @@ def _per_step_reference(prob, grid, r, data):
     return u
 
 
+def _picks(operator, seed):
+    """Stand-in Robin traces for ranges that need not be a layout's: fixed
+    unknowns of an iterate (of all steps or of one), one (ncross,) row per
+    Robin face, as StackOperator.sweeps() takes traces."""
+    cols = np.random.default_rng(seed).integers(
+        0, operator.size, (len(operator._robin), operator.grid.nx_cross))
+    return lambda u: u[..., cols]
+
+
+def _with_robin(operator, faces, data):
+    """The face pairs `faces`, (ranges, 2, nt+1, ncross), with the Robin
+    faces' data replaced by data[:, q], q counting the Robin faces in range
+    order, low face first."""
+    flat = [vals for pair in faces for vals in pair]
+    for q, i in enumerate(operator._robin):
+        flat[i] = data[:, q]
+    return np.reshape(flat, (-1, 2) + flat[0].shape)
+
+
 OPERATOR_GRIDS = [("tvar1d", 15, None, 6), ("heat1d", 15, None, 6), ("tvar2d", 11, 7, 4)]
 
 
@@ -224,13 +244,16 @@ def test_operator_matches_per_step_assembly(monkeypatch, preset, nx, nx_cross, n
     rules = [FaceRule(kind, p.p, p.sign(side)) for kind, side in zip(kinds, ("left", "right"))]
     ranges = [AxisRange(2, nx - 4, *rules), AxisRange(1, nx - 2, *rules[::-1])]
     operator = StackOperator(prob, grid, ranges)
-    rng = np.random.default_rng(9)
-    for _ in range(3):  # the first march factors the steps, later ones reuse the kept ones
-        data = rng.standard_normal((len(ranges), 2, grid.nt + 1, grid.nx_cross))
-        got = operator._unstack(operator.solve(data))
-        for r, faces, values in zip(ranges, data, got):
+    data = np.random.default_rng(9).standard_normal((len(ranges), 2, grid.nt + 1,
+                                                     grid.nx_cross))
+    traces = _picks(operator, 9)
+    # The first march factors the steps, later ones reuse the kept ones and
+    # take their Robin data from the iterate before.
+    for u in operator.sweeps(data, 3, traces):
+        for r, faces, values in zip(ranges, data, operator._unstack(u)):
             ref = _per_step_reference(prob, grid, r, faces)
             assert np.max(np.abs(values - ref)) <= 1e-12
+        data = _with_robin(operator, data, traces(u))
     assert (operator.nbytes == 0) == capped
 
 
@@ -282,13 +305,16 @@ def test_sweep_matches_per_strip_solves(preset, nx_cross):
     operator = _stack(prob, grid, layout, p)
     traces = initial_traces(InitialGuess("random-smooth", seed=3), layout, grid, prob)
     sols = sweep_once(prob, grid, layout, traces, p)
-    for _ in range(2):  # the second sweep runs on the kept factors
-        values = operator._unstack(operator.solve(traces))
-        for entry, sol, v in zip(layout.entries, sols, values):
+    # The second sweep runs on the kept factors, from the first's traces.
+    for u in operator.sweeps(traces, 2, StackExchange(operator, traces).traces):
+        for entry, sol, v in zip(layout.entries, sols, operator._unstack(u)):
             ref = solve_subdomain(prob, grid, entry, *traces[entry.index], p)
             assert (sol.index, sol.i_left) == (ref.index, ref.i_left)
             assert np.max(np.abs(sol.values - ref.values)) <= 1e-12
             assert np.max(np.abs(v - ref.values)) <= 1e-12
+        traces = exchange(sols, layout, grid, p, traces)
+        sols = sweep_once(prob, grid, layout, traces, p)
+    assert operator.nbytes > 0
 
 
 @pytest.mark.parametrize("preset,per_run", [("heat1d", 1), ("tvar1d", 6)])
@@ -297,8 +323,7 @@ def test_factorizations_per_run(preset, per_run):
     p = RobinParameter(1.0)
     operator = _stack(prob, grid, layout, p)
     traces = initial_traces(InitialGuess("random-smooth", seed=1), layout, grid, prob)
-    for _ in range(3):
-        operator.solve(traces)
+    list(operator.sweeps(traces, 3, StackExchange(operator, traces).traces))
     assert operator.factorizations == per_run
     assert operator.nbytes > 0
 
@@ -328,8 +353,7 @@ def test_cap_zero_refactors_every_step(monkeypatch):
     # The cap is read when factors are kept, not when the operator is built.
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 0)
     traces = initial_traces(InitialGuess(), layout, grid, prob)
-    for _ in range(3):
-        operator.solve(traces)
+    list(operator.sweeps(traces, 3, StackExchange(operator, traces).traces))
     # Nothing is kept, so every march factors again; heat1d's steps are all
     # equal, so a march factors its first step and reuses it for the rest.
     assert operator.factorizations == 3
@@ -349,11 +373,10 @@ def test_equal_steps_share_factors(monkeypatch, tmp_path):
     for cap in (0, 2 ** 40):
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
         operator = _stack(prob, grid, layout, p)
-        for _ in range(3):
-            sols[cap] = operator.solve(traces)
+        sols[cap] = list(operator.sweeps(traces, 3, StackExchange(operator, traces).traces))
         # Kept: one per plateau per run; not kept: one per plateau per sweep.
         assert operator.factorizations == (2 if cap else 2 * 3)
-    assert np.array_equal(sols[0], sols[2 ** 40])
+    assert all(map(np.array_equal, sols[0], sols[2 ** 40]))
 
 
 def test_run_history_independent_of_cap(monkeypatch):
@@ -425,16 +448,24 @@ def test_bandwidth_follows_the_narrower_ordering():
     assert StackOperator(heat1d, line, [AxisRange(0, 40, rule, rule)]).bandwidth == 1
 
 
-def test_wide_layout_keeps_seventeen_steps():
+def test_wide_layout_keeps_seventeen_steps(monkeypatch):
     prob, grid, ranges = _wide_layout_ranges()
+    # Built under a cap that holds every step, the operator marches sweep by
+    # sweep (block 1); the 16 MiB cap is read as it keeps factors.
+    monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 2 ** 40)
     operator = StackOperator(prob, grid, ranges)
+    monkeypatch.undo()
     zero = np.zeros((grid.nt + 1, grid.nx_cross))
-    operator.solve([(zero, zero)] * len(ranges))
+    faces = [(zero, zero)] * len(ranges)
+    marches = operator.sweeps(faces, 2, StackExchange(operator, faces).traces)
+    next(marches)
     # The first march factors all 20 steps and keeps the first 17: ?gbtrf
     # swaps no row, so each kept step holds its 2*bw + 1 band rows and no
-    # fill rows.
+    # fill rows.  The second re-factors the last 3.
     bw, N = operator.bandwidth, operator.size
-    assert operator.factorizations == grid.nt == 20
+    assert operator.block == 1 and operator.factorizations == grid.nt == 20
+    next(marches)
+    assert operator.factorizations == 23
     assert list(operator._lus) == operator._keys[1:18]
     for lu in operator._lus.values():
         assert lu.lu.shape == (2 * bw + 1, N) and lu.lu.flags.f_contiguous
@@ -458,12 +489,12 @@ def test_pivoting_step_keeps_its_fill_rows(monkeypatch):
     for cap in (0, 2 ** 40):
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
         operator = StackOperator(prob, grid, ranges)
-        sols[cap] = [operator.solve(faces) for _ in range(2)]
+        sols[cap] = list(operator.sweeps(faces, 2, _picks(operator, 3)))
     lu, = operator._lus.values()  # heat2d's steps are all equal
     bw = operator.bandwidth
     assert np.any(lu.piv != np.arange(operator.size))
     assert 2 * bw + 1 < lu.lu.shape[0] <= 3 * bw + 1 and np.any(lu.lu[0])
-    assert np.array_equal(sols[0], sols[2 ** 40])
+    assert all(map(np.array_equal, sols[0], sols[2 ** 40]))
 
 
 @pytest.mark.parametrize("preset,nx_cross", [("tvar1d", None), ("tvar2d", 7)])
@@ -474,18 +505,21 @@ def test_cap_keeps_the_first_steps(monkeypatch, preset, nx_cross, kept):
     # factored, and the marches equal those of an operator that keeps all.
     prob, grid, layout = _tiny_run(preset, nx_cross=nx_cross)
     ranges = [axis_range(e, RobinParameter(1.0)) for e in layout.entries]
-    rng = np.random.default_rng(11)
-    data = rng.standard_normal((3, len(ranges), 2, grid.nt + 1, grid.nx_cross))
+    faces = np.random.default_rng(11).standard_normal((len(ranges), 2, grid.nt + 1,
+                                                       grid.nx_cross))
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 2 ** 40)
     every = StackOperator(prob, grid, ranges)
-    ref = [every.solve(faces) for faces in data]
+    traces = _picks(every, 11)
+    ref = list(every.sweeps(faces, 3, traces))
     step_bytes = every.nbytes // grid.nt
     assert every.nbytes == grid.nt * step_bytes and len(every._lus) == grid.nt
     for cap in (kept * step_bytes, (kept + 1) * step_bytes - 1):
-        monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
+        # Built under the cap that keeps all, the operator marches sweep by
+        # sweep; the cap is read as it keeps factors.
+        monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 2 ** 40)
         operator = StackOperator(prob, grid, ranges)
-        for faces, values in zip(data, ref):
-            assert np.array_equal(operator.solve(faces), values)
+        monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
+        assert all(map(np.array_equal, operator.sweeps(faces, 3, traces), ref))
         assert list(operator._lus) == operator._keys[1:kept + 1]
         assert operator.nbytes == kept * step_bytes
         assert operator.factorizations == kept + 3 * (grid.nt - kept)
@@ -526,10 +560,13 @@ def test_one_off_march_holds_one_step(monkeypatch, tmp_path, preset, factored):
 
 
 def _per_step_global(prob, grid):
-    """The monolithic march on an operator that keeps every step."""
+    """The monolithic march on an operator that has kept every step."""
     rule = FaceRule("dirichlet")
     operator = StackOperator(prob, grid, [AxisRange(0, grid.nx_axis - 1, rule, rule)])
+    for key in set(operator._keys[1:]):
+        operator._factor(key, keep=True)
     faces = [(eval_plane(prob.g, grid, prob.domain.alpha),
               eval_plane(prob.g, grid, prob.domain.beta))]
-    values, = operator._unstack(operator.solve(faces))
+    values, = operator._unstack(next(operator.sweeps(faces)))
+    assert operator.factorizations == len(operator._lus)
     return values

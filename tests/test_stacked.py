@@ -198,12 +198,12 @@ class TestStackExchange:
                 return
             increment = stacked.update(u)
         assert repr(increment) == repr(_trace_increment(new, traces, layout))
-        for (left, right), (low, high) in zip(new, stacked.faces):
-            assert low.shape == left.shape and high.shape == right.shape
-            assert np.array_equal(low, left) and np.array_equal(high, right)
-        # Dirichlet faces keep their data.
-        assert stacked.faces[0][0] is traces[0][0]
-        assert stacked.faces[-1][1] is traces[-1][1]
+        # One column per Robin face, in range order, low face first.
+        robin = [vals for e, pair in zip(layout.entries, new)
+                 for kind, vals in zip((e.left_kind, e.right_kind), pair) if kind == "robin"]
+        assert stacked.robin.shape == (grid.nt + 1, len(robin), grid.nx_cross)
+        for q, vals in enumerate(robin):
+            assert np.array_equal(stacked.robin[:, q], vals)
 
     @pytest.mark.parametrize("outer", ["low", "high"])
     def test_outer_robin_face_has_no_source(self, outer):
@@ -229,7 +229,7 @@ def _reference_run(problem, grid, layout, config, oracle):
                              [axis_range(e, config.p) for e in layout.entries])
     rows = []
     for k in range(1, config.max_iters + 1):
-        sols = _solutions(operator.solve(traces), operator, layout)
+        sols = _solutions(next(operator.sweeps(traces)), operator, layout)
         with np.errstate(over="ignore", invalid="ignore"):
             fields = [compute_error_fields(s, oracle, config.p, weights, grid)
                       for s in sols]
