@@ -12,10 +12,11 @@ prepares every step's data, and takes its sweeps one by one from
 StackOperator.sweeps(), which owns the march schedule: sweep s + 1 at step
 k reads only sweep s's step-k traces, so the sweeps may be marched
 time-outer in blocks, each step factored once per block.  `run()` takes
-each sweep's diagnostics (StackDiagnostics) and Robin exchange
-(StackExchange) from the stacked (nt+1, N) iterate in a few array
-operations, whatever the number of strips; sweep_once and exchange are the
-per-strip forms of the same sweep and exchange.
+each sweep's diagnostics (StackDiagnostics) from the stacked (nt+1, N)
+iterate and its Robin exchange (StackExchange) from the traces sweeps()
+gathered with it, in a few array operations, whatever the number of
+strips; sweep_once and exchange are the per-strip forms of the same sweep
+and exchange.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ class StackExchange:
     outgoing Robin trace from the iterate, of all steps or of one, in one
     pass: sign * D_h u + p u as extract_robin_trace computes it, one row
     per Robin face as StackOperator.sweeps() takes them.  `robin` holds the
-    last Robin data; update() replaces them by a sweep's traces and returns
-    the trace increment.
+    last Robin data; update() replaces them by a sweep's traces, as
+    sweeps() yields them, and returns the trace increment.
     """
 
     def __init__(self, operator: StackOperator, faces: Sequence[SubTraces]):
@@ -187,17 +188,18 @@ class StackExchange:
         # (traces, ncross, 3): the source node, node + 1 and node - 1
         self.cols = np.stack(sources).transpose(0, 2, 1)
         self.signs, self.p = np.array(signs)[:, None], np.array(ps)[:, None]
-        self.h = operator.grid.hx_axis
+        self.two_h = 2.0 * operator.grid.hx_axis
         self.robin = np.stack(robin, axis=1)
 
     def traces(self, u: np.ndarray) -> np.ndarray:
         """The outgoing Robin traces of a stacked iterate (..., N), of all
         steps or of one: (..., traces, ncross)."""
         g = u[..., self.cols]
-        return self.signs * ((g[..., 1] - g[..., 2]) / (2.0 * self.h)) + self.p * g[..., 0]
+        return self.signs * ((g[..., 1] - g[..., 2]) / self.two_h) + self.p * g[..., 0]
 
-    def update(self, u: np.ndarray) -> float:
-        vals = self.traces(u)
+    def update(self, vals: np.ndarray) -> float:
+        """Replace `robin` by a sweep's traces (traces() of its iterate) and
+        return the largest change, the trace increment."""
         if not np.isfinite(vals).all():
             raise DataMismatch("trace values contain non-finite entries")
         increment = float(np.max(np.abs(vals - self.robin)))
@@ -235,11 +237,11 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
     for k in range(1, config.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                u = next(sweeps)
+                u, traces = next(sweeps)
             except OswrError as exc:
                 raise type(exc)(f"sweep {k}: {exc}") from exc
             d = diagnose(u)
-            increment = robin.update(u)
+            increment = robin.update(traces)
         history.rows.append(IterationRecord(
             k=k, E=d.E, sup_e_max=d.sup_e, phi_boundary_ok=d.phi_ok,
             trace_increment=increment))

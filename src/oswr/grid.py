@@ -23,17 +23,23 @@ rules only, never on the iterate or the data.  A StackOperator places the
 step matrices of several axis node ranges (the strips of one sweep, which
 are independent within it) block-diagonally in one band.  When built, it
 evaluates f (and the lateral g) once on the whole space-time grid and the
-coefficients once at every grid time.  Its one march loop, sweeps(), adds
-every face's data, times its per-step factor, in one right-hand-side build
-for all steps, and marches the sweeps of a run time-outer in blocks: each
-step is factored once per block and then costs each of the block's marches
-one LAPACK solve, in place in the iterate.  Blocks of one march, which keep
-their factors under a cap, are the rule when the steps' factors fit it or
-a block would factor more; a one-off march (march(): the oracle,
+coefficients once at every grid time, and maps each entry of the band to
+the stencil term it takes, so a step's band is one scatter of its few
+terms.  Its one march loop, sweeps(), adds every face's data, times its
+per-step factor, in one right-hand-side build for all steps, and marches
+the sweeps of a run time-outer in blocks: each step is factored once per
+block and then costs each of the block's marches one solve in place in the
+iterate (?gttrs in 1D; in 2D two triangular ?tbsv solves, or ?gbtrs when
+?gbtrf swapped rows), and each march's Robin traces are gathered once, for
+the next march and for the caller.  Blocks of one march, which keep their
+factors under a cap, are the rule when the steps' factors fit it or a
+block would factor more; a one-off march (march(): the oracle,
 solve_subdomain, sweep_once) keeps no factors.
 
-The four LAPACK routines come from scipy.linalg._flapack, loaded on its own:
-scipy.linalg's package init would about double the start-up of a process.
+The four LAPACK routines come from scipy.linalg._flapack and dtbsv from
+scipy.linalg._fblas, each loaded on its own, _fblas at the first banded
+factorization (so 1D processes never load it): scipy.linalg's package init
+would about double the start-up of a process.
 """
 
 from __future__ import annotations
@@ -54,38 +60,39 @@ from .errors import BadResolution, DataMismatch, SingularSystem
 from .problem import CoefficientSet, DomainSpec, ParabolicProblem
 
 
-def _flapack():
-    """scipy.linalg._flapack, registered under its full name, so a later
-    `import scipy.linalg` uses this module object and its routines."""
-    name = "scipy.linalg._flapack"
-    if name not in sys.modules:
+def _scipy_linalg(name: str, wraps: str):
+    """scipy.linalg.<name>, scipy's f2py module of `wraps` routines,
+    registered under its full name, so a later `import scipy.linalg` uses
+    this module object and its routines."""
+    full = "scipy.linalg." + name
+    if full not in sys.modules:
         where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-        spec = importlib.machinery.PathFinder.find_spec(name, [where])
+        spec = importlib.machinery.PathFinder.find_spec(full, [where])
         if spec is None:
-            raise ImportError(f"scipy's LAPACK wrappers _flapack not found in {where}")
-        sys.modules[name] = importlib.util.module_from_spec(spec)
+            raise ImportError(f"scipy's {wraps} wrappers {name} not found in {where}")
+        sys.modules[full] = importlib.util.module_from_spec(spec)
         try:
-            spec.loader.exec_module(sys.modules[name])
+            spec.loader.exec_module(sys.modules[full])
         except BaseException:
-            del sys.modules[name]
+            del sys.modules[full]
             raise
-    return sys.modules[name]
+    return sys.modules[full]
 
 
-_lapack = _flapack()
+_lapack = _scipy_linalg("_flapack", "LAPACK")
 dgbtrf, dgbtrs, dgttrf, dgttrs = _lapack.dgbtrf, _lapack.dgbtrs, _lapack.dgttrf, _lapack.dgttrs
+dtbsv = None  # from _fblas, loaded by the first banded factorization (_factor_band)
 
 # Bytes of LU factors one StackOperator keeps, read each time it factors a
-# step.  A kept step's factors take (2*bw + 1 + fill rows) * N * 8 bytes plus
-# N pivots, for N unknowns over all ranges and bw = min(widest range,
-# nx_cross) + 1 in 2D (in 1D, ?gttrf's four diagonals take (4N - 4) * 8);
-# the up to bw fill rows of ?gbtrf hold entries only when it swaps rows,
-# and there are none when no row was swapped.  Steps are kept in the order
-# they are first factored, time order, while they fit; the others are
-# factored again in every march.  When built, an operator also reads it as
-# the bytes of (nt+1, N) iterates one block of sweeps() may hold
-# (StackOperator.block), and marches in such blocks, keeping no factors,
-# when that factors fewer steps than re-factoring march by march.
+# step.  A kept step's factors take (2*bw + 1) * N * 8 bytes plus N pivots,
+# for N unknowns over all ranges and bw = min(widest range, nx_cross) + 1 in
+# 2D (in 1D, ?gttrf's four diagonals take (4N - 4) * 8); ?gbtrf's bw fill
+# rows are kept too, bw * N * 8 bytes more, when it swapped rows.  Steps are
+# kept in the order they are first factored, time order, while they fit;
+# the others are factored again in every march.  When built, an operator
+# also reads it as the bytes of (nt+1, N) iterates one block of sweeps() may
+# hold (StackOperator.block), and marches in such blocks, keeping no
+# factors, when that factors fewer steps than re-factoring march by march.
 # 16 MiB, about a third of what an oswr process holds anyway, keeps every
 # step of the 1D runs of a few hundred nodes and steps and lets tvar2d-wide
 # (41 x 41 nodes, 20 steps) march its 20 sweeps as one block.
@@ -223,25 +230,68 @@ def _node_view(a: np.ndarray, m: int, ncross: int, sa: int, sc: int) -> np.ndarr
     return a.reshape(lead + (m, ncross), copy=False)
 
 
+def _fortran(buf: np.ndarray, at: int, rows: int, n: int) -> np.ndarray:
+    """The (rows, n) Fortran-order view of the flat buf from entry `at` on."""
+    return buf[at:at + rows * n].reshape((rows, n), order="F")
+
+
+def _band_work(bw: int, n: int) -> np.ndarray:
+    """Zeros for _factor_band: a (3*bw + 1, n) Fortran array, flat, and 2*bw
+    spare entries after it, so that BandedLU can view the factors shifted."""
+    return np.zeros((3 * bw + 1) * n + 2 * bw)
+
+
 @dataclass(frozen=True)
 class BandedLU:
-    """LU factors of a banded matrix from ?gbtrf, for repeated solves."""
+    """LU factors of a banded matrix from ?gbtrf, for repeated solves.
+
+    `lu` holds them in ?gbtrf's layout, (rows, N) in Fortran order with U's
+    diagonal in row d = rows - bandwidth - 1: its 3*bw + 1 rows, or, kept
+    when ?gbtrf swapped no row, the last 2*bw + 1 without the bw fill rows,
+    which are then empty.  lu heads a flat buffer with d spare entries after
+    it.  When no row was swapped, `lower` and `upper` are views of that
+    buffer with lu's leading dimension, shifted to start at L's diagonal
+    (row d) and at U's bw-th superdiagonal (row d - bw), and a solve is two
+    ?tbsv calls, unit lower and upper with bw off-diagonals, which read no
+    fill row.  A factor with a row swap has none and is solved by ?gbtrs.
+    """
 
     bandwidth: int
-    lu: np.ndarray   # (2 * bandwidth + 1 + fill rows, N), Fortran order
+    lu: np.ndarray
     piv: np.ndarray
+    lower: Optional[np.ndarray] = None
+    upper: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, buf: np.ndarray, rows: int, bw: int, piv: np.ndarray) -> "BandedLU":
+        """The factors of rows rows at the head of buf, as described above."""
+        n, d = piv.size, rows - bw - 1
+        if not np.array_equal(piv, np.arange(n)):
+            return cls(bw, _fortran(buf, 0, rows, n), piv)
+        return cls(bw, _fortran(buf, 0, rows, n), piv,
+                   _fortran(buf, d, rows, n), _fortran(buf, d - bw, rows, n))
 
     @property
     def nbytes(self) -> int:
         return self.lu.nbytes + self.piv.nbytes
 
+    def trimmed(self) -> "BandedLU":
+        """A copy without the fill rows, of factors with no row swapped."""
+        bw, n = self.bandwidth, self.piv.size
+        buf = np.zeros((2 * bw + 1) * n + bw)
+        _fortran(buf, 0, 2 * bw + 1, n)[...] = self.lu[bw:]
+        return BandedLU.of(buf, 2 * bw + 1, bw, self.piv)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution, in place of rhs if it is a contiguous float vector."""
-        # U has bandwidth + fill rows superdiagonals.  ?gbtrs reports only
-        # invalid arguments, which the factors rule out.
-        ku = self.lu.shape[0] - 1 - 2 * self.bandwidth
-        x, _ = dgbtrs(self.lu, self.bandwidth, ku, rhs, self.piv, overwrite_b=1)
-        return x
+        # ?gbtrs and ?tbsv report only invalid arguments, which the factors
+        # rule out.
+        bw = self.bandwidth
+        if self.lower is None:
+            x, _ = dgbtrs(self.lu, bw, bw, rhs, self.piv, overwrite_b=1)
+            return x
+        x = dtbsv(bw, self.lower, rhs, lower=1, diag=1, overwrite_x=1)
+        return dtbsv(bw, self.upper, x, overwrite_x=1)
 
 
 @dataclass(frozen=True)
@@ -265,19 +315,29 @@ class TridiagonalLU:
         return x
 
 
-def _factor_band(work: np.ndarray, bw: int) -> Union[BandedLU, TridiagonalLU]:
-    """LU factors of the band held in rows bw: of a (3*bw + 1, N) Fortran array.
+def _factor_band(work: np.ndarray, bw: int, n: int) -> Union[BandedLU, TridiagonalLU]:
+    """LU factors of the band held in rows bw: of the (3*bw + 1, n) Fortran
+    array that heads the flat buffer `work` (_band_work(bw, n)).
 
     Bandwidth 1 uses the tridiagonal kernels ?gttrf/?gttrs, whose solve
     takes about half the time of ?gbtrs; wider bands are factored in place
-    by ?gbtrf.  A zero pivot raises SingularSystem.
+    by ?gbtrf (into work; copied back should f2py ever hand back a copy)
+    and solved as BandedLU says.  The first wider band loads scipy's BLAS
+    wrappers for ?tbsv.  A zero pivot raises SingularSystem.
     """
+    rows = 3 * bw + 1
+    band = _fortran(work, 0, rows, n)
     if bw == 1:
-        dl, d, du, du2, ipiv, info = dgttrf(work[3, :-1], work[2], work[1, 1:])
+        dl, d, du, du2, ipiv, info = dgttrf(band[3, :-1], band[2], band[1, 1:])
         lu = TridiagonalLU(dl, d, du, du2, ipiv)
     else:
-        ab, piv, info = dgbtrf(work, bw, bw, overwrite_ab=1)
-        lu = BandedLU(bw, ab, piv)
+        global dtbsv
+        if dtbsv is None:
+            dtbsv = _scipy_linalg("_fblas", "BLAS").dtbsv
+        factors, piv, info = dgbtrf(band, bw, bw, overwrite_ab=1)
+        if not np.shares_memory(factors, band):
+            band[...] = factors
+        lu = BandedLU.of(work, rows, bw, piv)
     if info > 0:
         raise SingularSystem(f"singular matrix: zero pivot at unknown {info - 1}")
     return lu
@@ -292,10 +352,10 @@ class BandedSystem:
     rhs: np.ndarray
 
     def factor(self) -> Union[BandedLU, TridiagonalLU]:
-        bw = self.bandwidth
-        work = np.zeros((3 * bw + 1, self.rhs.size), order="F")
-        work[bw:] = self.ab
-        return _factor_band(work, bw)
+        bw, n = self.bandwidth, self.rhs.size
+        work = _band_work(bw, n)
+        _fortran(work, 0, 3 * bw + 1, n)[bw:] = self.ab
+        return _factor_band(work, bw, n)
 
     def solve(self) -> np.ndarray:
         return self.factor().solve(self.rhs.copy())
@@ -395,67 +455,86 @@ def check_step_matrices(problem: ParabolicProblem, grid: SpaceTimeGrid,
                      "makes a step-matrix entry overflow")
 
 
-def assemble_step(values: Tuple[float, ...], grid: SpaceTimeGrid,
-                  ranges: Sequence[AxisRange], ab: Optional[np.ndarray] = None) -> np.ndarray:
-    """The step matrix of the axis ranges, placed block-diagonally in one
-    band in scipy solve_banded layout, (2*bw + 1, N).
+def _step_terms(values: Tuple[float, ...], grid: SpaceTimeGrid,
+                ranges: Sequence[AxisRange]) -> np.ndarray:
+    """The entries of the ranges' step matrix for coefficient values (a
+    _coefficient_table row): _stencil's six, the negated corner, then each
+    Robin face's four _robin_row entries, in range order, low face first."""
+    stencil = _stencil(values, grid)
+    terms = [*stencil, -stencil[5]]
+    for r in ranges:
+        for face, low in ((r.low, True), (r.high, False)):
+            if face.kind == "robin":
+                terms += _robin_row(values, stencil, grid, face, low)
+    return np.array(terms)
 
-    `values` are the coefficient values at t_next, a row of
-    _coefficient_table.
+
+def _put_terms(ab: np.ndarray, terms: np.ndarray, grid: SpaceTimeGrid,
+               ranges: Sequence[AxisRange]) -> None:
+    """Write the ranges' step matrix into the zeroed (2*bw + 1, N) band ab,
+    entry by entry as _step_terms orders them: terms[i] is entry i, its
+    value or, for StackOperator's band map, its index.
+
     Each range's unknowns are ordered by _strides: axis neighbours sit at
     +-sa, cross neighbours at +-sc and corners at +-(sa + sc), +-(sa - sc).
-    `ab`, if given, is a zeroed (2*bw + 1, N) array (or view) that receives
-    the matrix in place of a new one.
+    A later put overwrites an earlier one.
     """
     n, J = grid.domain.n, grid.nx_cross
     bw = _bandwidth(grid, ranges)
-    stencil = _stencil(values, grid)
-    diag, up_ax, dn_ax, up_cr, dn_cr, corner = stencil
-
-    if ab is None:
-        ab = np.zeros((2 * bw + 1, sum(r.hi - r.lo + 1 for r in ranges) * J))
     cross = (1, J - 1) if n == 2 else (0, 1)  # cross nodes of the stencil rows
-    stop = 0
+    stop, face_terms = 0, 7
     for r in ranges:
         m = r.hi - r.lo + 1
         sa, sc = _strides(r, J)
         start, stop = stop, stop + m * J
         block = ab[:, start:stop]  # a view: the range's diagonal block
 
-        def put(di, dj, rows_i, rows_j, value):
+        def put(di, dj, rows_i, rows_j, term):
             """Set the entry of neighbour (di, dj) in the rows of the nodes
-            rows_i x rows_j, given as (start, stop) pairs."""
+            rows_i x rows_j, given as (start, stop) pairs, to terms[term]."""
             entries = _node_view(block[bw - di * sa - dj * sc], m, J, sa, sc)
-            entries[rows_i[0] + di:rows_i[1] + di, rows_j[0] + dj:rows_j[1] + dj] = value
+            entries[rows_i[0] + di:rows_i[1] + di, rows_j[0] + dj:rows_j[1] + dj] = terms[term]
 
         # Interior rows: the full stencil.  Every other row is a boundary
         # row and holds only the entries set for it below.
         inner = (1, m - 1)
-        put(0, 0, inner, cross, diag)
-        put(1, 0, inner, cross, up_ax)
-        put(-1, 0, inner, cross, dn_ax)
+        put(0, 0, inner, cross, 0)
+        put(1, 0, inner, cross, 1)
+        put(-1, 0, inner, cross, 2)
         if n == 2:
-            for (di, dj), value in (((0, 1), up_cr), ((0, -1), dn_cr), ((1, 1), corner),
-                                    ((-1, -1), corner), ((1, -1), -corner),
-                                    ((-1, 1), -corner)):
-                put(di, dj, inner, cross, value)
+            for (di, dj), term in (((0, 1), 3), ((0, -1), 4), ((1, 1), 5), ((-1, -1), 5),
+                                   ((1, -1), 6), ((-1, 1), 6)):
+                put(di, dj, inner, cross, term)
             # Lateral faces: Dirichlet along the whole axis range, corners
             # included (lateral data wins at corners).
-            put(0, 0, (0, m), (0, 1), diag)
-            put(0, 0, (0, m), (J - 1, J), diag)
+            put(0, 0, (0, m), (0, 1), 0)
+            put(0, 0, (0, m), (J - 1, J), 0)
 
         for face, low in ((r.low, True), (r.high, False)):
             i = 0 if low else m - 1
             rows = (i, i + 1)
             if face.kind == "dirichlet":
-                put(0, 0, rows, cross, diag)
+                put(0, 0, rows, cross, 0)
                 continue
-            face_diag, inward, face_up, face_dn = _robin_row(values, stencil, grid, face, low)
-            put(0, 0, rows, cross, face_diag)
-            put(1 if low else -1, 0, rows, cross, inward)
+            put(0, 0, rows, cross, face_terms)
+            put(1 if low else -1, 0, rows, cross, face_terms + 1)
             if n == 2:
-                put(0, 1, rows, cross, face_up)
-                put(0, -1, rows, cross, face_dn)
+                put(0, 1, rows, cross, face_terms + 2)
+                put(0, -1, rows, cross, face_terms + 3)
+            face_terms += 4
+
+
+def assemble_step(values: Tuple[float, ...], grid: SpaceTimeGrid,
+                  ranges: Sequence[AxisRange]) -> np.ndarray:
+    """The step matrix of the axis ranges, placed block-diagonally in one
+    band in scipy solve_banded layout, (2*bw + 1, N).
+
+    `values` are the coefficient values at t_next, a row of
+    _coefficient_table.  StackOperator builds the same band by its band map.
+    """
+    ab = np.zeros((2 * _bandwidth(grid, ranges) + 1,
+                   sum(r.hi - r.lo + 1 for r in ranges) * grid.nx_cross))
+    _put_terms(ab, _step_terms(values, grid, ranges), grid, ranges)
     return ab
 
 
@@ -463,7 +542,7 @@ class StackOperator:
     """The time steps of several axis node ranges, prepared once for many marches.
 
     Step k's matrix is the ranges' step-k matrices placed block-diagonally
-    in one band, so one LAPACK solve advances every range by one step.  Each
+    in one band, so one banded solve advances every range by one step.  Each
     range orders its unknowns by _strides, and `bandwidth` is the widest
     range's; _unstack gives node arrays, whatever the order.  A step's
     matrix depends on the coefficient values at t_k and the face rules
@@ -471,20 +550,21 @@ class StackOperator:
     the data of every step at once: f on the whole (nt+1) x axis x cross
     grid in one call (and g on the two lateral planes in 2D), sliced into
     the static right-hand side (nt+1, N); u0 from g at t=0 the same way;
-    and from one coefficient table (_coefficient_table) each step's key
-    and every face's data factors.  Every face's data enter its rows the
-    same way, data times the face's factor at step k (plus, in 2D, the
-    cross difference of the data times a second factor): a Robin face's
+    from one coefficient table (_coefficient_table) each step's key and
+    every face's data factors; and the band map, where each of a step's
+    terms (_step_terms) lands in the band.  Every face's data enter its
+    rows the same way, data times the face's factor at step k (plus, in 2D,
+    the cross difference of the data times a second factor): a Robin face's
     factors come from the ghost elimination, a Dirichlet face's are the
     step diagonal d_k and 0, on rows whose static value and u_prev weight
     are zero (the lateral g in the static value is scaled by d_k too).
 
     sweeps() is the one march loop.  One rule gives every step its
     factors: a step reuses the previous step's while its key repeats, else
-    takes its key's kept factors, else is assembled and factored then, and
-    kept if the kept bytes stay within FACTOR_CACHE_BYTES and sweeps()
-    marches more than once in blocks of one.  Results do not depend on the
-    cap.
+    takes its key's kept factors, else is assembled (one scatter through
+    the band map) and factored then, and kept if the kept bytes stay within
+    FACTOR_CACHE_BYTES and sweeps() marches more than once in blocks of
+    one.  Results do not depend on the cap.
 
     `block` is the most marches sweeps() takes time-outer at once, decided
     when the operator is built: as many (nt+1, N) iterates as fit
@@ -539,9 +619,21 @@ class StackOperator:
                     robin.append(len(rows) - 1)
                     factors.append(_robin_data_coefficients(table, grid, face, low))
         self._rows, self._robin = np.stack(rows), np.array(robin, dtype=int)
+        self._inner = slice(j0, j1)  # the rows' cross nodes
         self._data_factor, self._cross_factor = (  # (nt+1, faces, 1)
             np.stack(f, axis=1)[..., None] for f in zip(*factors))
         N, bw = self.size, self.bandwidth
+        # The band map: where each entry of _step_terms lands in _factor's
+        # work array, by replaying _put_terms with the entries' indices (the
+        # last put wins), in memory order.
+        # (Built in int32, which halves the pass over the band; kept in intp,
+        # which numpy indexes with no conversion.)
+        terms = np.full((2 * bw + 1, N), -1, dtype=np.int32, order="F")
+        _put_terms(terms, np.arange(7 + 4 * len(self._robin)), grid, self.ranges)
+        terms = terms.ravel(order="F")
+        at = np.flatnonzero(terms >= 0)  # = column * (2*bw + 1) + row
+        self._band_at = at + (at // (2 * bw + 1) + 1) * bw
+        self._band_term = terms[at].astype(np.intp)
         step_bytes = 8 * (4 * N - 4 if bw == 1 else (2 * bw + 1) * N) + 4 * N
         distinct = len(set(self._keys[1:]))
         refactored = distinct - FACTOR_CACHE_BYTES // step_bytes  # per march
@@ -563,39 +655,35 @@ class StackOperator:
                 for r, rows, (sa, sc) in zip(self.ranges, self.slices, self._strides)]
 
     def _factor(self, values: Tuple[float, ...], keep: bool) -> Union[BandedLU, TridiagonalLU]:
-        """Assemble and factor the step matrix of these coefficient values,
-        and, if `keep`, keep the factors if they fit FACTOR_CACHE_BYTES."""
-        bw = self.bandwidth
-        work = np.zeros((3 * bw + 1, self.size), order="F")
-        assemble_step(values, self.grid, self.ranges, work[bw:])
-        lu = _factor_band(work, bw)
+        """Assemble (by the band map) and factor the step matrix of these
+        coefficient values, and, if `keep`, keep the factors if they fit
+        FACTOR_CACHE_BYTES."""
+        work = _band_work(self.bandwidth, self.size)
+        work[self._band_at] = _step_terms(values, self.grid, self.ranges)[self._band_term]
+        lu = _factor_band(work, self.bandwidth, self.size)
         self.factorizations += 1
         if not keep:
             return lu
-        # The leading fill rows of a band LU that hold no entry (all bw when
-        # ?gbtrf swapped no row) are left out of kept factors only: trimming
-        # is a copy, which a factor used for one step does not repay.
-        empty = 0
-        if bw > 1:
-            filled = np.flatnonzero(lu.lu[:bw].any(axis=1))
-            empty = int(filled[0]) if filled.size else bw
-        if self.nbytes + lu.nbytes - empty * self.size * 8 <= FACTOR_CACHE_BYTES:
-            if empty:
-                lu = BandedLU(bw, np.asfortranarray(lu.lu[empty:]), lu.piv)
-            self._lus[values] = lu
+        # Kept band factors leave out ?gbtrf's fill rows when it swapped no
+        # row, which the triangular solves never read: that saves the cap's
+        # bytes, and kept factors, read again by every march, solve faster
+        # in the narrower array.  Factors used for one step do not repay
+        # the copy.
+        trim = isinstance(lu, BandedLU) and lu.lower is not None
+        if self.nbytes + lu.nbytes - trim * self.bandwidth * self.size * 8 <= FACTOR_CACHE_BYTES:
+            lu = self._lus[values] = lu.trimmed() if trim else lu
             self.nbytes += lu.nbytes
         return lu
 
-    def _face_values(self, base: np.ndarray, data: np.ndarray, k,
-                     faces=slice(None)) -> np.ndarray:
+    def _face_values(self, data: np.ndarray, base: np.ndarray, data_factor: np.ndarray,
+                     cross_factor: np.ndarray) -> np.ndarray:
         """base (..., faces, rows) plus the terms of the faces' data (...,
-        faces, ncross) at steps k, added in one order: the data times the
-        face's factor, then, in 2D, their cross difference times the second
-        factor."""
-        j0, w = (1 if self.problem.domain.n == 2 else 0), self._rows.shape[1]
-        out = base + self._data_factor[k, faces] * data[..., j0:j0 + w]
+        faces, ncross), added in one order: the data times the face's
+        factor, then, in 2D, their cross difference times the second factor
+        (factors as in _data_factor and _cross_factor, sliced alike)."""
+        out = base + data_factor * data[..., self._inner]
         if self.problem.domain.n == 2:
-            out += self._cross_factor[k, faces] * (data[..., 2:] - data[..., :-2])
+            out += cross_factor * (data[..., 2:] - data[..., :-2])
         return out
 
     def rhs(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -607,52 +695,70 @@ class StackOperator:
         """
         out = self._static.copy()
         data = np.stack([vals for pair in faces for vals in pair], axis=-2)
-        out[:, self._rows] = self._face_values(out[:, self._rows], data, slice(None))
+        out[:, self._rows] = self._face_values(data, out[:, self._rows], self._data_factor,
+                                               self._cross_factor)
         return out
 
     def sweeps(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]], count: int = 1,
                traces: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-               ) -> Iterator[np.ndarray]:
-        """The stacked iterates (nt+1, N) of `count` marches, in order.
+               ) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
+        """The stacked iterates u_j (nt+1, N) of `count` marches, in order,
+        each with its Robin traces traces(u_j) (None without `traces`).
 
-        March 0 takes the face data `faces` (see rhs()); march j + 1 takes
-        the same data but on its Robin faces, whose data are traces(u_j),
-        one (ncross,) row per Robin face (and step), in range order, low
-        face first.  The marches go time-outer in the fewest blocks of at
-        most `block`, as even as they can be, each block's iterates made
-        when its first is asked for: each step takes its factors, then
-        march j = 0, 1, ... of the block advances by one LAPACK solve in
-        place in its iterate.  A step's factors are kept (under the cap)
-        only in blocks of one, when count > 1.  The generator holds no
-        iterate it has yielded.
+        March 0 takes the face data `faces` (see rhs()); march j + 1 the
+        same data but on its Robin faces, whose data are traces(u_j), one
+        (ncross,) row per Robin face (and step), in range order, low face
+        first.  The marches go time-outer in the fewest blocks of at most
+        `block`, as even as they can be, each block's iterates made when its
+        first is asked for: each step takes its factors, then march
+        j = 0, 1, ... of the block advances by one solve in place in its
+        iterate.  Each march's traces are gathered once: step by step,
+        right after the solve, for the next march of its block; at once,
+        after the block, for its last.  A step's factors are kept (under
+        the cap) only in blocks of one, when count > 1.  A block's iterates
+        are views of one array, whose memory lives while any of them does;
+        the generator holds no iterate it has yielded.
         """
         b = self.rhs(faces)  # march 0's; a later march rewrites the Robin rows
         robin = self._robin
         rows = self._rows[robin]
-        static = self._static[:, rows]
+        robin_terms = (self._static[:, rows], self._data_factor[:, robin],
+                       self._cross_factor[:, robin])
         take, dt, keys, lu = self.takes_prev, self.grid.dt, self._keys, None
         keep = self.block == 1 and count > 1
         blocks = -(-count // self.block)
         for i in range(blocks):
-            us = [np.empty_like(b) for _ in range(count // blocks + (i < count % blocks))]
+            # One allocation for the block, not one per iterate: about 5 ms
+            # of a ~64 ms tvar2d-wide run().
+            us = list(np.empty((count // blocks + (i < count % blocks),) + b.shape))
             for u in us:
                 u[0] = self.u0
+            # The traces of the block's marches but its last.
+            last = len(us) - 1
+            ts = np.empty((last, len(b), len(robin), self.grid.nx_cross))
+            if last:
+                ts[:, 0] = traces(self.u0)
             for k in range(1, self.grid.nt + 1):
                 if keys[k] != keys[k - 1]:
                     lu = None  # the previous step's factors go before new ones are made
                     lu = self._lus.get(keys[k]) or self._factor(keys[k], keep)
+                if last:
+                    step_terms = [terms[k] for terms in robin_terms]
                 for j, u in enumerate(us):
                     if j:
-                        b[k, rows] = self._face_values(static[k], traces(us[j - 1][k]), k, robin)
+                        b[k, rows] = self._face_values(ts[j - 1, k], *step_terms)
                     step = np.divide(u[k - 1], dt, out=u[k])
                     step *= take
                     step += b[k]
                     lu.solve(step)
+                    if j < last:
+                        ts[j, k] = traces(step)
+            ts = [*ts, None if traces is None else traces(us[-1])]
             if i + 1 < blocks:  # the Robin data of the next block's first march
-                b[:, rows] = self._face_values(static, traces(us[-1]), slice(None), robin)
+                b[:, rows] = self._face_values(ts[-1], *robin_terms)
             del u, step  # views of the last iterate: yielded, it is the caller's
             while us:
-                yield us.pop(0)
+                yield us.pop(0), ts.pop(0)
 
 
 def check_faces(grid: SpaceTimeGrid, ranges: Sequence[AxisRange],
@@ -680,4 +786,4 @@ def march(problem: ParabolicProblem, grid: SpaceTimeGrid, ranges: Sequence[AxisR
     """
     check_faces(grid, ranges, faces)
     operator = StackOperator(problem, grid, ranges)
-    return operator._unstack(next(operator.sweeps(faces)))
+    return operator._unstack(next(operator.sweeps(faces))[0])

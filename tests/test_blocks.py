@@ -154,9 +154,9 @@ def test_nonfinite_trace_inside_a_block(monkeypatch, case):
     sweeps = StackOperator.sweeps
 
     def copied(self, *args):
-        for u in sweeps(self, *args):
+        for u, traces in sweeps(self, *args):
             clean.append(u.copy())
-            yield u
+            yield u, traces
 
     monkeypatch.setattr(StackOperator, "sweeps", copied)
     run(*case[:3], config, case.oracle)
@@ -236,20 +236,22 @@ def test_wide_layout_marches_one_block(monkeypatch):
     # tvar2d-wide's layout: 41 x 41 nodes, 20 steps, 3 strips.  Its 20
     # steps' factors do not fit the cap, 41 iterates do: 20 sweeps march in
     # one block, factoring every step once, keeping none; 60 sweeps march
-    # in two blocks of 30, the first block's iterates gone before the second.
+    # in two blocks of 30, the first block's memory gone before the second's
+    # is made.
     prob = problem_preset("tvar2d")
     grid = build_grid(prob.domain, 41, 20, 41)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the interfaces snap to nodes
         layout = snap(DecompositionSpec.uniform(prob.domain, 3, 0.2), grid)
-    operators, held, factored = [], [], []
+    operators, held, factored, blocks = [], [], [], []
     iterate = _iterate_bytes(prob, grid, layout)
 
-    def held_weakly(u, operator):
-        """u, held by a weak reference, and the factorizations made so far."""
-        held.append(weakref.ref(u))
+    def held_weakly(sweep, operator):
+        """A yielded (iterate, traces) pair, the memory of its iterate's
+        block held by a weak reference, and the factorizations made so far."""
+        held.append(weakref.ref(sweep[0].base))
         factored.append(operator.factorizations)
-        return u
+        return sweep
 
     class Recorded(StackOperator):
         def __init__(self, *args):
@@ -259,20 +261,25 @@ def test_wide_layout_marches_one_block(monkeypatch):
         def sweeps(self, faces, count=1, traces=None):
             marches = super().sweeps(faces, count, traces)
             for _ in range(count):
-                # Every iterate yielded so far is gone, from run() and from
-                # the march, so at most a block's iterates are alive when
-                # the next block's are made.
-                assert all(ref() is None for ref in held)
-                yield held_weakly(next(marches), self)
+                # A block's iterates are views of one array.  When the next
+                # block's array is made, the last one is gone, from run()
+                # and from the march: at most a block's iterates are alive.
+                gone = not held or held[-1]() is None
+                sweep = next(marches)
+                if not held or sweep[0].base is not held[-1]():
+                    assert gone
+                    blocks.append(len(held))
+                yield held_weakly(sweep, self)
+                del sweep
 
     monkeypatch.setattr(oswr.engine, "StackOperator", Recorded)
     oracle = GlobalSolution(values=np.zeros((grid.nt + 1, grid.nx_axis, grid.nx_cross)))
     assert len(run(prob, grid, layout, SWRConfig(p=1.0, max_iters=60), oracle).rows) == 60
-    assert factored == [20] * 30 + [40] * 30  # two blocks of 30
-    operators.clear(), held.clear(), factored.clear()
+    assert factored == [20] * 30 + [40] * 30 and blocks == [0, 30]  # two blocks of 30
+    operators.clear(), held.clear(), factored.clear(), blocks.clear()
     history = run(prob, grid, layout, SWRConfig(p=1.0, max_iters=20), oracle)
     operator, = operators
     assert len(history.rows) == 20
     assert operator.block == oswr.grid.FACTOR_CACHE_BYTES // iterate == 41
-    assert factored == [20] * 20
+    assert factored == [20] * 20 and blocks == [0]
     assert operator.nbytes == 0 and not operator._lus

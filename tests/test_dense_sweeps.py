@@ -127,8 +127,8 @@ def test_sweep_and_exchange_match_dense_solves(case):
 
     operator = StackOperator(prob, grid, [axis_range(e, p) for e in layout.entries])
     robin = StackExchange(operator, traces)
-    u = next(operator.sweeps(traces))
-    increment = robin.update(u)
+    u, _ = next(operator.sweeps(traces))
+    increment = robin.update(robin.traces(u))
     fields, h = operator._unstack(u), grid.hx_axis
     outgoing = iter(np.moveaxis(robin.robin, 1, 0))  # one per Robin face, in order
     deltas = []

@@ -120,10 +120,17 @@ def fresh(code):
                           capture_output=True, text=True)
 
 
+# A banded factorization: the first loads scipy.linalg._fblas for dtbsv.
+BANDED = ("import numpy\nfrom oswr import BandedSystem\n"
+          "BandedSystem(2, numpy.eye(5, 4, 2) + 4, numpy.ones(4)).solve()\n")
+
+
 class TestLapackLoading:
     """grid.py takes dgttrf, dgttrs, dgbtrf and dgbtrs from scipy.linalg._flapack
-    without importing scipy.linalg, and they are the objects scipy.linalg.lapack
-    exports whichever of the two is imported first."""
+    and, at the first banded factorization, dtbsv from scipy.linalg._fblas,
+    without importing scipy.linalg, and they are the objects
+    scipy.linalg.lapack and scipy.linalg.blas export whichever is imported
+    first."""
 
     ROUTINES = ("dgttrf", "dgttrs", "dgbtrf", "dgbtrs")
 
@@ -157,3 +164,43 @@ class TestLapackLoading:
         error = (f"ImportError scipy's LAPACK wrappers _flapack not found in {where}"
                  if body is None else "RuntimeError broken")
         assert proc.stdout == f"{error}\nFalse\n"
+
+    @pytest.mark.parametrize("imports", ["import oswr.grid, scipy.linalg.blas",
+                                         "import scipy.linalg.blas, oswr.grid"])
+    def test_dtbsv_is_scipys(self, imports):
+        proc = fresh(f"{imports}\nfrom oswr import grid\nfrom scipy.linalg import blas\n"
+                     f"print(grid.dtbsv)\n{BANDED}print(grid.dtbsv is blas.dtbsv)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "None\nTrue\n"
+
+    @pytest.mark.parametrize("body", [None, "raise RuntimeError('broken')"])
+    def test_failed_blas_load_leaves_no_module(self, tmp_path, body):
+        """_flapack loaded, a banded factorization where _fblas is missing or
+        fails to execute: the error names the directory or is the module's
+        own, and sys.modules keeps no half-loaded entry."""
+        where = tmp_path / "scipy" / "linalg"
+        if body is not None:
+            where.mkdir(parents=True)
+            (where / "_fblas.py").write_text(body)
+        proc = fresh("import sys, scipy, oswr.grid\n"
+                     f"scipy.__file__ = {str(where.parent / 'x.py')!r}\ntry:\n"
+                     f"    exec({BANDED!r})\nexcept Exception as exc:\n"
+                     "    print(type(exc).__name__, exc)\n"
+                     "print('scipy.linalg._fblas' in sys.modules, oswr.grid.dtbsv)")
+        assert proc.returncode == 0, proc.stderr
+        error = (f"ImportError scipy's BLAS wrappers _fblas not found in {where}"
+                 if body is None else "RuntimeError broken")
+        assert proc.stdout == f"{error}\nFalse None\n"
+
+    def test_1d_run_leaves_out_blas(self):
+        proc = fresh("import sys, warnings, oswr.cli\n"
+                     "from oswr import (DecompositionSpec, SWRConfig, build_grid, problem_preset,\n"
+                     "                  run, snap, solve_global)\n"
+                     "warnings.simplefilter('ignore')\n"
+                     "prob = problem_preset('tvar1d')\ngrid = build_grid(prob.domain, 41, 10)\n"
+                     "layout = snap(DecompositionSpec.uniform(prob.domain, 3, 0.2), grid)\n"
+                     "oracle = solve_global(prob, grid)\n"
+                     "run(prob, grid, layout, SWRConfig(p=1.0, max_iters=3), oracle)\n"
+                     "print('scipy.linalg._fblas' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

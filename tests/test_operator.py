@@ -1,10 +1,14 @@
-"""Step assembly against a loop reference in either unknown order, and the
-stack operator's marches (StackOperator.sweeps) against per-step assembly
-and per-strip solves: results, the block-diagonal stacked matrix and static
-right-hand side, the bandwidth of the chosen order, shared factorizations,
-the factor cache cap and the steps it keeps (without empty fill rows), the
-factors a one-off march holds, and singular steps."""
+"""Step assembly against a loop reference in either unknown order, the
+operator's band map against assemble_step, and the stack operator's marches
+(StackOperator.sweeps) against per-step assembly and per-strip solves:
+results, the block-diagonal stacked matrix and static right-hand side, the
+bandwidth of the chosen order, shared factorizations, the factor cache cap
+and the steps it keeps (without fill rows when no row was swapped), the
+banded solves against ?gbtrs, the factors a one-off march holds, and
+singular steps."""
 
+import dataclasses
+import io
 import warnings
 import weakref
 
@@ -20,7 +24,8 @@ from oswr import (AxisRange, BandedSystem, CoefficientSet, DecompositionSpec,
                   solve_global, solve_subdomain, sweep_once)
 from oswr.engine import StackExchange, exchange
 from oswr.errors import SingularSystem
-from oswr.grid import _coefficient_table, eval_plane
+from oswr.grid import _band_work, _coefficient_table, _fortran, _step_terms, eval_plane
+from oswr.problem import PRESET_NAMES
 from oswr.subdomain import axis_range
 
 
@@ -193,6 +198,37 @@ def test_assembly_matches_loop_reference(preset, nx, nx_cross, kinds, low_sign):
                                rtol=0.0, atol=1e-9 * np.max(np.abs(ref_rhs)))
 
 
+def _same_bits(a, b):
+    """Equal shapes and equal bits, signed zeros and nan payloads included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+@pytest.mark.parametrize("p", [0.5, 1.0, 7.0])
+def test_band_map_matches_assemble_step(preset, p):
+    # The operator's band map scatters each step's terms where
+    # assemble_step's puts leave them, bit for bit, and nowhere else: the
+    # oracle's single range, ranges narrower (cross-major in 2D) and wider
+    # (axis-major) than the cross section, Dirichlet and Robin faces of
+    # either sign.
+    prob = problem_preset(preset)
+    grid = build_grid(prob.domain, 17, 3, 9 if prob.domain.n == 2 else None)
+    dirichlet = FaceRule("dirichlet")
+    low, high = FaceRule("robin", p, -1.0), FaceRule("robin", p, 1.0)
+    for ranges in ([AxisRange(0, 16, dirichlet, dirichlet)],
+                   [AxisRange(0, 6, dirichlet, high), AxisRange(4, 14, low, high),
+                    AxisRange(12, 16, low, dirichlet)],
+                   [AxisRange(2, 14, high, low)]):
+        operator = StackOperator(prob, grid, ranges)
+        bw, N = operator.bandwidth, operator.size
+        for values in operator._keys[1:]:
+            work = _band_work(bw, N)
+            work[operator._band_at] = _step_terms(values, grid, ranges)[operator._band_term]
+            band = _fortran(work, 0, 3 * bw + 1, N)
+            assert _same_bits(band[bw:], assemble_step(values, grid, ranges))
+            assert not band[:bw].any() and not work[band.size:].any()
+
+
 def _per_step_reference(prob, grid, r, data):
     """One range's march written out with _loop_assemble and a banded solve
     at every step."""
@@ -249,7 +285,7 @@ def test_operator_matches_per_step_assembly(monkeypatch, preset, nx, nx_cross, n
     traces = _picks(operator, 9)
     # The first march factors the steps, later ones reuse the kept ones and
     # take their Robin data from the iterate before.
-    for u in operator.sweeps(data, 3, traces):
+    for u, _ in operator.sweeps(data, 3, traces):
         for r, faces, values in zip(ranges, data, operator._unstack(u)):
             ref = _per_step_reference(prob, grid, r, faces)
             assert np.max(np.abs(values - ref)) <= 1e-12
@@ -306,7 +342,7 @@ def test_sweep_matches_per_strip_solves(preset, nx_cross):
     traces = initial_traces(InitialGuess("random-smooth", seed=3), layout, grid, prob)
     sols = sweep_once(prob, grid, layout, traces, p)
     # The second sweep runs on the kept factors, from the first's traces.
-    for u in operator.sweeps(traces, 2, StackExchange(operator, traces).traces):
+    for u, _ in operator.sweeps(traces, 2, StackExchange(operator, traces).traces):
         for entry, sol, v in zip(layout.entries, sols, operator._unstack(u)):
             ref = solve_subdomain(prob, grid, entry, *traces[entry.index], p)
             assert (sol.index, sol.i_left) == (ref.index, ref.i_left)
@@ -373,7 +409,8 @@ def test_equal_steps_share_factors(monkeypatch, tmp_path):
     for cap in (0, 2 ** 40):
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
         operator = _stack(prob, grid, layout, p)
-        sols[cap] = list(operator.sweeps(traces, 3, StackExchange(operator, traces).traces))
+        sols[cap] = [u for u, _ in operator.sweeps(traces, 3,
+                                                  StackExchange(operator, traces).traces)]
         # Kept: one per plateau per run; not kept: one per plateau per sweep.
         assert operator.factorizations == (2 if cap else 2 * 3)
     assert all(map(np.array_equal, sols[0], sols[2 ** 40]))
@@ -417,10 +454,10 @@ def test_singular_banded_step_raises(monkeypatch, cap):
     _singular_run("heat2d", nx_cross=7)  # bandwidth 8: ?gbtrf
 
 
-def _wide_layout_ranges():
+def _wide_layout_ranges(preset="tvar2d"):
     # tvar2d-wide's layout: 41 x 41 nodes, 20 steps, 3 strips of 18/23/18
     # axis nodes.
-    prob = problem_preset("tvar2d")
+    prob = problem_preset(preset)
     grid = build_grid(prob.domain, 41, 20, 41)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the interfaces snap to nodes
@@ -476,8 +513,8 @@ def test_wide_layout_keeps_seventeen_steps(monkeypatch):
 
 def test_pivoting_step_keeps_its_fill_rows(monkeypatch):
     # Axis advection b/(2h) = 1500 beside a diagonal of 276: ?gbtrf swaps
-    # rows, so the kept factors hold fill rows from the first one with an
-    # entry, and solve as the factors that are not kept do.
+    # rows, so the kept factors hold all their rows, fill rows included,
+    # are solved by ?gbtrs, and solve as the factors that are not kept do.
     base = problem_preset("heat2d")
     coeffs = CoefficientSet.build([[1.0, 0.0], [0.0, 1.0]], [0.0, 300.0], 0.0)
     prob = ParabolicProblem(domain=base.domain, coeffs=coeffs, f=base.f, g=base.g)
@@ -489,20 +526,105 @@ def test_pivoting_step_keeps_its_fill_rows(monkeypatch):
     for cap in (0, 2 ** 40):
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
         operator = StackOperator(prob, grid, ranges)
-        sols[cap] = list(operator.sweeps(faces, 2, _picks(operator, 3)))
+        sols[cap] = [u for u, _ in operator.sweeps(faces, 2, _picks(operator, 3))]
     lu, = operator._lus.values()  # heat2d's steps are all equal
     bw = operator.bandwidth
     assert np.any(lu.piv != np.arange(operator.size))
-    assert 2 * bw + 1 < lu.lu.shape[0] <= 3 * bw + 1 and np.any(lu.lu[0])
+    assert lu.lu.shape[0] == 3 * bw + 1 and np.any(lu.lu[:bw]) and lu.lower is None
     assert all(map(np.array_equal, sols[0], sols[2 ** 40]))
+
+
+@pytest.mark.parametrize("kind", ["block", "kept", "oracle"])
+def test_triangular_solves_equal_gbtrs(kind):
+    # Where ?gbtrf swapped no row, BandedLU solves by two ?tbsv calls on
+    # views of its factors, with the bits of ?gbtrs on the same factors:
+    # the untrimmed factors of a block (tvar2d-wide's layout), kept trimmed
+    # factors (heat2d, same layout) and the oracle's band (bw 42).
+    prob, grid, ranges = _wide_layout_ranges("heat2d" if kind == "kept" else "tvar2d")
+    if kind == "oracle":
+        rule = FaceRule("dirichlet")
+        ranges = [AxisRange(0, grid.nx_axis - 1, rule, rule)]
+    operator = StackOperator(prob, grid, ranges)
+    bw, N = operator.bandwidth, operator.size
+    rng = np.random.default_rng(7)
+    for key in dict.fromkeys(operator._keys[1:]):
+        lu = operator._factor(key, keep=kind == "kept")
+        assert lu.lower is not None
+        assert lu.lu.shape == ((2 if kind == "kept" else 3) * bw + 1, N)
+        for rhs in rng.standard_normal((3, N)):
+            ref, info = oswr.grid.dgbtrs(lu.lu, bw, lu.lu.shape[0] - 1 - 2 * bw, rhs, lu.piv)
+            assert info == 0 and _same_bits(lu.solve(rhs.copy()), ref)
+    assert operator.factorizations == len(set(operator._keys[1:]))
+
+
+def test_factors_of_a_copying_gbtrf(monkeypatch):
+    # Should ?gbtrf's wrapper hand back the factors in a new array instead
+    # of the work array it was given, BandedLU still holds the factors.
+    prob, grid, ranges = _wide_layout_ranges("tvar2d")
+    operator = StackOperator(prob, grid, ranges)
+    key = operator._keys[1]
+    ref = operator._factor(key, keep=False)
+    dgbtrf = oswr.grid.dgbtrf
+    monkeypatch.setattr(oswr.grid, "dgbtrf", lambda ab, *args, **kwargs: dgbtrf(
+        ab.copy(order="F"), *args, **kwargs))
+    lu = operator._factor(key, keep=False)
+    assert _same_bits(lu.lu, ref.lu) and lu.lower is not None
+    rhs = np.random.default_rng(5).standard_normal(operator.size)
+    assert _same_bits(lu.solve(rhs.copy()), ref.solve(rhs.copy()))
+
+
+def _convective():
+    # Axis and cross advection of 25 and 30 beside a diffusion of 0.02 and
+    # 0.05: ?gbtrf swaps rows on every step.
+    base = problem_preset("heat2d")
+    coeffs = CoefficientSet.build([[0.05, 0.0], [0.0, 0.02]], [30.0, 25.0], 0.0)
+    return ParabolicProblem(domain=base.domain, coeffs=coeffs, f=base.f, g=base.g)
+
+
+@pytest.mark.parametrize("preset,solver", [("convective", "?gbtrs"), ("tvar2d", "?tbsv")])
+def test_history_bits_without_triangular_solves(monkeypatch, preset, solver):
+    # The oracle's values and a run's history.csv bytes are the same when
+    # every banded step is solved by ?gbtrs.  All banded solves of the
+    # convective case take ?gbtrs anyway, the swapped rows' only solve;
+    # tvar2d's take ?tbsv.
+    prob = _convective() if preset == "convective" else problem_preset(preset)
+    grid = build_grid(prob.domain, 31, 10, 31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the interfaces snap to nodes
+        layout = snap(DecompositionSpec.uniform(prob.domain, 3, 0.2), grid)
+    config = SWRConfig(p=1.0, max_iters=6)
+    solvers = []
+    solve = oswr.grid.BandedLU.solve
+
+    def counted(self, rhs):
+        solvers.append("?gbtrs" if self.lower is None else "?tbsv")
+        return solve(self, rhs)
+
+    monkeypatch.setattr(oswr.grid.BandedLU, "solve", counted)
+    outputs = []
+    for triangular in (True, False):
+        if not triangular:
+            factor_band = oswr.grid._factor_band
+            monkeypatch.setattr(oswr.grid, "_factor_band", lambda *args: dataclasses.replace(
+                factor_band(*args), lower=None, upper=None))
+        oracle = solve_global(prob, grid)
+        csv = io.StringIO()
+        run(prob, grid, layout, config, oracle).write_csv(csv)
+        outputs.append((oracle.values.tobytes(), csv.getvalue()))
+        if triangular:  # the oracle's 10 steps, then 6 sweeps of 10 steps
+            assert solvers == [solver] * 70
+    assert solvers[70:] == ["?gbtrs"] * 70
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("preset,nx_cross", [("tvar1d", None), ("tvar2d", 7)])
 @pytest.mark.parametrize("kept", [1, 4])
 def test_cap_keeps_the_first_steps(monkeypatch, preset, nx_cross, kept):
-    # Every step of a tvar preset has its own matrix, all of one size.  A
-    # cap that holds exactly `kept` of them keeps steps 1..kept, the first
-    # factored, and the marches equal those of an operator that keeps all.
+    # Every step of a tvar preset has its own matrix.  A cap that holds
+    # exactly the first `kept` steps' factors, and less than any other
+    # step's more, keeps steps 1..kept, the first factored, and the marches
+    # equal those of an operator that keeps all.  (Kept steps differ in
+    # size where ?gbtrf swapped rows: those keep their fill rows.)
     prob, grid, layout = _tiny_run(preset, nx_cross=nx_cross)
     ranges = [axis_range(e, RobinParameter(1.0)) for e in layout.entries]
     faces = np.random.default_rng(11).standard_normal((len(ranges), 2, grid.nt + 1,
@@ -510,18 +632,19 @@ def test_cap_keeps_the_first_steps(monkeypatch, preset, nx_cross, kept):
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 2 ** 40)
     every = StackOperator(prob, grid, ranges)
     traces = _picks(every, 11)
-    ref = list(every.sweeps(faces, 3, traces))
-    step_bytes = every.nbytes // grid.nt
-    assert every.nbytes == grid.nt * step_bytes and len(every._lus) == grid.nt
-    for cap in (kept * step_bytes, (kept + 1) * step_bytes - 1):
+    ref = [u for u, _ in every.sweeps(faces, 3, traces)]
+    sizes = [lu.nbytes for lu in every._lus.values()]
+    assert list(every._lus) == every._keys[1:] and every.nbytes == sum(sizes)
+    first = sum(sizes[:kept])
+    for cap in (first, first + min(sizes[kept:]) - 1):
         # Built under the cap that keeps all, the operator marches sweep by
         # sweep; the cap is read as it keeps factors.
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 2 ** 40)
         operator = StackOperator(prob, grid, ranges)
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
-        assert all(map(np.array_equal, operator.sweeps(faces, 3, traces), ref))
+        assert all(map(np.array_equal, (u for u, _ in operator.sweeps(faces, 3, traces)), ref))
         assert list(operator._lus) == operator._keys[1:kept + 1]
-        assert operator.nbytes == kept * step_bytes
+        assert operator.nbytes == first
         assert operator.factorizations == kept + 3 * (grid.nt - kept)
 
 
@@ -538,9 +661,9 @@ def test_one_off_march_holds_one_step(monkeypatch, tmp_path, preset, factored):
     made, operators = [], []
     factor_band = oswr.grid._factor_band
 
-    def tracked(work, bw):
+    def tracked(*args):
         assert all(ref() is None for ref in made)
-        lu = factor_band(work, bw)
+        lu = factor_band(*args)
         made.append(weakref.ref(lu))
         return lu
 
@@ -567,6 +690,6 @@ def _per_step_global(prob, grid):
         operator._factor(key, keep=True)
     faces = [(eval_plane(prob.g, grid, prob.domain.alpha),
               eval_plane(prob.g, grid, prob.domain.beta))]
-    values, = operator._unstack(next(operator.sweeps(faces)))
+    values, = operator._unstack(next(operator.sweeps(faces))[0])
     assert operator.factorizations == len(operator._lus)
     return values

@@ -194,9 +194,9 @@ class TestStackExchange:
                 new = exchange(_solutions(u, operator, layout), layout, grid, p, traces)
             except DataMismatch:
                 with pytest.raises(DataMismatch, match="non-finite"):
-                    stacked.update(u)
+                    stacked.update(stacked.traces(u))
                 return
-            increment = stacked.update(u)
+            increment = stacked.update(stacked.traces(u))
         assert repr(increment) == repr(_trace_increment(new, traces, layout))
         # One column per Robin face, in range order, low face first.
         robin = [vals for e, pair in zip(layout.entries, new)
@@ -229,7 +229,7 @@ def _reference_run(problem, grid, layout, config, oracle):
                              [axis_range(e, config.p) for e in layout.entries])
     rows = []
     for k in range(1, config.max_iters + 1):
-        sols = _solutions(next(operator.sweeps(traces)), operator, layout)
+        sols = _solutions(next(operator.sweeps(traces))[0], operator, layout)
         with np.errstate(over="ignore", invalid="ignore"):
             fields = [compute_error_fields(s, oracle, config.p, weights, grid)
                       for s in sols]
