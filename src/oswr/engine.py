@@ -108,19 +108,19 @@ class SWRConfig:
 
 def initial_traces(guess: InitialGuess, layout: SubdomainLayout,
                    grid: SpaceTimeGrid, problem: ParabolicProblem) -> List[SubTraces]:
-    """Sweep-0 data: h0 on interior interfaces, Dirichlet g at the extremes."""
-    times = grid.times()
-    cross = grid.cross_nodes()
+    """Sweep-0 data: h0 on interior interfaces, Dirichlet g at the extremes.
+
+    h0 is evaluated once, on every Robin face's plane at once."""
     axis = grid.axis_nodes()
-
-    def face(node: int, kind: str) -> np.ndarray:
-        if kind == "dirichlet":
-            return eval_plane(problem.g, grid, axis[node])
-        vals = guess.evaluate(problem.domain, times[:, None], cross[None, :], axis[node])
-        return np.broadcast_to(vals, (grid.nt + 1, grid.nx_cross)).copy()
-
-    return [(face(e.i_left, e.left_kind), face(e.i_right, e.right_kind))
-            for e in layout.entries]
+    faces = [(node, kind) for e in layout.entries
+             for node, kind in ((e.i_left, e.left_kind), (e.i_right, e.right_kind))]
+    robin = axis[[node for node, kind in faces if kind != "dirichlet"]]
+    vals = guess.evaluate(problem.domain, grid.times()[:, None], grid.cross_nodes()[None, :],
+                          robin[:, None, None])
+    guessed = iter(np.broadcast_to(vals, (len(robin), grid.nt + 1, grid.nx_cross)).copy())
+    data = [eval_plane(problem.g, grid, axis[node]) if kind == "dirichlet" else next(guessed)
+            for node, kind in faces]
+    return list(zip(data[::2], data[1::2]))
 
 
 def exchange(solutions: Sequence[SubdomainSolution], layout: SubdomainLayout,

@@ -29,14 +29,20 @@ terms.  Its one march loop, sweeps(), adds every face's data, times its
 per-step factor, in one right-hand-side build for all steps, and marches
 the sweeps of a run time-outer in blocks: each step is factored once per
 block and then costs each of the block's marches one solve in place in the
-iterate (?gttrs in 1D; in 2D two triangular ?tbsv solves, or ?gbtrs when
-?gbtrf swapped rows), and each march's Robin traces are gathered once, for
-the next march and for the caller.  Blocks of one march, which keep their
-factors under a cap, are the rule when the steps' factors fit it or a
-block would factor more; a one-off march (march(): the oracle,
-solve_subdomain, sweep_once) keeps no factors.
+iterate, and each march's Robin traces are gathered once, for the next
+march and for the caller.  In 1D a step whose rows are strictly
+diagonally dominant, with coupled entries of one sign (every step of the
+benchmark's 1D cases), is made symmetric by a row scaling R once its
+Dirichlet rows are folded into the right-hand side (_symmetrize); the
+build makes every such step's R at once, the right-hand-side build
+applies the folds and R, and the step costs one ?pttrs (LDLᵀ), about half
+a ?gttrs.  Other 1D steps take ?gttrs; in 2D a step takes two triangular
+?tbsv solves, or ?gbtrs when ?gbtrf swapped rows.  Blocks of one march,
+which keep their factors under a cap, are the rule when the steps'
+factors fit it or a block would factor more; a one-off march (march():
+the oracle, solve_subdomain, sweep_once) keeps no factors.
 
-The four LAPACK routines come from scipy.linalg._flapack and dtbsv from
+The six LAPACK routines come from scipy.linalg._flapack and dtbsv from
 scipy.linalg._fblas, each loaded on its own, _fblas at the first banded
 factorization (so 1D processes never load it): scipy.linalg's package init
 would about double the start-up of a process.
@@ -81,18 +87,23 @@ def _scipy_linalg(name: str, wraps: str):
 
 _lapack = _scipy_linalg("_flapack", "LAPACK")
 dgbtrf, dgbtrs, dgttrf, dgttrs = _lapack.dgbtrf, _lapack.dgbtrs, _lapack.dgttrf, _lapack.dgttrs
+dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
 dtbsv = None  # from _fblas, loaded by the first banded factorization (_factor_band)
 
-# Bytes of LU factors one StackOperator keeps, read each time it factors a
+# Bytes of factors one StackOperator keeps, read each time it factors a
 # step.  A kept step's factors take (2*bw + 1) * N * 8 bytes plus N pivots,
 # for N unknowns over all ranges and bw = min(widest range, nx_cross) + 1 in
-# 2D (in 1D, ?gttrf's four diagonals take (4N - 4) * 8); ?gbtrf's bw fill
-# rows are kept too, bw * N * 8 bytes more, when it swapped rows.  Steps are
-# kept in the order they are first factored, time order, while they fit;
-# the others are factored again in every march.  When built, an operator
-# also reads it as the bytes of (nt+1, N) iterates one block of sweeps() may
-# hold (StackOperator.block), and marches in such blocks, keeping no
-# factors, when that factors fewer steps than re-factoring march by march.
+# 2D (in 1D, ?gttrf's four diagonals take (4N - 4) * 8 and a symmetric
+# step's two LDLᵀ diagonals (2N - 1) * 8, SymmetricLDL.nbytes; its row
+# scales, like the operator's other per-step data, are not counted);
+# ?gbtrf's bw fill rows are kept too, bw * N * 8 bytes more, when it
+# swapped rows.  Steps are kept in the order they are
+# first factored, time order, while they fit; the others are factored again
+# in every march.  When built, an operator also reads it as the bytes of
+# (nt+1, N) iterates one block of sweeps() may hold (StackOperator.block),
+# and marches in such blocks, keeping no factors, when that factors fewer
+# steps than re-factoring march by march (never for symmetric 1D steps,
+# whose factors, about 2N doubles, take about 2 / (nt + 1) of an iterate).
 # 16 MiB, about a third of what an oswr process holds anyway, keeps every
 # step of the 1D runs of a few hundred nodes and steps and lets tvar2d-wide
 # (41 x 41 nodes, 20 steps) march its 20 sweeps as one block.
@@ -296,7 +307,8 @@ class BandedLU:
 
 @dataclass(frozen=True)
 class TridiagonalLU:
-    """LU factors of a tridiagonal matrix from ?gttrf, for repeated solves."""
+    """LU factors of a tridiagonal matrix from ?gttrf, for repeated solves:
+    the 1D steps whose symmetric form does not qualify (_symmetrize)."""
 
     dl: np.ndarray
     d: np.ndarray
@@ -315,16 +327,118 @@ class TridiagonalLU:
         return x
 
 
-def _factor_band(work: np.ndarray, bw: int, n: int) -> Union[BandedLU, TridiagonalLU]:
-    """LU factors of the band held in rows bw: of the (3*bw + 1, n) Fortran
-    array that heads the flat buffer `work` (_band_work(bw, n)).
+@dataclass  # not frozen: a frozen one takes 0.7 µs more to make, once per factorization
+class SymmetricLDL:
+    """LDLᵀ factors from ?pttrf (_factor_band) of a symmetric positive
+    definite tridiagonal S = R A, a 1D step matrix A made symmetric
+    (_symmetrize), for repeated solves of right-hand sides folded and
+    scaled as S needs (StackOperator._scale).  ?pttrs's back substitution,
+    unlike ?gttrs's, divides by no pivot on its recurrence: about half the
+    time."""
 
-    Bandwidth 1 uses the tridiagonal kernels ?gttrf/?gttrs, whose solve
-    takes about half the time of ?gbtrs; wider bands are factored in place
-    by ?gbtrf (into work; copied back should f2py ever hand back a copy)
-    and solved as BandedLU says.  The first wider band loads scipy's BLAS
-    wrappers for ?tbsv.  A zero pivot raises SingularSystem.
+    d: np.ndarray
+    e: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.d.nbytes + self.e.nbytes
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution of S x = rhs, in place of rhs if it is a contiguous
+        float vector."""
+        # ?pttrs reports only invalid arguments, which the factors rule out.
+        x, _ = dpttrs(self.d, self.e, rhs, overwrite_b=1)
+        return x
+
+
+def _symmetrize(values: np.ndarray, diag: np.ndarray, up: np.ndarray,
+                down: np.ndarray) -> Optional[Tuple]:
+    """The row scales R that make K tridiagonal matrices A of one structure
+    symmetric, S = R A, for LDLᵀ without pivoting.  Row k of values (K, V)
+    holds the entries of matrix k, and diag (N,), up and down (N-1,) give
+    where: the diagonal, A[i, i+1] and A[i+1, i]; -1 for an entry the
+    structure does not hold, whose value, values[:, -1], is 0.
+
+    Rows i and i+1 are coupled if both their entries are held.  An entry
+    held alone is a one-way coupling into a row with no off-diagonal (a
+    Dirichlet row d_j u_j = rhs_j), folded into the right-hand side: rhs_i
+    -= A[i, j] / d_j * rhs_j.  R is 1 on the first row of each run of
+    coupled rows and r[i+1] = r[i] A[i, i+1] / A[i+1, i] along it, so S is
+    symmetric: diagonal R d, off-diagonal R[i] A[i, i+1] on coupled pairs, 0
+    elsewhere.  A matrix qualifies if every row is strictly diagonally
+    dominant with a positive diagonal, which makes S positive definite and
+    LDLᵀ without pivoting stable (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 9), the two entries of every coupled pair have
+    one sign (R > 0), R is normal and max R * max |A| is finite, so S is.
+    Rows come in few kinds, each checked and given its ratio once.
+
+    None if an entry held alone couples into a row with an off-diagonal;
+    else (ok (K,), R (K, N), fold_by (K, F), off, (fold_to, fold_from)),
+    meaningless where ok is False: matrix k's S has diagonal
+    R[k] * values[k, diag] and off-diagonal R[k, :-1] * values[k, off], off
+    (N-1,) being up on coupled pairs and -1 elsewhere.
     """
+    N = len(diag)
+    held_up, held_down = up >= 0, down >= 0
+    coupled = held_up & held_down
+    bare = np.ones(N, dtype=bool)  # rows with no off-diagonal
+    bare[:-1] &= ~held_up
+    bare[1:] &= ~held_down
+    ups, downs = np.flatnonzero(held_up & ~held_down), np.flatnonzero(held_down & ~held_up)
+    if not (bare[ups + 1].all() and bare[downs].all()):
+        return None
+    fold_to, fold_from = np.concatenate((ups, downs + 1)), np.concatenate((ups + 1, downs))
+    # Row i's entries A[i, i], A[i, i+1], A[i, i-1] and, if rows i-1 and i
+    # are coupled, A[i-1, i] (-1: none); the inner rows of a range are
+    # alike.
+    V = values.shape[1]
+    into = np.where(coupled, up, -1)
+    none = np.array([-1])
+    entries = np.array((diag, np.concatenate((up, none)), np.concatenate((none, down)),
+                        np.concatenate((none, into))))
+    _, first, kind = np.unique(np.ravel_multi_index(entries % V, (V,) * 4),
+                               return_index=True, return_inverse=True)
+    d, right, left, pair = values.T[entries[:, first] % V]  # (4, kinds, K)
+    with np.errstate(all="ignore"):
+        fold_by = (values.take(np.concatenate((up[ups], down[downs])), axis=1)
+                   / values.take(diag[fold_from], axis=1))
+        # R takes A[i-1, i] / A[i, i-1] into a coupled row i, 1 at the start
+        # of a run, then the products along each run.
+        R = np.where(entries[3, first, None] >= 0, pair / left, 1.0).T.take(kind, axis=1)
+        cuts = np.flatnonzero(~coupled) + 1
+        for start, stop in zip((0, *cuts), (*cuts, N)):
+            if stop - start > 1:
+                np.cumprod(R[:, start:stop], axis=1, out=R[:, start:stop])
+        # R is positive only if every coupled pair's entries have one sign.
+        ok = ((d > np.abs(right) + np.abs(left)).all(axis=0)
+              & (R.min(axis=1) >= np.finfo(float).tiny)
+              & np.isfinite(R.max(axis=1) * np.abs(values).max(axis=1)))
+    return ok, R, fold_by, into, (fold_to, fold_from)
+
+
+def _factor_band(work: Optional[np.ndarray], bw: int, n: int,
+                 symmetric: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+                 ) -> Union[BandedLU, TridiagonalLU, SymmetricLDL]:
+    """Factors of the band held in rows bw: of the (3*bw + 1, n) Fortran
+    array that heads the flat buffer `work` (_band_work(bw, n)); or, given
+    `symmetric`, the diagonal and off-diagonal of a 1D step's symmetric
+    form S (_symmetrize), which ?pttrf factors in place into a SymmetricLDL
+    (work is not read).
+
+    Other bands of bandwidth 1 use the tridiagonal kernels ?gttrf/?gttrs,
+    whose solve takes about half the time of ?gbtrs; wider bands are
+    factored in place by ?gbtrf (into work; copied back should f2py ever
+    hand back a copy) and solved as BandedLU says.  The first wider band
+    loads scipy's BLAS wrappers for ?tbsv.  A zero pivot, or a nonpositive
+    one of ?pttrf (which the diagonal dominance of a symmetric form rules
+    out), raises SingularSystem.
+    """
+    if symmetric is not None:
+        d, e, info = dpttrf(*symmetric, overwrite_d=1, overwrite_e=1)
+        if info > 0:
+            raise SingularSystem(f"symmetric step matrix not positive definite at unknown "
+                                 f"{info - 1}")
+        return SymmetricLDL(d, e)
     rows = 3 * bw + 1
     band = _fortran(work, 0, rows, n)
     if bw == 1:
@@ -552,17 +666,20 @@ class StackOperator:
     the static right-hand side (nt+1, N); u0 from g at t=0 the same way;
     from one coefficient table (_coefficient_table) each step's key and
     every face's data factors; and the band map, where each of a step's
-    terms (_step_terms) lands in the band.  Every face's data enter its
-    rows the same way, data times the face's factor at step k (plus, in 2D,
-    the cross difference of the data times a second factor): a Robin face's
+    terms (_step_terms) lands in the band.  In 1D it also makes, from the
+    distinct steps' terms at once, the row scales R of the steps whose
+    symmetric form qualifies (_prepare_symmetric).  Every face's data enter its rows the
+    same way, data times the face's factor at step k (plus, in 2D, the
+    cross difference of the data times a second factor): a Robin face's
     factors come from the ghost elimination, a Dirichlet face's are the
     step diagonal d_k and 0, on rows whose static value and u_prev weight
     are zero (the lateral g in the static value is scaled by d_k too).
 
     sweeps() is the one march loop.  One rule gives every step its
     factors: a step reuses the previous step's while its key repeats, else
-    takes its key's kept factors, else is assembled (one scatter through
-    the band map) and factored then, and kept if the kept bytes stay within
+    takes its key's kept factors, else is factored then (a symmetric step
+    by ?pttrf from its form, any other assembled by one scatter through
+    the band map), and kept if the kept bytes stay within
     FACTOR_CACHE_BYTES and sweeps() marches more than once in blocks of
     one.  Results do not depend on the cap.
 
@@ -630,12 +747,19 @@ class StackOperator:
         # which numpy indexes with no conversion.)
         terms = np.full((2 * bw + 1, N), -1, dtype=np.int32, order="F")
         _put_terms(terms, np.arange(7 + 4 * len(self._robin)), grid, self.ranges)
+        band_map = terms
         terms = terms.ravel(order="F")
         at = np.flatnonzero(terms >= 0)  # = column * (2*bw + 1) + row
         self._band_at = at + (at // (2 * bw + 1) + 1) * bw
         self._band_term = terms[at].astype(np.intp)
+        keys = list(dict.fromkeys(self._keys[1:]))  # the distinct steps
+        self._ldl = {}  # key -> its row of _forms, for the steps solved by LDLᵀ
         step_bytes = 8 * (4 * N - 4 if bw == 1 else (2 * bw + 1) * N) + 4 * N
-        distinct = len(set(self._keys[1:]))
+        if bw == 1:
+            self._prepare_symmetric(keys, band_map)
+            if len(self._ldl) == len(keys):
+                step_bytes = 8 * (2 * N - 1)  # SymmetricLDL.nbytes
+        distinct = len(keys)
         refactored = distinct - FACTOR_CACHE_BYTES // step_bytes  # per march
         fit = FACTOR_CACHE_BYTES // ((grid.nt + 1) * N * 8)
         self.block = fit if fit >= 2 and distinct < refactored * fit else 1
@@ -654,13 +778,48 @@ class StackOperator:
         return [_node_view(u[..., rows], r.hi - r.lo + 1, self.grid.nx_cross, sa, sc)
                 for r, rows, (sa, sc) in zip(self.ranges, self.slices, self._strides)]
 
-    def _factor(self, values: Tuple[float, ...], keep: bool) -> Union[BandedLU, TridiagonalLU]:
-        """Assemble (by the band map) and factor the step matrix of these
-        coefficient values, and, if `keep`, keep the factors if they fit
-        FACTOR_CACHE_BYTES."""
-        work = _band_work(self.bandwidth, self.size)
-        work[self._band_at] = _step_terms(values, self.grid, self.ranges)[self._band_term]
-        lu = _factor_band(work, self.bandwidth, self.size)
+    def _prepare_symmetric(self, keys: List[tuple], band_map: np.ndarray) -> None:
+        """The row scales R of the distinct 1D steps `keys` (_symmetrize),
+        made at once from their terms and the (3, N) band map, kept for the
+        steps that qualify, one row each (_ldl): _forms holds their terms
+        (from which _factor makes S), R and fold factors (which _scale
+        applies).  The operator holds them whatever FACTOR_CACHE_BYTES, as
+        it holds its other per-step data.
+
+        The structure of the forms is the band map's: the ranges' Dirichlet
+        face rows are folded into their inner neighbours.  No step qualifies
+        if a fold would reach a Robin face row, whose right-hand side
+        sweeps() rewrites without it.
+        """
+        terms = _step_terms(np.array(keys).T, self.grid, self.ranges)
+        terms = np.vstack((terms, np.zeros(len(keys)))).T  # (keys, terms + 1): -1 reads 0
+        diag, up, down = (a.astype(np.intp) for a in (band_map[1], band_map[0, 1:],
+                                                      band_map[2, :-1]))
+        form = _symmetrize(terms, diag, up, down)
+        if form is None:
+            return
+        ok, scale, fold_by, off, folds = form
+        if not ok.any() or set(folds[0].tolist()) & set(self._rows[self._robin].ravel().tolist()):
+            return
+        self._forms = [a if ok.all() else a[ok] for a in (terms, scale, fold_by)]
+        self._maps, self._folds = (diag, off), folds
+        self._ldl = {key: i for i, key in enumerate(itertools.compress(keys, ok))}
+        self._form_at = np.array([-1] + [self._ldl.get(key, -1) for key in self._keys[1:]])
+
+    def _factor(self, values: Tuple[float, ...],
+                keep: bool) -> Union[BandedLU, TridiagonalLU, SymmetricLDL]:
+        """Factor the step matrix of these coefficient values, its symmetric
+        form S = R A if it has one, else assembled by the band map, and, if
+        `keep`, keep the factors if they fit FACTOR_CACHE_BYTES."""
+        i = self._ldl.get(values)
+        if i is None:
+            work = _band_work(self.bandwidth, self.size)
+            work[self._band_at] = _step_terms(values, self.grid, self.ranges)[self._band_term]
+            lu = _factor_band(work, self.bandwidth, self.size)
+        else:
+            (terms, scale, _), (diag, off) = self._forms, self._maps
+            lu = _factor_band(None, 1, self.size, (scale[i] * terms[i].take(diag),
+                                                   scale[i, :-1] * terms[i].take(off)))
         self.factorizations += 1
         if not keep:
             return lu
@@ -699,6 +858,20 @@ class StackOperator:
                                                self._cross_factor)
         return out
 
+    def _scale(self, b: np.ndarray) -> np.ndarray:
+        """Fold and scale in place the right-hand sides b (nt+1, N) of the
+        steps solved by LDLᵀ, as their symmetric forms S = R A need
+        (_symmetrize); returns each step's R, 1 on the other steps."""
+        at = self._form_at
+        steps = np.flatnonzero(at >= 0)
+        _, scale, fold_by = self._forms
+        for f, (i, j) in enumerate(zip(*self._folds)):
+            b[steps, i] -= fold_by[at[steps], f] * b[steps, j]
+        R = np.ones_like(b)
+        R[steps] = scale[at[steps]]
+        b *= R
+        return R
+
     def sweeps(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]], count: int = 1,
                traces: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                ) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
@@ -712,19 +885,29 @@ class StackOperator:
         `block`, as even as they can be, each block's iterates made when its
         first is asked for: each step takes its factors, then march
         j = 0, 1, ... of the block advances by one solve in place in its
-        iterate.  Each march's traces are gathered once: step by step,
-        right after the solve, for the next march of its block; at once,
-        after the block, for its last.  A step's factors are kept (under
-        the cap) only in blocks of one, when count > 1.  A block's iterates
-        are views of one array, whose memory lives while any of them does;
-        the generator holds no iterate it has yielded.
+        iterate: u_prev / dt times the step's u_prev weight, plus its
+        right-hand side, solved.  For the symmetric 1D steps the weights,
+        the right-hand sides and the terms of later Robin rows are folded
+        and scaled once (_scale), and a solve is one ?pttrs.  Each march's
+        traces are gathered once: step by step, right after the solve, for
+        the next march of its block; at once, after the block, for its
+        last.  A step's factors are kept (under the cap) only in blocks of
+        one, when count > 1.  A block's iterates are views of one array,
+        whose memory lives while any of them does; the generator holds no
+        iterate it has yielded.
         """
         b = self.rhs(faces)  # march 0's; a later march rewrites the Robin rows
         robin = self._robin
         rows = self._rows[robin]
         robin_terms = (self._static[:, rows], self._data_factor[:, robin],
                        self._cross_factor[:, robin])
-        take, dt, keys, lu = self.takes_prev, self.grid.dt, self._keys, None
+        take = np.broadcast_to(self.takes_prev, b.shape)  # each step's u_prev weight
+        if self._ldl:
+            take = self._scale(b)
+            base, data_factor, cross_factor = robin_terms
+            robin_terms = (base * take[:, rows], data_factor * take[:, rows], cross_factor)
+            take *= self.takes_prev
+        dt, keys, lu = self.grid.dt, self._keys, None
         keep = self.block == 1 and count > 1
         blocks = -(-count // self.block)
         for i in range(blocks):
@@ -748,7 +931,7 @@ class StackOperator:
                     if j:
                         b[k, rows] = self._face_values(ts[j - 1, k], *step_terms)
                     step = np.divide(u[k - 1], dt, out=u[k])
-                    step *= take
+                    step *= take[k]
                     step += b[k]
                     lu.solve(step)
                     if j < last:

@@ -8,6 +8,7 @@ import pytest
 
 from oswr import (DecompositionSpec, ParabolicProblem, build_grid,
                   problem_preset, snap, solve_global)
+from oswr.grid import eval_nodes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,12 +64,19 @@ def make_zero_problem(base: ParabolicProblem) -> ParabolicProblem:
 
 
 def make_huge_data_problem(base: ParabolicProblem, scale: float = 1e306) -> ParabolicProblem:
-    """Same domain/coefficients, with f and g times `scale`: a step diagonal
-    d_k of a few hundred makes the Dirichlet rows' data d_k * g overflow,
-    though every coefficient and step-matrix entry is finite."""
+    """Same domain/coefficients, with f and g times `scale`: on a preset
+    whose |f|, |g| stay below 179 the data are finite (data_finite), as is
+    every coefficient and step-matrix entry, but the first step's
+    u_prev / dt overflows wherever |g| > 1.79e308 dt / scale."""
     return ParabolicProblem(domain=base.domain, coeffs=base.coeffs,
                             f=lambda *args: scale * base.f(*args),
                             g=lambda *args: scale * base.g(*args))
+
+
+def data_finite(problem: ParabolicProblem, grid) -> bool:
+    """Whether f and g are finite at every node and time of the grid."""
+    return all(np.isfinite(eval_nodes(fn, grid, grid.times())).all()
+               for fn in (problem.f, problem.g))
 
 
 @pytest.fixture(scope="session")

@@ -18,17 +18,31 @@ import pytest
 
 import oswr.engine
 import oswr.grid
-from oswr import (DecompositionSpec, GlobalSolution, InitialGuess, RobinParameter,
-                  StackOperator, SWRConfig, build_grid, problem_preset, run, snap,
-                  solve_global)
+from oswr import (CoefficientSet, DecompositionSpec, GlobalSolution, InitialGuess,
+                  ParabolicProblem, RobinParameter, StackOperator, SWRConfig, build_grid,
+                  problem_preset, run, snap, solve_global)
 from oswr.diagnostics import StackDiagnostics
-from oswr.engine import StackExchange
+from oswr.engine import StackExchange, initial_traces
 from oswr.errors import DataMismatch, SingularSystem
 from oswr.grid import BandedLU, TridiagonalLU
 from oswr.subdomain import axis_range
 from tests.test_operator import _singular_run, _tiny_run
 
 KEEP_ALL = 2 ** 40
+
+
+def _tiny_run_of(preset, nt, nx_cross=None):
+    """_tiny_run's case; for tvar1d, with its coefficients advected past a
+    cell Peclet number of 1 (a = 0.1 (1 + t/2), b = 10 + sin t, h = 1/30):
+    its steps take ?gttrf, whose factors can outgrow a few iterates.  The
+    symmetric LDL^T factors of tvar1d's own steps take a third of an
+    iterate's bytes per step or less, so its runs never march in blocks."""
+    prob, grid, layout = _tiny_run(preset, nt=nt, nx_cross=nx_cross)
+    if preset == "tvar1d":
+        coeffs = CoefficientSet.build(lambda t: 0.1 * (1.0 + 0.5 * t),
+                                      lambda t: 10.0 + np.sin(t), 1.0)
+        prob = ParabolicProblem(domain=prob.domain, coeffs=coeffs, f=prob.f, g=prob.g)
+    return prob, grid, layout
 
 
 def _iterate_bytes(prob, grid, layout):
@@ -55,10 +69,11 @@ class Case(NamedTuple):
     schedules: Tuple[Tuple[int, int, int], ...]
 
 
-# tvar1d: 12 distinct steps.  One iterate holds two steps' factors, so the
-# run marches sweep by sweep and re-factors 10 steps per sweep after the
-# first; two iterates give blocks of 2, 2, 2, 1.  A 1D block of three or
-# more iterates never factors fewer steps than re-factoring.
+# tvar1d (advected, _tiny_run_of): 12 distinct steps, factored by ?gttrf.
+# One iterate holds two steps' factors, so the run marches sweep by sweep
+# and re-factors 10 steps per sweep after the first; two iterates give
+# blocks of 2, 2, 2, 1.  A 1D block of three or more iterates never
+# factors fewer steps than re-factoring.
 # tvar2d: 6 distinct steps, none of whose factors fits one iterate; blocks
 # of 2, 3 and 7 split 7 sweeps into 4, 3 and 1 blocks, and the fixture's 4
 # into 2.
@@ -68,7 +83,7 @@ class Case(NamedTuple):
                 ids=["tvar1d", "tvar2d"])
 def case(request):
     preset, nx_cross, nt, iterates, factored, to_third, schedules = request.param
-    prob, grid, layout = _tiny_run(preset, nt=nt, nx_cross=nx_cross)
+    prob, grid, layout = _tiny_run_of(preset, nt, nx_cross)
     cap = iterates * _iterate_bytes(prob, grid, layout)
     return Case(prob, grid, layout, solve_global(prob, grid), nt, cap, factored, to_third,
                 schedules)
@@ -183,11 +198,11 @@ def test_nonfinite_trace_inside_a_block(monkeypatch, case):
 
 @pytest.mark.parametrize("iterates,block", [(2, 2), (3, 1)])
 def test_blocks_only_where_they_factor_less(monkeypatch, iterates, block):
-    # tvar1d's 12 distinct steps fit neither cap.  Under 2 iterates, 5 steps
+    # The advected tvar1d's 12 distinct steps fit neither cap.  Under 2 iterates, 5 steps
     # fit and a march re-factors 7, where a block of 2 factors 12 / 2 = 6
     # per sweep.  Under 3 iterates, 8 fit and a march re-factors 4, as few
     # as a block of 3 factors per sweep: the run marches sweep by sweep.
-    prob, grid, layout = _tiny_run("tvar1d", nt=12)
+    prob, grid, layout = _tiny_run_of("tvar1d", 12)
     ranges = [axis_range(e, RobinParameter(1.0)) for e in layout.entries]
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", KEEP_ALL)
     every = StackOperator(prob, grid, ranges)
@@ -197,6 +212,30 @@ def test_blocks_only_where_they_factor_less(monkeypatch, iterates, block):
     assert every.nbytes > cap and cap // (every.nbytes // 12) == 3 * iterates - 1
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
     assert StackOperator(prob, grid, ranges).block == block
+
+
+def test_mixed_1d_steps_in_blocks(monkeypatch):
+    # Advection b = 12 t beside a = 0.1 (h = 1/30) crosses a cell Peclet
+    # number of 1 at t = 1/2: of 12 steps, the first 5 take LDL^T and the
+    # rest ?gttrf, whose factors do not fit two iterates, so the sweeps
+    # march in blocks of 2, their right-hand sides folded and scaled for
+    # the first 5 steps only.  Iterates and traces have the bits of sweep
+    # by sweep with every factor kept.
+    base, grid, layout = _tiny_run("heat1d", nt=12)
+    prob = ParabolicProblem(domain=base.domain, f=base.f, g=base.g,
+                            coeffs=CoefficientSet.build(0.1, lambda t: 12.0 * t, 0.0))
+    ranges = [axis_range(e, RobinParameter(1.0)) for e in layout.entries]
+    faces = initial_traces(InitialGuess("random-smooth", seed=5), layout, grid, prob)
+    marched = []
+    for cap in (KEEP_ALL, 2 * _iterate_bytes(prob, grid, layout)):
+        monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
+        operator = StackOperator(prob, grid, ranges)
+        marched.append([(u.copy(), traces) for u, traces in
+                        operator.sweeps(faces, 5, StackExchange(operator, faces).traces)])
+    assert operator.block == 2
+    assert [key in operator._ldl for key in operator._keys[1:]] == [True] * 5 + [False] * 7
+    for (u, traces), (ref, ref_traces) in zip(*marched[::-1]):
+        assert np.array_equal(u, ref) and np.array_equal(traces, ref_traces)
 
 
 def test_singular_step_under_blocks(monkeypatch):

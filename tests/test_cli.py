@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oswr import build_grid, config, load_config
+from oswr import build_grid, config, load_config, problem_preset
 from oswr.cli import (EXIT_CONTRACTION, EXIT_NUMERICAL, EXIT_OK,
                       EXIT_VALIDATION, main, run_experiment)
 from oswr.errors import ParseError, ValidationError
-from tests.conftest import make_huge_data_problem, make_zero_problem, source_env
+from tests.conftest import data_finite, make_huge_data_problem, make_zero_problem, source_env
 
 MINIMAL = """\
 [problem]
@@ -361,19 +361,22 @@ nt = 4
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     def test_nonfinite_oracle_one_line(self, tmp_path, monkeypatch, capsys, verb):
-        # Data g near 1e306 pass check (it reads the coefficients), but the
-        # reference march overflows: exit 3 with one line and no numpy warning.
+        # Finite data f, g near 1e306 pass check (it reads the
+        # coefficients), but the reference march overflows (u_prev / dt at
+        # dt = 2.5e-3): exit 3 with one line and no numpy warning.
+        base = problem_preset("heat1d")
+        assert data_finite(make_huge_data_problem(base), build_grid(base.domain, 21, 400))
         monkeypatch.chdir(tmp_path)
         build = config.ExperimentConfig.build_problem
         monkeypatch.setattr(config.ExperimentConfig, "build_problem",
                             lambda cfg: make_huge_data_problem(build(cfg)))
-        path = write(tmp_path, MINIMAL + "\n[grid]\nnx_axis = 21\nnt = 10\n"
+        path = write(tmp_path, MINIMAL + "\n[grid]\nnx_axis = 21\nnt = 400\n"
                      "\n[sweep]\np_values = 1, 2\n")
         assert main(["check", path]) == EXIT_OK
         assert capsys.readouterr().err == ""
         assert main([verb, path]) == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
-            "numerical error: the reference solution is not finite (dt = 0.1)\n")
+            "numerical error: the reference solution is not finite (dt = 0.0025)\n")
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     def test_tiny_T_runs_on_an_exact_oracle(self, tmp_path, monkeypatch, capsys, verb):

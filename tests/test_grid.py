@@ -126,13 +126,13 @@ BANDED = ("import numpy\nfrom oswr import BandedSystem\n"
 
 
 class TestLapackLoading:
-    """grid.py takes dgttrf, dgttrs, dgbtrf and dgbtrs from scipy.linalg._flapack
-    and, at the first banded factorization, dtbsv from scipy.linalg._fblas,
-    without importing scipy.linalg, and they are the objects
-    scipy.linalg.lapack and scipy.linalg.blas export whichever is imported
-    first."""
+    """grid.py takes dgttrf, dgttrs, dgbtrf, dgbtrs, dpttrf and dpttrs from
+    scipy.linalg._flapack and, at the first banded factorization, dtbsv from
+    scipy.linalg._fblas, without importing scipy.linalg, and they are the
+    objects scipy.linalg.lapack and scipy.linalg.blas export whichever is
+    imported first."""
 
-    ROUTINES = ("dgttrf", "dgttrs", "dgbtrf", "dgbtrs")
+    ROUTINES = ("dgttrf", "dgttrs", "dgbtrf", "dgbtrs", "dpttrf", "dpttrs")
 
     def test_cli_import_leaves_out_scipy_linalg(self):
         proc = fresh("import sys, oswr.cli; print('scipy.linalg' in sys.modules)")
@@ -145,7 +145,7 @@ class TestLapackLoading:
         proc = fresh(f"{imports}\nfrom oswr import grid\nfrom scipy.linalg import lapack\n"
                      f"print([getattr(grid, n) is getattr(lapack, n) for n in {self.ROUTINES}])")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[True, True, True, True]\n"
+        assert proc.stdout == f"{[True] * len(self.ROUTINES)}\n"
 
     @pytest.mark.parametrize("body", [None, "raise RuntimeError('broken')"])
     def test_failed_load_leaves_no_module(self, tmp_path, body):

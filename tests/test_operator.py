@@ -24,7 +24,8 @@ from oswr import (AxisRange, BandedSystem, CoefficientSet, DecompositionSpec,
                   solve_global, solve_subdomain, sweep_once)
 from oswr.engine import StackExchange, exchange
 from oswr.errors import SingularSystem
-from oswr.grid import _band_work, _coefficient_table, _fortran, _step_terms, eval_plane
+from oswr.grid import (SymmetricLDL, TridiagonalLU, _band_work, _coefficient_table, _fortran,
+                       _step_terms, eval_plane)
 from oswr.problem import PRESET_NAMES
 from oswr.subdomain import axis_range
 
@@ -293,6 +294,35 @@ def test_operator_matches_per_step_assembly(monkeypatch, preset, nx, nx_cross, n
     assert (operator.nbytes == 0) == capped
 
 
+@pytest.mark.parametrize("capped", [True, False], ids=["cap0", "uncapped"])
+def test_mixed_steps_match_per_step_assembly(monkeypatch, capped):
+    # Advection b = 12 t beside a = 0.1 on h = 1/30 crosses a cell Peclet
+    # number of 1 at t = 1/2: steps 1 and 2 take LDL^T, steps 3 to 6 ?gttrs
+    # (at t = 1/2 an entry is 0).  Each march, with the folded and scaled
+    # right-hand sides and Robin rows of the first two steps only, matches
+    # the per-step reference of every range.
+    monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 0 if capped else 2 ** 40)
+    base = problem_preset("heat1d")
+    prob = ParabolicProblem(domain=base.domain, f=base.f, g=base.g,
+                            coeffs=CoefficientSet.build(0.1, lambda t: 12.0 * t, 0.0))
+    grid = build_grid(prob.domain, 31, 6)
+    p = RobinParameter(1.3)
+    low, high = FaceRule("robin", p.p, p.sign("left")), FaceRule("robin", p.p, p.sign("right"))
+    dirichlet = FaceRule("dirichlet")
+    ranges = [AxisRange(0, 12, dirichlet, high), AxisRange(8, 22, low, high),
+              AxisRange(18, 30, low, dirichlet)]
+    operator = StackOperator(prob, grid, ranges)
+    assert [key in operator._ldl for key in operator._keys[1:]] == [True] * 2 + [False] * 4
+    data = np.random.default_rng(8).standard_normal((len(ranges), 2, grid.nt + 1, 1))
+    traces = _picks(operator, 8)
+    for u, _ in operator.sweeps(data, 3, traces):
+        for r, faces, values in zip(ranges, data, operator._unstack(u)):
+            ref = _per_step_reference(prob, grid, r, faces)
+            assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
+        data = _with_robin(operator, data, traces(u))
+    assert (operator.nbytes == 0) == capped
+
+
 def _tiny_run(preset, nt=6, nx_cross=None):
     prob = problem_preset(preset)
     grid = build_grid(prob.domain, 31 if nx_cross is None else 13, nt, nx_cross)
@@ -367,8 +397,10 @@ def test_factorizations_per_run(preset, per_run):
 @pytest.mark.parametrize("preset,nx_cross", [("heat1d", None), ("heat2d", 7)])
 def test_step_solves_in_place(preset, nx_cross):
     # A march solves each step in the iterate's row that holds its
-    # right-hand side (?gttrs in 1D, ?gbtrs in 2D); BandedSystem.solve
-    # leaves its right-hand side as it is.
+    # right-hand side (?pttrs in 1D, ?tbsv in 2D); BandedSystem.solve leaves
+    # its right-hand side as it is.  In 1D the operator's LDL^T factors
+    # solve the step's symmetric form, BandedSystem's ?gttrf factors the
+    # band itself: they are compared with ?gttrs in place, here in u[2].
     prob, grid, layout = _tiny_run(preset, nx_cross=nx_cross)
     operator = _stack(prob, grid, layout, RobinParameter(1.0))
     lu = operator._factor(operator._keys[1], keep=False)
@@ -378,8 +410,131 @@ def test_step_solves_in_place(preset, nx_cross):
     assert np.shares_memory(x, u) and np.array_equal(x, u[1])
     ab = oswr.grid.assemble_step(operator._keys[1], grid, operator.ranges)
     system = BandedSystem(bandwidth=operator.bandwidth, ab=ab, rhs=rhs)
+    if nx_cross is None:
+        assert isinstance(lu, SymmetricLDL)
+        gttrf = system.factor()
+        assert isinstance(gttrf, TridiagonalLU)
+        u[2] = rhs
+        x = gttrf.solve(u[2])
+        assert np.shares_memory(x, u) and np.array_equal(x, u[2])
     assert np.array_equal(system.solve(), x)
     assert np.array_equal(system.rhs, rhs) and not np.array_equal(rhs, x)
+
+
+ONE_D_PRESETS = ("heat1d", "affine1d", "sin1d", "tvar1d")
+
+
+@pytest.mark.parametrize("preset", ONE_D_PRESETS)
+@pytest.mark.parametrize("orientation", ["outward", "paper"])
+@pytest.mark.parametrize("kinds", FACES)
+def test_tridiagonal_solves_match_dense(preset, orientation, kinds):
+    # Every 1D step solves its assembled system as a dense solve does, by
+    # LDL^T, on the right-hand side folded and scaled as a march does it
+    # (_scale), where its symmetric form qualifies, else by ?gttrs; and so
+    # does BandedSystem, always by ?gttrs.  Ranges as a layout orders its
+    # faces, and swapped.  A Robin face whose sign is not the outward one
+    # (-1 low, +1 high: the paper's low faces, the swapped outward faces)
+    # has a row that is not diagonally dominant, and its steps take ?gttrs.
+    prob = problem_preset(preset)
+    grid = build_grid(prob.domain, 15, 6)
+    p = RobinParameter(1.3, orientation=orientation)
+    rules = [FaceRule(kind, p.p, p.sign(side)) for kind, side in zip(kinds, ("left", "right"))]
+    rng = np.random.default_rng(3)
+    for swapped in (False, True):
+        ranges = ([AxisRange(2, 11, *rules), AxisRange(1, 13, *rules[::-1])] if swapped
+                  else [AxisRange(0, 8, *rules), AxisRange(5, 14, *rules)])
+        operator = StackOperator(prob, grid, ranges)
+        for key in dict.fromkeys(operator._keys[1:]):
+            system = BandedSystem(bandwidth=1, ab=assemble_step(key, grid, ranges),
+                                  rhs=rng.standard_normal(operator.size))
+            ref = np.linalg.solve(system.to_dense(), system.rhs)
+            lu = operator._factor(key, keep=False)
+            assert isinstance(lu, SymmetricLDL) != any(
+                face.kind == "robin" and face.sign != (-1.0 if low else 1.0)
+                for r in ranges for face, low in ((r.low, True), (r.high, False)))
+            b = np.tile(system.rhs, (grid.nt + 1, 1))
+            if operator._ldl:
+                operator._scale(b)
+            for x in (lu.solve(b[operator._keys.index(key)]), system.solve()):
+                assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("preset,nx,nt,count,overlap,p_values",
+                         [("tvar1d", 401, 200, 4, 0.1, (1.0,)),
+                          ("heat1d", 201, 50, 8, 0.08, (1.0, 2.0, 4.0, 8.0))],
+                         ids=["tvar1d-long", "heat1d-psweep"])
+def test_benchmark_steps_take_ldl(monkeypatch, preset, nx, nt, count, overlap, p_values):
+    # Every step solve of the benchmark's 1D cases, the oracle's and each
+    # p's run's, is one ?pttrs: (1 + sweeps) * nt solves.
+    prob = problem_preset(preset)
+    grid = build_grid(prob.domain, nx, nt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        layout = snap(DecompositionSpec.uniform(prob.domain, count, overlap), grid)
+    solves = {SymmetricLDL: 0, TridiagonalLU: 0}
+    for lu_class in solves:
+        def counted(self, rhs, _solve=lu_class.solve, _lu_class=lu_class):
+            solves[_lu_class] += 1
+            return _solve(self, rhs)
+
+        monkeypatch.setattr(lu_class, "solve", counted)
+    oracle = solve_global(prob, grid)
+    assert solves == {SymmetricLDL: nt, TridiagonalLU: 0}
+    config = SWRConfig(p=1.0, max_iters=4, guess=InitialGuess("random-smooth", seed=7))
+    for p in p_values:
+        run(prob, grid, layout, dataclasses.replace(config, p=RobinParameter(p)), oracle)
+    assert solves == {SymmetricLDL: nt + len(p_values) * 4 * nt, TridiagonalLU: 0}
+
+
+def _outside_the_rule(case):
+    """A tiny 1D run none of whose steps qualifies for LDL^T: cell Peclet
+    number 75 (up and down entries of opposite sign) or a reaction below
+    -1/dt (no row diagonally dominant)."""
+    base = problem_preset("heat1d")
+    grid = build_grid(base.domain, 21, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        layout = snap(DecompositionSpec.uniform(base.domain, 3, 0.2), grid)
+    coeffs = (CoefficientSet.build(0.01, 30.0, 0.0) if case == "convective"
+              else CoefficientSet.build(1.0, 0.0, -1.5 / grid.dt))
+    return ParabolicProblem(domain=base.domain, coeffs=coeffs, f=base.f, g=base.g), grid, layout
+
+
+@pytest.mark.parametrize("case", ["convective", "reaction"])
+def test_steps_outside_the_rule_keep_their_bits(monkeypatch, case):
+    # The steps take ?gttrs, and the oracle's values and a run's
+    # history.csv bytes are those of a march with no symmetric form, the
+    # tridiagonal LU path throughout.
+    prob, grid, layout = _outside_the_rule(case)
+    operator = _stack(prob, grid, layout, RobinParameter(1.0))
+    assert not operator._ldl
+    assert isinstance(operator._factor(operator._keys[1], keep=False), TridiagonalLU)
+    config = SWRConfig(p=1.0, max_iters=4, guess=InitialGuess("random-smooth", seed=2))
+    outputs = []
+    for symmetric in (True, False):
+        if not symmetric:
+            monkeypatch.setattr(oswr.grid, "_symmetrize", lambda *args: None)
+        oracle = solve_global(prob, grid)
+        csv = io.StringIO()
+        run(prob, grid, layout, config, oracle).write_csv(csv)
+        outputs.append((oracle.values.tobytes(), csv.getvalue()))
+    assert outputs[0] == outputs[1]
+
+
+def test_kept_symmetric_factors_within_the_cap(monkeypatch):
+    # A kept LDL^T step holds ?pttrf's two diagonals, 8 * (2N - 1) bytes,
+    # the bytes the block rule reads per step.  Under a cap of 2.5 steps,
+    # the first two steps are kept.
+    prob, grid, layout = _tiny_run("tvar1d")
+    operator = _stack(prob, grid, layout, RobinParameter(1.0))
+    step = 8 * (2 * operator.size - 1)
+    monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 5 * step // 2)
+    faces = np.random.default_rng(4).standard_normal((len(operator.ranges), 2,
+                                                      grid.nt + 1, 1))
+    list(operator.sweeps(faces, 2, _picks(operator, 4)))
+    assert list(operator._lus) == operator._keys[1:3] and operator.nbytes == 2 * step
+    assert all(isinstance(lu, SymmetricLDL) and lu.nbytes == step
+               for lu in operator._lus.values())
 
 
 def test_cap_zero_refactors_every_step(monkeypatch):

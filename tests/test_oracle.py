@@ -7,7 +7,7 @@ from oswr import (CoefficientSet, ParabolicProblem, RobinParameter, build_grid,
                   problem_preset, solve_global, solve_subdomain)
 from oswr.decomposition import SubdomainEntry
 from oswr.errors import NonFiniteSolution
-from tests.conftest import make_huge_data_problem, make_zero_problem
+from tests.conftest import data_finite, make_huge_data_problem, make_zero_problem
 
 
 def test_zero_data_zero_solution():
@@ -79,11 +79,15 @@ def test_2d_oracle_accuracy():
 
 
 def test_overflowing_march_raises():
-    # The step diagonal is 810, so the Dirichlet data 810 * 1e306 g overflow;
-    # numpy's warnings, errors in tier-1, stay silent.
+    # f and g up to 8.9e306 are finite, but the first step's u_prev / dt,
+    # with dt = 2.5e-3, is not; numpy's warnings, errors in tier-1, stay
+    # silent.
     prob = make_huge_data_problem(problem_preset("heat1d"))
-    with pytest.raises(NonFiniteSolution, match=r"^the reference solution is not finite"):
-        solve_global(prob, build_grid(prob.domain, 21, 10))
+    grid = build_grid(prob.domain, 21, 400)
+    assert data_finite(prob, grid)
+    with pytest.raises(NonFiniteSolution,
+                       match=r"^the reference solution is not finite \(dt = 0\.0025\)$"):
+        solve_global(prob, grid)
 
 
 @pytest.mark.parametrize("T", [1e-12, 1e-20, 1e-200])
