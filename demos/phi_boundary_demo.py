@@ -7,6 +7,15 @@ varphi(t) = exp(-theta t) the maximum of Phi sits on the parabolic
 boundary of every strip (interface planes or the t=0 slice); with
 varphi = 1 small interior maxima can appear.  This script tabulates the
 worst interior/boundary ratio over the first 20 sweeps for several theta.
+
+A strip's ratio counts only while its boundary maximum is above FLOOR
+times its sweep-1 value.  Phi grows as the square of the error, so below
+that the error has fallen a millionfold, and the ratio reads rounding:
+without the floor, the worst ratios of heat1d I=2 (theta=6) and tvar1d
+I=2 (theta=10) were set at sweeps 18-19, with boundary maxima near 1e-21
+against 5e-5 at sweep 1, and the table moved in its fourth decimal when
+the strip solves changed by rounding only (LDL^T or LU factors of the
+same steps).  With the floor it does not.
 """
 
 import warnings
@@ -18,6 +27,8 @@ from oswr import (DecompositionSpec, InitialGuess, RobinParameter, WeightSpec,
 
 warnings.filterwarnings("ignore", message=".*snapped.*")
 
+FLOOR = 1e-12
+
 
 def worst_ratio(preset, count, theta, sweeps=20):
     problem = problem_preset(preset)
@@ -27,13 +38,15 @@ def worst_ratio(preset, count, theta, sweeps=20):
     p = RobinParameter(1.0)
     weights = WeightSpec(gamma=5.0, theta=theta)
     traces = initial_traces(InitialGuess(), layout, grid, problem)
-    worst = 0.0
+    worst, floors = 0.0, None
     for _ in range(sweeps):
         sols = sweep_once(problem, grid, layout, traces, p)
-        for sol in sols:
-            fields = compute_error_fields(sol, oracle, p, weights, grid)
-            res = phi_boundary_check(fields)
-            if res.boundary_max > 0:
+        checks = [phi_boundary_check(compute_error_fields(sol, oracle, p, weights, grid))
+                  for sol in sols]
+        if floors is None:
+            floors = [FLOOR * res.boundary_max for res in checks]
+        for res, floor in zip(checks, floors):
+            if res.boundary_max > floor:
                 worst = max(worst, res.interior_max / res.boundary_max)
         traces = exchange(sols, layout, grid, p, traces)
     return worst
@@ -41,7 +54,9 @@ def worst_ratio(preset, count, theta, sweeps=20):
 
 if __name__ == "__main__":
     print("worst interior/boundary Phi ratio over 20 sweeps "
-          "(< 1 means the boundary-maximum property holds)\n")
+          "(< 1 means the boundary-maximum property holds)")
+    print(f"(a strip counts while its Phi boundary maximum is above {FLOOR:g} "
+          "of its sweep-1 value)\n")
     print(f"{'case':>12} {'theta=0':>9} {'theta=6':>9} {'theta=10':>9}")
     for preset, count in (("heat1d", 2), ("heat1d", 3),
                           ("tvar1d", 2), ("tvar1d", 3)):

@@ -24,8 +24,8 @@ from oswr import (AxisRange, BandedSystem, CoefficientSet, DecompositionSpec,
                   solve_global, solve_subdomain, sweep_once)
 from oswr.engine import StackExchange, exchange
 from oswr.errors import SingularSystem
-from oswr.grid import (SymmetricLDL, TridiagonalLU, _band_work, _coefficient_table, _fortran,
-                       _step_terms, eval_plane)
+from oswr.grid import (BandedLU, SymmetricLDL, TridiagonalLU, _band_work, _coefficient_table,
+                       _fortran, _step_terms, eval_plane)
 from oswr.problem import PRESET_NAMES
 from oswr.subdomain import axis_range
 
@@ -294,25 +294,47 @@ def test_operator_matches_per_step_assembly(monkeypatch, preset, nx, nx_cross, n
     assert (operator.nbytes == 0) == capped
 
 
-@pytest.mark.parametrize("capped", [True, False], ids=["cap0", "uncapped"])
-def test_mixed_steps_match_per_step_assembly(monkeypatch, capped):
+# The 1D step kinds of test_1d_steps_match_per_step_assembly: the preset
+# whose domain and data they take, their coefficients for a given dt (None:
+# the preset's), the Robin orientation, and how many of the six steps, the
+# first, take LDL^T.
+STEP_KINDS = {
     # Advection b = 12 t beside a = 0.1 on h = 1/30 crosses a cell Peclet
     # number of 1 at t = 1/2: steps 1 and 2 take LDL^T, steps 3 to 6 ?gttrs
-    # (at t = 1/2 an entry is 0).  Each march, with the folded and scaled
-    # right-hand sides and Robin rows of the first two steps only, matches
-    # the per-step reference of every range.
+    # (at t = 1/2 an entry is 0).
+    "mixed": ("heat1d", lambda dt: CoefficientSet.build(0.1, lambda t: 12.0 * t, 0.0),
+              "outward", 2),
+    # The three kinds of step whose symmetric form does not qualify: the
+    # paper orientation's Robin low faces (wrong sign), a cell Peclet number
+    # of 50 (a = 0.01, b = 30) and a reaction of -1.5/dt.
+    "paper": ("tvar1d", None, "paper", 0),
+    "peclet": ("tvar1d", lambda dt: CoefficientSet.build(0.01, 30.0, 0.0), "outward", 0),
+    "reaction": ("tvar1d", lambda dt: CoefficientSet.build(1.0, 0.0, -1.5 / dt), "outward", 0),
+}
+
+
+@pytest.mark.parametrize("capped", [True, False], ids=["cap0", "uncapped"])
+@pytest.mark.parametrize("kind", list(STEP_KINDS))
+def test_1d_steps_match_per_step_assembly(monkeypatch, kind, capped):
+    # Three ranges of a 1D layout.  Each march, with the folded and scaled
+    # right-hand sides and Robin rows of the LDL^T steps only, matches the
+    # per-step reference of every range; the other steps take ?gttrs.
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 0 if capped else 2 ** 40)
-    base = problem_preset("heat1d")
-    prob = ParabolicProblem(domain=base.domain, f=base.f, g=base.g,
-                            coeffs=CoefficientSet.build(0.1, lambda t: 12.0 * t, 0.0))
+    preset, coeffs, orientation, ldl = STEP_KINDS[kind]
+    prob = problem_preset(preset)
     grid = build_grid(prob.domain, 31, 6)
-    p = RobinParameter(1.3)
+    if coeffs is not None:
+        prob = ParabolicProblem(domain=prob.domain, f=prob.f, g=prob.g, coeffs=coeffs(grid.dt))
+    p = RobinParameter(1.3, orientation=orientation)
     low, high = FaceRule("robin", p.p, p.sign("left")), FaceRule("robin", p.p, p.sign("right"))
     dirichlet = FaceRule("dirichlet")
     ranges = [AxisRange(0, 12, dirichlet, high), AxisRange(8, 22, low, high),
               AxisRange(18, 30, low, dirichlet)]
     operator = StackOperator(prob, grid, ranges)
-    assert [key in operator._ldl for key in operator._keys[1:]] == [True] * 2 + [False] * 4
+    takes_ldl = [key in operator._ldl for key in operator._keys[1:]]
+    assert takes_ldl == [True] * ldl + [False] * (grid.nt - ldl)
+    assert all(isinstance(operator._factor(key, keep=False), TridiagonalLU)
+               for key in set(operator._keys[1:]) - set(operator._ldl))
     data = np.random.default_rng(8).standard_normal((len(ranges), 2, grid.nt + 1, 1))
     traces = _picks(operator, 8)
     for u, _ in operator.sweeps(data, 3, traces):
@@ -465,13 +487,14 @@ def test_tridiagonal_solves_match_dense(preset, orientation, kinds):
                          ids=["tvar1d-long", "heat1d-psweep"])
 def test_benchmark_steps_take_ldl(monkeypatch, preset, nx, nt, count, overlap, p_values):
     # Every step solve of the benchmark's 1D cases, the oracle's and each
-    # p's run's, is one ?pttrs: (1 + sweeps) * nt solves.
+    # p's run's, is one ?pttrs: (1 + sweeps) * nt solves, and none is an LU
+    # solve, tridiagonal or banded.
     prob = problem_preset(preset)
     grid = build_grid(prob.domain, nx, nt)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         layout = snap(DecompositionSpec.uniform(prob.domain, count, overlap), grid)
-    solves = {SymmetricLDL: 0, TridiagonalLU: 0}
+    solves = {SymmetricLDL: 0, TridiagonalLU: 0, BandedLU: 0}
     for lu_class in solves:
         def counted(self, rhs, _solve=lu_class.solve, _lu_class=lu_class):
             solves[_lu_class] += 1
@@ -479,11 +502,11 @@ def test_benchmark_steps_take_ldl(monkeypatch, preset, nx, nt, count, overlap, p
 
         monkeypatch.setattr(lu_class, "solve", counted)
     oracle = solve_global(prob, grid)
-    assert solves == {SymmetricLDL: nt, TridiagonalLU: 0}
+    assert solves == {SymmetricLDL: nt, TridiagonalLU: 0, BandedLU: 0}
     config = SWRConfig(p=1.0, max_iters=4, guess=InitialGuess("random-smooth", seed=7))
     for p in p_values:
         run(prob, grid, layout, dataclasses.replace(config, p=RobinParameter(p)), oracle)
-    assert solves == {SymmetricLDL: nt + len(p_values) * 4 * nt, TridiagonalLU: 0}
+    assert solves == {SymmetricLDL: nt + len(p_values) * 4 * nt, TridiagonalLU: 0, BandedLU: 0}
 
 
 def _outside_the_rule(case):
@@ -601,6 +624,14 @@ def _singular_run(preset, nx_cross=None):
 def test_singular_step_raises(monkeypatch, cap):
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
     _singular_run("heat1d")  # bandwidth 1: ?gttrf
+
+
+def test_singular_tridiagonal_band_names_its_pivot():
+    # Column 1 of this tridiagonal matrix is zero: ?gttrf reports the zero
+    # pivot at unknown 1.
+    ab = np.array([[0.0, 0.0, 1.0, 1.0], [2.0, 0.0, 2.0, 2.0], [1.0, 0.0, 1.0, 0.0]])
+    with pytest.raises(SingularSystem, match=r"^singular matrix: zero pivot at unknown 1$"):
+        BandedSystem(bandwidth=1, ab=ab, rhs=np.ones(4)).factor()
 
 
 @pytest.mark.parametrize("cap", [0, 2 ** 40], ids=["per-step", "cached"])
