@@ -32,15 +32,16 @@ block and then costs each of the block's marches one solve in place in the
 iterate, and each march's Robin traces are gathered once, for the next
 march and for the caller.  In 1D a step whose rows are strictly
 diagonally dominant, with coupled entries of one sign (every step of the
-benchmark's 1D cases), is made symmetric by a row scaling R once its
-Dirichlet rows are folded into the right-hand side (_symmetrize); the
-build makes every such step's R at once, the right-hand-side build
-applies the folds and R, and the step costs one ?pttrs (LDLᵀ), about half
-a ?gttrs.  Other 1D steps take ?gttrs; in 2D a step takes two triangular
-?tbsv solves, or ?gbtrs when ?gbtrf swapped rows.  Blocks of one march,
-which keep their factors under a cap, are the rule when the steps'
-factors fit it or a block would factor more; a one-off march (march():
-the oracle, solve_subdomain, sweep_once) keeps no factors.
+benchmark's 1D cases), is made symmetric by a row scaling R, stated range
+by range from its faces, once its Dirichlet face rows are folded into the
+right-hand side (StackOperator._prepare_symmetric); the build makes
+every such step's R at once, the right-hand-side build applies the folds
+and R, and the step costs one ?pttrs (LDLᵀ), about half a ?gttrs.  Other
+1D steps take ?gttrs; in 2D a step takes two triangular ?tbsv solves, or
+?gbtrs when ?gbtrf swapped rows.  Blocks of one march, which keep their
+factors under a cap, are the rule when the steps' factors fit it or a
+block would factor more; a one-off march (march(): the oracle,
+solve_subdomain, sweep_once) keeps no factors.
 
 The six LAPACK routines come from scipy.linalg._flapack and dtbsv from
 scipy.linalg._fblas, each loaded on its own, _fblas at the first banded
@@ -97,12 +98,13 @@ dtbsv = None  # from _fblas, loaded by the first banded factorization (_factor_b
 # step's two LDLᵀ diagonals (2N - 1) * 8, SymmetricLDL.nbytes; its row
 # scales, like the operator's other per-step data, are not counted);
 # ?gbtrf's bw fill rows are kept too, bw * N * 8 bytes more, when it
-# swapped rows.  Steps are kept in the order they are
-# first factored, time order, while they fit; the others are factored again
-# in every march.  When built, an operator also reads it as the bytes of
-# (nt+1, N) iterates one block of sweeps() may hold (StackOperator.block),
-# and marches in such blocks, keeping no factors, when that factors fewer
-# steps than re-factoring march by march (never for symmetric 1D steps,
+# swapped rows.  Steps are kept in the order they are first factored, time
+# order, while they fit; the others are factored again in every march.
+# When built, an operator also reads it as the bytes of (nt+1, N) iterates
+# one block of sweeps() may hold (StackOperator.block), and marches in such
+# blocks, keeping no factors, when that factors fewer steps than
+# re-factoring march by march, counting a 2D step at its fill rows too
+# (never for symmetric 1D steps,
 # whose factors, about 2N doubles, take about 2 / (nt + 1) of an iterate).
 # 16 MiB, about a third of what an oswr process holds anyway, keeps every
 # step of the 1D runs of a few hundred nodes and steps and lets tvar2d-wide
@@ -308,7 +310,8 @@ class BandedLU:
 @dataclass(frozen=True)
 class TridiagonalLU:
     """LU factors of a tridiagonal matrix from ?gttrf, for repeated solves:
-    the 1D steps whose symmetric form does not qualify (_symmetrize)."""
+    the 1D steps whose symmetric form does not qualify
+    (StackOperator._prepare_symmetric)."""
 
     dl: np.ndarray
     d: np.ndarray
@@ -330,11 +333,12 @@ class TridiagonalLU:
 @dataclass  # not frozen: a frozen one takes 0.7 µs more to make, once per factorization
 class SymmetricLDL:
     """LDLᵀ factors from ?pttrf (_factor_band) of a symmetric positive
-    definite tridiagonal S = R A, a 1D step matrix A made symmetric
-    (_symmetrize), for repeated solves of right-hand sides folded and
-    scaled as S needs (StackOperator._scale).  ?pttrs's back substitution,
-    unlike ?gttrs's, divides by no pivot on its recurrence: about half the
-    time."""
+    definite tridiagonal S = R A, a 1D step matrix A made symmetric range
+    by range, its Dirichlet face rows folded into their neighbours
+    (StackOperator._prepare_symmetric), for repeated solves of right-hand
+    sides folded and scaled as S needs (StackOperator._scale).  ?pttrs's
+    back substitution, unlike ?gttrs's, divides by no pivot on its
+    recurrence: about half the time."""
 
     d: np.ndarray
     e: np.ndarray
@@ -351,79 +355,15 @@ class SymmetricLDL:
         return x
 
 
-def _symmetrize(values: np.ndarray, diag: np.ndarray, up: np.ndarray,
-                down: np.ndarray) -> Optional[Tuple]:
-    """The row scales R that make K tridiagonal matrices A of one structure
-    symmetric, S = R A, for LDLᵀ without pivoting.  Row k of values (K, V)
-    holds the entries of matrix k, and diag (N,), up and down (N-1,) give
-    where: the diagonal, A[i, i+1] and A[i+1, i]; -1 for an entry the
-    structure does not hold, whose value, values[:, -1], is 0.
-
-    Rows i and i+1 are coupled if both their entries are held.  An entry
-    held alone is a one-way coupling into a row with no off-diagonal (a
-    Dirichlet row d_j u_j = rhs_j), folded into the right-hand side: rhs_i
-    -= A[i, j] / d_j * rhs_j.  R is 1 on the first row of each run of
-    coupled rows and r[i+1] = r[i] A[i, i+1] / A[i+1, i] along it, so S is
-    symmetric: diagonal R d, off-diagonal R[i] A[i, i+1] on coupled pairs, 0
-    elsewhere.  A matrix qualifies if every row is strictly diagonally
-    dominant with a positive diagonal, which makes S positive definite and
-    LDLᵀ without pivoting stable (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 9), the two entries of every coupled pair have
-    one sign (R > 0), R is normal and max R * max |A| is finite, so S is.
-    Rows come in few kinds, each checked and given its ratio once.
-
-    None if an entry held alone couples into a row with an off-diagonal;
-    else (ok (K,), R (K, N), fold_by (K, F), off, (fold_to, fold_from)),
-    meaningless where ok is False: matrix k's S has diagonal
-    R[k] * values[k, diag] and off-diagonal R[k, :-1] * values[k, off], off
-    (N-1,) being up on coupled pairs and -1 elsewhere.
-    """
-    N = len(diag)
-    held_up, held_down = up >= 0, down >= 0
-    coupled = held_up & held_down
-    bare = np.ones(N, dtype=bool)  # rows with no off-diagonal
-    bare[:-1] &= ~held_up
-    bare[1:] &= ~held_down
-    ups, downs = np.flatnonzero(held_up & ~held_down), np.flatnonzero(held_down & ~held_up)
-    if not (bare[ups + 1].all() and bare[downs].all()):
-        return None
-    fold_to, fold_from = np.concatenate((ups, downs + 1)), np.concatenate((ups + 1, downs))
-    # Row i's entries A[i, i], A[i, i+1], A[i, i-1] and, if rows i-1 and i
-    # are coupled, A[i-1, i] (-1: none); the inner rows of a range are
-    # alike.
-    V = values.shape[1]
-    into = np.where(coupled, up, -1)
-    none = np.array([-1])
-    entries = np.array((diag, np.concatenate((up, none)), np.concatenate((none, down)),
-                        np.concatenate((none, into))))
-    _, first, kind = np.unique(np.ravel_multi_index(entries % V, (V,) * 4),
-                               return_index=True, return_inverse=True)
-    d, right, left, pair = values.T[entries[:, first] % V]  # (4, kinds, K)
-    with np.errstate(all="ignore"):
-        fold_by = (values.take(np.concatenate((up[ups], down[downs])), axis=1)
-                   / values.take(diag[fold_from], axis=1))
-        # R takes A[i-1, i] / A[i, i-1] into a coupled row i, 1 at the start
-        # of a run, then the products along each run.
-        R = np.where(entries[3, first, None] >= 0, pair / left, 1.0).T.take(kind, axis=1)
-        cuts = np.flatnonzero(~coupled) + 1
-        for start, stop in zip((0, *cuts), (*cuts, N)):
-            if stop - start > 1:
-                np.cumprod(R[:, start:stop], axis=1, out=R[:, start:stop])
-        # R is positive only if every coupled pair's entries have one sign.
-        ok = ((d > np.abs(right) + np.abs(left)).all(axis=0)
-              & (R.min(axis=1) >= np.finfo(float).tiny)
-              & np.isfinite(R.max(axis=1) * np.abs(values).max(axis=1)))
-    return ok, R, fold_by, into, (fold_to, fold_from)
-
-
 def _factor_band(work: Optional[np.ndarray], bw: int, n: int,
                  symmetric: Optional[Tuple[np.ndarray, np.ndarray]] = None,
                  ) -> Union[BandedLU, TridiagonalLU, SymmetricLDL]:
     """Factors of the band held in rows bw: of the (3*bw + 1, n) Fortran
     array that heads the flat buffer `work` (_band_work(bw, n)); or, given
     `symmetric`, the diagonal and off-diagonal of a 1D step's symmetric
-    form S (_symmetrize), which ?pttrf factors in place into a SymmetricLDL
-    (work is not read).
+    form S, R times the step's rows with its Dirichlet face rows folded
+    (StackOperator._prepare_symmetric), which ?pttrf factors in place into
+    a SymmetricLDL (work is not read).
 
     Other bands of bandwidth 1 use the tridiagonal kernels ?gttrf/?gttrs,
     whose solve takes about half the time of ?gbtrs; wider bands are
@@ -569,17 +509,29 @@ def check_step_matrices(problem: ParabolicProblem, grid: SpaceTimeGrid,
                      "makes a step-matrix entry overflow")
 
 
+def _face_terms(ranges: Sequence[AxisRange]) -> List[Tuple[int, int]]:
+    """Per range, where its low and its high face row's entries sit among
+    _step_terms: the index of the row's diagonal.  A Dirichlet face row
+    holds the stencil diagonal alone, term 0.  The f-th Robin face (range
+    order, low face first) has its four _robin_row entries at 7 + 4 f on,
+    after _stencil's six and the negated corner: the diagonal, then the
+    inward axis neighbour at + 1 and the cross neighbours up and down at
+    + 2 and + 3."""
+    at = itertools.count(7, 4)
+    return [(next(at) if r.low.kind == "robin" else 0, next(at) if r.high.kind == "robin" else 0)
+            for r in ranges]
+
+
 def _step_terms(values: Tuple[float, ...], grid: SpaceTimeGrid,
                 ranges: Sequence[AxisRange]) -> np.ndarray:
     """The entries of the ranges' step matrix for coefficient values (a
-    _coefficient_table row): _stencil's six, the negated corner, then each
-    Robin face's four _robin_row entries, in range order, low face first."""
+    _coefficient_table row), as _face_terms places them."""
     stencil = _stencil(values, grid)
     terms = [*stencil, -stencil[5]]
-    for r in ranges:
-        for face, low in ((r.low, True), (r.high, False)):
-            if face.kind == "robin":
-                terms += _robin_row(values, stencil, grid, face, low)
+    for r, faces in zip(ranges, _face_terms(ranges)):
+        for face, low, at in zip((r.low, r.high), (True, False), faces):
+            if at:
+                terms[at:at + 4] = _robin_row(values, stencil, grid, face, low)
     return np.array(terms)
 
 
@@ -596,8 +548,8 @@ def _put_terms(ab: np.ndarray, terms: np.ndarray, grid: SpaceTimeGrid,
     n, J = grid.domain.n, grid.nx_cross
     bw = _bandwidth(grid, ranges)
     cross = (1, J - 1) if n == 2 else (0, 1)  # cross nodes of the stencil rows
-    stop, face_terms = 0, 7
-    for r in ranges:
+    stop = 0
+    for r, faces in zip(ranges, _face_terms(ranges)):
         m = r.hi - r.lo + 1
         sa, sc = _strides(r, J)
         start, stop = stop, stop + m * J
@@ -624,18 +576,14 @@ def _put_terms(ab: np.ndarray, terms: np.ndarray, grid: SpaceTimeGrid,
             put(0, 0, (0, m), (0, 1), 0)
             put(0, 0, (0, m), (J - 1, J), 0)
 
-        for face, low in ((r.low, True), (r.high, False)):
-            i = 0 if low else m - 1
-            rows = (i, i + 1)
-            if face.kind == "dirichlet":
-                put(0, 0, rows, cross, 0)
-                continue
-            put(0, 0, rows, cross, face_terms)
-            put(1 if low else -1, 0, rows, cross, face_terms + 1)
-            if n == 2:
-                put(0, 1, rows, cross, face_terms + 2)
-                put(0, -1, rows, cross, face_terms + 3)
-            face_terms += 4
+        for low, at in zip((True, False), faces):
+            rows = (0, 1) if low else (m - 1, m)
+            put(0, 0, rows, cross, at)
+            if at:  # a Robin face
+                put(1 if low else -1, 0, rows, cross, at + 1)
+                if n == 2:
+                    put(0, 1, rows, cross, at + 2)
+                    put(0, -1, rows, cross, at + 3)
 
 
 def assemble_step(values: Tuple[float, ...], grid: SpaceTimeGrid,
@@ -667,13 +615,14 @@ class StackOperator:
     from one coefficient table (_coefficient_table) each step's key and
     every face's data factors; and the band map, where each of a step's
     terms (_step_terms) lands in the band.  In 1D it also makes, from the
-    distinct steps' terms at once, the row scales R of the steps whose
-    symmetric form qualifies (_prepare_symmetric).  Every face's data enter its rows the
-    same way, data times the face's factor at step k (plus, in 2D, the
-    cross difference of the data times a second factor): a Robin face's
-    factors come from the ghost elimination, a Dirichlet face's are the
-    step diagonal d_k and 0, on rows whose static value and u_prev weight
-    are zero (the lateral g in the static value is scaled by d_k too).
+    distinct steps' terms at once and range by range, the row scales R and
+    folds of the steps whose symmetric form qualifies (_prepare_symmetric).
+    Every face's data enter its rows the same way, data times the face's
+    factor at step k (plus, in 2D, the cross difference of the data times a
+    second factor): a Robin face's factors come from the ghost elimination,
+    a Dirichlet face's are the step diagonal d_k and 0, on rows whose
+    static value and u_prev weight are zero (the lateral g in the static
+    value is scaled by d_k too).
 
     sweeps() is the one march loop.  One rule gives every step its
     factors: a step reuses the previous step's while its key repeats, else
@@ -747,16 +696,18 @@ class StackOperator:
         # which numpy indexes with no conversion.)
         terms = np.full((2 * bw + 1, N), -1, dtype=np.int32, order="F")
         _put_terms(terms, np.arange(7 + 4 * len(self._robin)), grid, self.ranges)
-        band_map = terms
         terms = terms.ravel(order="F")
         at = np.flatnonzero(terms >= 0)  # = column * (2*bw + 1) + row
         self._band_at = at + (at // (2 * bw + 1) + 1) * bw
         self._band_term = terms[at].astype(np.intp)
         keys = list(dict.fromkeys(self._keys[1:]))  # the distinct steps
         self._ldl = {}  # key -> its row of _forms, for the steps solved by LDLᵀ
-        step_bytes = 8 * (4 * N - 4 if bw == 1 else (2 * bw + 1) * N) + 4 * N
+        # A banded step is counted at all of ?gbtrf's 3*bw + 1 rows, what
+        # _factor keeps of a step that swapped rows; which steps swap is
+        # known only once they are factored.
+        step_bytes = 8 * (4 * N - 4 if bw == 1 else (3 * bw + 1) * N) + 4 * N
         if bw == 1:
-            self._prepare_symmetric(keys, band_map)
+            self._prepare_symmetric(keys)
             if len(self._ldl) == len(keys):
                 step_bytes = 8 * (2 * N - 1)  # SymmetricLDL.nbytes
         distinct = len(keys)
@@ -778,31 +729,78 @@ class StackOperator:
         return [_node_view(u[..., rows], r.hi - r.lo + 1, self.grid.nx_cross, sa, sc)
                 for r, rows, (sa, sc) in zip(self.ranges, self.slices, self._strides)]
 
-    def _prepare_symmetric(self, keys: List[tuple], band_map: np.ndarray) -> None:
-        """The row scales R of the distinct 1D steps `keys` (_symmetrize),
-        made at once from their terms and the (3, N) band map, kept for the
-        steps that qualify, one row each (_ldl): _forms holds their terms
-        (from which _factor makes S), R and fold factors (which _scale
-        applies).  The operator holds them whatever FACTOR_CACHE_BYTES, as
-        it holds its other per-step data.
+    def _prepare_symmetric(self, keys: List[tuple]) -> None:
+        """The symmetric forms S = R A of the distinct 1D steps `keys`, made
+        at once from their terms, range by range, and kept for the steps
+        that qualify, one row each (_ldl): _forms holds their terms (which
+        _factor places in S by _maps), R and fold factors (which _scale
+        applies by _folds).  The operator holds them whatever
+        FACTOR_CACHE_BYTES, as it holds its other per-step data.
 
-        The structure of the forms is the band map's: the ranges' Dirichlet
-        face rows are folded into their inner neighbours.  No step qualifies
-        if a fold would reach a Robin face row, whose right-hand side
-        sweeps() rewrites without it.
+        A range's rows couple only to their neighbours in it.  A Dirichlet
+        face row is bare, d_k u_j = rhs_j, and its neighbour's entry into it
+        becomes a fold, rhs_i -= A[i, j] / d_k * rhs_j: the high faces'
+        folds first, then the low faces', in range order.  The other rows of
+        a range are one coupled run: R is 1 on its first row and
+        R[i+1] = R[i] A[i, i+1] / A[i+1, i] along it (after a Robin low
+        face, its inward entry over the stencil's down entry; inside, up
+        over down; before a Robin high face, up over its inward entry), and
+        1 on bare rows, so S is symmetric: diagonal R A[i, i], off-diagonal
+        R[i] A[i, i+1] on the runs.  A step qualifies if every row is
+        strictly diagonally dominant with a positive diagonal, which makes S
+        positive definite and LDLᵀ without pivoting stable (Higham, Accuracy
+        and Stability of Numerical Algorithms, ch. 9), R is normal and
+        positive (the two entries of every coupled pair have one sign) and
+        max R * max |A| is finite, so S is.
+
+        No step qualifies if a range of two nodes has one Dirichlet face and
+        one Robin face: its fold would reach the Robin face row, whose
+        right-hand side sweeps() rewrites without it.
         """
         terms = _step_terms(np.array(keys).T, self.grid, self.ranges)
         terms = np.vstack((terms, np.zeros(len(keys)))).T  # (keys, terms + 1): -1 reads 0
-        diag, up, down = (a.astype(np.intp) for a in (band_map[1], band_map[0, 1:],
-                                                      band_map[2, :-1]))
-        form = _symmetrize(terms, diag, up, down)
-        if form is None:
+        diag = np.zeros(self.size, dtype=np.intp)  # the terms of S's diagonal
+        off = np.full(self.size - 1, -1, dtype=np.intp)  # of A[i, i+1] on the runs
+        R = np.ones((len(keys), self.size))
+        rows = set()  # (A[i, i], A[i, i+1], A[i, i-1]) of each kind of row
+        folds = ([], [])  # (to, from, A[to, from]) of the high faces, of the low faces
+        for (low, high), span in zip(_face_terms(self.ranges), self.slices):
+            first, last = span.start, span.stop - 1
+            if last - first == 1 and (low == 0) != (high == 0):
+                return
+            diag[first], diag[last] = low, high
+            rows |= {(low, low + 1, -1) if low else (0, -1, -1),
+                     (high, -1, high + 1) if high else (0, -1, -1)}
+            if last - first > 1:
+                rows.add((0, 1, 2))
+                if not high:
+                    folds[0].append((last - 1, last, 1))
+                if not low:
+                    folds[1].append((first + 1, first, 2))
+            start, stop = first + (not low), last - (not high)  # the run
+            if stop > start:  # its pairs' A[i, i+1] and A[i+1, i]: the stencil's up
+                # and down, a Robin face's inward entry at either end
+                up, down = np.ones(stop - start, dtype=np.intp), np.full(stop - start, 2)
+                if low:
+                    up[0] = low + 1
+                if high:
+                    down[-1] = high + 1
+                off[start:stop] = up
+                run = R[:, start:stop + 1]
+                with np.errstate(all="ignore"):
+                    run[:, 1:] = terms[:, up] / terms[:, down]
+                    np.cumprod(run, axis=1, out=run)
+        fold_to, fold_from, fold_at = np.array(folds[0] + folds[1], dtype=np.intp).reshape(-1, 3).T
+        d, right, left = terms.T[np.array(list(rows)).T]  # (3, kinds, keys)
+        with np.errstate(all="ignore"):
+            ok = ((d > np.abs(right) + np.abs(left)).all(axis=0)
+                  & (R.min(axis=1) >= np.finfo(float).tiny)
+                  & np.isfinite(R.max(axis=1) * np.abs(terms).max(axis=1)))
+            fold_by = terms[:, fold_at] / terms[:, :1]
+        if not ok.any():
             return
-        ok, scale, fold_by, off, folds = form
-        if not ok.any() or set(folds[0].tolist()) & set(self._rows[self._robin].ravel().tolist()):
-            return
-        self._forms = [a if ok.all() else a[ok] for a in (terms, scale, fold_by)]
-        self._maps, self._folds = (diag, off), folds
+        self._forms = [a if ok.all() else a[ok] for a in (terms, R, fold_by)]
+        self._maps, self._folds = (diag, off), (fold_to, fold_from)
         self._ldl = {key: i for i, key in enumerate(itertools.compress(keys, ok))}
         self._form_at = np.array([-1] + [self._ldl.get(key, -1) for key in self._keys[1:]])
 
@@ -861,7 +859,7 @@ class StackOperator:
     def _scale(self, b: np.ndarray) -> np.ndarray:
         """Fold and scale in place the right-hand sides b (nt+1, N) of the
         steps solved by LDLᵀ, as their symmetric forms S = R A need
-        (_symmetrize); returns each step's R, 1 on the other steps."""
+        (_prepare_symmetric); returns each step's R, 1 on the other steps."""
         at = self._form_at
         steps = np.flatnonzero(at >= 0)
         _, scale, fold_by = self._forms

@@ -214,6 +214,24 @@ def test_blocks_only_where_they_factor_less(monkeypatch, iterates, block):
     assert StackOperator(prob, grid, ranges).block == block
 
 
+def test_blocks_count_swapped_band_factors(monkeypatch):
+    # heat2d on 13 x 7 nodes has one step (bw 8), which ?gbtrf factors with
+    # row swaps: kept, its factors hold all 3 bw + 1 rows, 204 N bytes,
+    # more than a cap of 3 iterates (168 N).  The block rule counts them so
+    # and marches 6 sweeps in 2 blocks of 3, one factorization each, where
+    # counting the 2 bw + 1 rows of unswapped factors would march sweep by
+    # sweep, re-factoring the step every sweep.
+    prob, grid, layout = _tiny_run("heat2d", nx_cross=7)
+    ranges = [axis_range(e, RobinParameter(1.0)) for e in layout.entries]
+    monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 3 * _iterate_bytes(prob, grid, layout))
+    operator = StackOperator(prob, grid, ranges)
+    faces = [(np.zeros((grid.nt + 1, grid.nx_cross)),) * 2] * len(ranges)
+    list(operator.sweeps(faces, 6, StackExchange(operator, faces).traces))
+    assert operator.block == 3 and operator.factorizations <= 2
+    lu = operator._factor(operator._keys[1], keep=False)
+    assert lu.lower is None and lu.nbytes > oswr.grid.FACTOR_CACHE_BYTES
+
+
 def test_mixed_1d_steps_in_blocks(monkeypatch):
     # Advection b = 12 t beside a = 0.1 (h = 1/30) crosses a cell Peclet
     # number of 1 at t = 1/2: of 12 steps, the first 5 take LDL^T and the

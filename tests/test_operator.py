@@ -9,6 +9,7 @@ singular steps."""
 
 import dataclasses
 import io
+import math
 import warnings
 import weakref
 
@@ -318,7 +319,8 @@ STEP_KINDS = {
 def test_1d_steps_match_per_step_assembly(monkeypatch, kind, capped):
     # Three ranges of a 1D layout.  Each march, with the folded and scaled
     # right-hand sides and Robin rows of the LDL^T steps only, matches the
-    # per-step reference of every range; the other steps take ?gttrs.
+    # per-step reference of every range; the other steps take ?gttrs.  The
+    # LDL^T steps' forms are checked on their dense matrices.
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 0 if capped else 2 ** 40)
     preset, coeffs, orientation, ldl = STEP_KINDS[kind]
     prob = problem_preset(preset)
@@ -333,6 +335,7 @@ def test_1d_steps_match_per_step_assembly(monkeypatch, kind, capped):
     operator = StackOperator(prob, grid, ranges)
     takes_ldl = [key in operator._ldl for key in operator._keys[1:]]
     assert takes_ldl == [True] * ldl + [False] * (grid.nt - ldl)
+    _check_symmetric_forms(operator)
     assert all(isinstance(operator._factor(key, keep=False), TridiagonalLU)
                for key in set(operator._keys[1:]) - set(operator._ldl))
     data = np.random.default_rng(8).standard_normal((len(ranges), 2, grid.nt + 1, 1))
@@ -481,6 +484,89 @@ def test_tridiagonal_solves_match_dense(preset, orientation, kinds):
                 assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _meets_the_rule(A):
+    """Whether the dense 1D step matrix A has a symmetric form by the rule,
+    stated on its entries alone: every row strictly diagonally dominant
+    with a positive diagonal; each pair of neighbours coupled both ways, or
+    one way into a bare row (a Dirichlet row, folded), or not at all; and
+    R, 1 at the start of each run of coupled pairs and
+    R[i+1] = R[i] A[i, i+1] / A[i+1, i] along it, normal and positive, with
+    max R * max |A| finite."""
+    d, up, down = np.diag(A).tolist(), np.diag(A, 1).tolist(), np.diag(A, -1).tolist()
+    right, left = [abs(x) for x in up] + [0.0], [0.0] + [abs(x) for x in down]
+    if not all(di > r + le for di, r, le in zip(d, right, left)):
+        return False
+    bare = [r == le == 0 for r, le in zip(right, left)]
+    R = [1.0]
+    for i, (a, b) in enumerate(zip(up, down)):
+        if a and b:
+            R.append(R[i] * a / b)
+        elif (a and not bare[i + 1]) or (b and not bare[i]):
+            return False
+        else:
+            R.append(1.0)
+    return min(R) >= np.finfo(float).tiny and math.isfinite(max(R) * np.abs(A).max())
+
+
+def _check_symmetric_forms(operator):
+    """Each distinct step of a 1D operator takes LDL^T exactly when its
+    dense matrix meets the rule (_meets_the_rule), and then R A, with the
+    operator's folds applied, is symmetric to rounding."""
+    N = operator.size
+    for key in dict.fromkeys(operator._keys[1:]):
+        A = BandedSystem(bandwidth=1, ab=assemble_step(key, operator.grid, operator.ranges),
+                         rhs=np.zeros(N)).to_dense()
+        assert (key in operator._ldl) == _meets_the_rule(A)
+        if key in operator._ldl:
+            i = operator._ldl[key]
+            _, R, fold_by = operator._forms
+            fold = np.eye(N)
+            fold[operator._folds] = -fold_by[i]
+            S = R[i, :, None] * (fold @ A)
+            assert np.max(np.abs(S - S.T)) <= 1e-14 * np.max(np.abs(S))
+
+
+@pytest.mark.parametrize("preset", ONE_D_PRESETS)
+@pytest.mark.parametrize("orientation", ["outward", "paper"])
+@pytest.mark.parametrize("kinds", FACES)
+@pytest.mark.parametrize("p", [0.5, 1.0, 8.0])
+def test_symmetric_forms_from_the_faces(preset, orientation, kinds, p):
+    # The forms StackOperator states per range, checked against the dense
+    # step matrices, for ranges as a layout orders their faces and swapped
+    # (test_1d_steps_match_per_step_assembly checks its step kinds' forms).
+    prob = problem_preset(preset)
+    grid = build_grid(prob.domain, 15, 6)
+    p = RobinParameter(p, orientation=orientation)
+    rules = [FaceRule(kind, p.p, p.sign(side)) for kind, side in zip(kinds, ("left", "right"))]
+    for ranges in ([AxisRange(0, 8, *rules), AxisRange(5, 14, *rules)],
+                   [AxisRange(2, 11, *rules), AxisRange(1, 13, *rules[::-1])]):
+        _check_symmetric_forms(StackOperator(prob, grid, ranges))
+
+
+@pytest.mark.parametrize("kinds", [("dirichlet", "robin"), ("robin", "dirichlet")])
+def test_two_node_range_with_one_dirichlet_face(kinds):
+    # A range of two nodes, one face Dirichlet and the other Robin, would
+    # fold its Dirichlet row into its Robin face row, whose right-hand side
+    # sweeps() rewrites without the fold: no step takes LDL^T, though the
+    # whole axis with these faces does, and the marches match the per-step
+    # reference.
+    prob = problem_preset("heat1d")
+    grid = build_grid(prob.domain, 15, 6)
+    p = RobinParameter(1.3)
+    rules = [FaceRule(kind, p.p, p.sign(side)) for kind, side in zip(kinds, ("left", "right"))]
+    ranges = [AxisRange(0, 14, *rules), AxisRange(6, 7, *rules)]
+    assert StackOperator(prob, grid, ranges[:1])._ldl
+    operator = StackOperator(prob, grid, ranges)
+    assert not operator._ldl
+    data = np.random.default_rng(6).standard_normal((len(ranges), 2, grid.nt + 1, 1))
+    traces = _picks(operator, 6)
+    for u, _ in operator.sweeps(data, 3, traces):
+        for r, faces, values in zip(ranges, data, operator._unstack(u)):
+            ref = _per_step_reference(prob, grid, r, faces)
+            assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
+        data = _with_robin(operator, data, traces(u))
+
+
 @pytest.mark.parametrize("preset,nx,nt,count,overlap,p_values",
                          [("tvar1d", 401, 200, 4, 0.1, (1.0,)),
                           ("heat1d", 201, 50, 8, 0.08, (1.0, 2.0, 4.0, 8.0))],
@@ -536,7 +622,7 @@ def test_steps_outside_the_rule_keep_their_bits(monkeypatch, case):
     outputs = []
     for symmetric in (True, False):
         if not symmetric:
-            monkeypatch.setattr(oswr.grid, "_symmetrize", lambda *args: None)
+            monkeypatch.setattr(StackOperator, "_prepare_symmetric", lambda self, keys: None)
         oracle = solve_global(prob, grid)
         csv = io.StringIO()
         run(prob, grid, layout, config, oracle).write_csv(csv)
