@@ -20,10 +20,12 @@ same steps).  With the floor it does not.
 
 import warnings
 
-from oswr import (DecompositionSpec, InitialGuess, RobinParameter, WeightSpec,
-                  build_grid, compute_error_fields, exchange, initial_traces,
-                  phi_boundary_check, problem_preset, snap, solve_global,
-                  sweep_once)
+from oswr import (DecompositionSpec, InitialGuess, RobinParameter, StackOperator,
+                  WeightSpec, build_grid, initial_traces, problem_preset, snap,
+                  solve_global)
+from oswr.diagnostics import StackDiagnostics
+from oswr.engine import StackExchange
+from oswr.subdomain import axis_range
 
 warnings.filterwarnings("ignore", message=".*snapped.*")
 
@@ -36,19 +38,18 @@ def worst_ratio(preset, count, theta, sweeps=20):
     oracle = solve_global(problem, grid)
     layout = snap(DecompositionSpec.uniform(problem.domain, count, 0.2), grid)
     p = RobinParameter(1.0)
-    weights = WeightSpec(gamma=5.0, theta=theta)
-    traces = initial_traces(InitialGuess(), layout, grid, problem)
+    operator = StackOperator(problem, grid, [axis_range(e, p) for e in layout.entries])
+    diagnose = StackDiagnostics(operator, oracle, p, WeightSpec(gamma=5.0, theta=theta))
+    faces = initial_traces(InitialGuess(), layout, grid, problem)
+    robin = StackExchange(operator, faces)
     worst, floors = 0.0, None
-    for _ in range(sweeps):
-        sols = sweep_once(problem, grid, layout, traces, p)
-        checks = [phi_boundary_check(compute_error_fields(sol, oracle, p, weights, grid))
-                  for sol in sols]
+    for u, _ in operator.sweeps(faces, sweeps, robin.traces):
+        d = diagnose(u)
         if floors is None:
-            floors = [FLOOR * res.boundary_max for res in checks]
-        for res, floor in zip(checks, floors):
-            if res.boundary_max > floor:
-                worst = max(worst, res.interior_max / res.boundary_max)
-        traces = exchange(sols, layout, grid, p, traces)
+            floors = FLOOR * d.boundary_max
+        for interior, boundary, floor in zip(d.interior_max, d.boundary_max, floors):
+            if boundary > floor:
+                worst = max(worst, interior / boundary)
     return worst
 
 

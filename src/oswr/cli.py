@@ -23,7 +23,6 @@ import warnings
 from typing import List, Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import RUN_DIR, ExperimentConfig, load_config
@@ -62,6 +61,7 @@ plot {e_lines}
 
 def _write_meta(path: str, cfg: ExperimentConfig, p: float, overlap: float,
                 termination: str) -> None:
+    import scipy  # here, not at import: scipy's package init costs start-up
     with open(path, "w") as fh:
         fh.write("resolved configuration\n")
         for key, val in cfg.as_items():

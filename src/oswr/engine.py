@@ -221,9 +221,13 @@ def run(problem: ParabolicProblem, grid: SpaceTimeGrid, layout: SubdomainLayout,
     turn, with the same bits whatever the blocks.  A stop discards the rest
     of a block.
     """
+    entries = layout.entries
+    first, last = entries[0].i_left, entries[-1].i_right
+    if (first, last) != (0, grid.nx_axis - 1):
+        raise DataMismatch(f"the layout spans axis nodes {first}..{last}, "
+                           f"not the grid's 0..{grid.nx_axis - 1}")
     gamma = config.gamma if config.gamma is not None else default_gamma(problem.domain)
     history = IterationHistory(window=layout.count)
-    entries = layout.entries
     # Overflow needs no numpy warning, in the node data as in the sweeps:
     # robin.update raises on non-finite traces, and a non-finite E_k
     # (exp(p (x_n - alpha))) ends the run.

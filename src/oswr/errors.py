@@ -34,11 +34,13 @@ class SnapFailure(OswrError):
 
 
 class DataMismatch(OswrError):
-    """Face data that do not fit the axis ranges and grid, or are not finite."""
+    """Inputs that do not fit together (problem, grid, layout, axis ranges and
+    face data), or face data that are not finite."""
 
 
 class NodeOutOfRange(OswrError):
-    """Requested interface node is not interior to the subdomain."""
+    """An interface node not interior to its subdomain, or an axis range
+    outside the grid's axis nodes."""
 
 
 class ShapeMismatch(OswrError):

@@ -44,9 +44,10 @@ block would factor more; a one-off march (march(): the oracle,
 solve_subdomain, sweep_once) keeps no factors.
 
 The six LAPACK routines come from scipy.linalg._flapack and dtbsv from
-scipy.linalg._fblas, each loaded on its own, _fblas at the first banded
-factorization (so 1D processes never load it): scipy.linalg's package init
-would about double the start-up of a process.
+scipy.linalg._fblas, each loaded on its own from scipy's linalg directory,
+_fblas at the first banded factorization (so 1D processes never load it).
+Neither scipy's package init nor scipy.linalg's runs; the latter would
+about double the start-up of a process.
 """
 
 from __future__ import annotations
@@ -61,9 +62,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy
 
-from .errors import BadResolution, DataMismatch, SingularSystem
+from .errors import BadResolution, DataMismatch, NodeOutOfRange, SingularSystem
 from .problem import CoefficientSet, DomainSpec, ParabolicProblem
 
 
@@ -73,7 +73,10 @@ def _scipy_linalg(name: str, wraps: str):
     this module object and its routines."""
     full = "scipy.linalg." + name
     if full not in sys.modules:
-        where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        scipy = importlib.util.find_spec("scipy")  # found, not imported: no package init
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        where = os.path.join(scipy.submodule_search_locations[0], "linalg")
         spec = importlib.machinery.PathFinder.find_spec(full, [where])
         if spec is None:
             raise ImportError(f"scipy's {wraps} wrappers {name} not found in {where}")
@@ -644,6 +647,13 @@ class StackOperator:
                  ranges: Sequence[AxisRange]):
         n, J = problem.domain.n, grid.nx_cross
         self.problem, self.grid, self.ranges = problem, grid, tuple(ranges)
+        check_domain(problem, grid)
+        if not self.ranges:
+            raise DataMismatch("no axis ranges to march")
+        for r in self.ranges:
+            if not 0 <= r.lo <= r.hi < grid.nx_axis:
+                raise NodeOutOfRange(f"axis range [{r.lo}, {r.hi}] is not within the "
+                                     f"grid's axis nodes 0..{grid.nx_axis - 1}")
         self._strides = [_strides(r, J) for r in self.ranges]
         self.bandwidth = _bandwidth(grid, self.ranges)
         self.factorizations = 0
@@ -940,6 +950,13 @@ class StackOperator:
             del u, step  # views of the last iterate: yielded, it is the caller's
             while us:
                 yield us.pop(0), ts.pop(0)
+
+
+def check_domain(problem: ParabolicProblem, grid: SpaceTimeGrid) -> None:
+    """Raise DataMismatch unless the grid was built on the problem's domain."""
+    if problem.domain != grid.domain:
+        raise DataMismatch(f"the problem's domain {problem.domain} is not "
+                           f"the grid's {grid.domain}")
 
 
 def check_faces(grid: SpaceTimeGrid, ranges: Sequence[AxisRange],

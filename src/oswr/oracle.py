@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteSolution
-from .grid import AxisRange, FaceRule, SpaceTimeGrid, eval_plane, march
+from .grid import AxisRange, FaceRule, SpaceTimeGrid, check_domain, eval_plane, march
 from .problem import ParabolicProblem
 
 
@@ -27,6 +27,7 @@ def solve_global(problem: ParabolicProblem, grid: SpaceTimeGrid) -> GlobalSoluti
     Raises NonFiniteSolution, without numpy's overflow warnings, when the
     march overflows (as it can for a tiny dt).
     """
+    check_domain(problem, grid)  # before g is called with the grid's coordinates
     whole = AxisRange(0, grid.nx_axis - 1, FaceRule("dirichlet"), FaceRule("dirichlet"))
     faces = (eval_plane(problem.g, grid, problem.domain.alpha),
              eval_plane(problem.g, grid, problem.domain.beta))

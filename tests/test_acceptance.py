@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from oswr import (DecompositionSpec, InitialGuess, RobinParameter, StackOperator,
-                  SWRConfig, WeightSpec, build_grid, compute_E, compute_error_fields,
-                  contraction_report, exchange, initial_traces, load_config,
-                  phi_boundary_check, problem_preset, run, snap, solve_global,
-                  sweep_once)
+                  SWRConfig, WeightSpec, build_grid, contraction_report, initial_traces,
+                  load_config, problem_preset, run, snap, solve_global)
 from oswr.cli import run_experiment
+from oswr.diagnostics import compute_E, compute_error_fields, phi_boundary_check
+from oswr.engine import exchange, sweep_once
 from oswr.subdomain import axis_range
 from tests.dense import dense_one_sweep, dense_one_sweep_2d
 

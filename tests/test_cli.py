@@ -643,7 +643,7 @@ class TestOneValidationPath:
 
     def test_readme_python_runs(self, capsys):
         # Every fenced Python block runs as written, each in a fresh
-        # namespace: the run() and the per-strip quick starts at least.
+        # namespace: the run() and the stacked-loop quick starts at least.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
         assert len(blocks) >= 2

@@ -7,7 +7,9 @@ problem is a preset (1D or 2D) or a coefficient table with time-varying
 rows, written in the CSV format of CoefficientSet.from_table and read by
 problem_from_table.  In 2D the cross section has 3 to 9 nodes, so strips
 are both narrower than it (cross-major unknowns) and wider (axis-major).
-One sweep_once must equal the dense solves to tol = 1e-10 * max(1, max|u|):
+One sweep_once, and each of the first two iterates of one
+StackOperator.sweeps() call (the second on the first's Robin traces), must
+equal the dense solves on their face data to tol = 1e-10 * max(1, max|u|):
 the two solves differ by rounding, which grows with |u| (about
 2 cond eps |u|).  StackExchange.update must put
 sign * (u[i+1] - u[i-1]) / (2h) + p * u[i] in place of each Robin face's
@@ -26,9 +28,9 @@ from hypothesis import strategies as st
 
 from oswr import (DecompositionSpec, InitialGuess, RobinParameter, StackOperator,
                   build_grid, initial_traces, problem_from_table, problem_preset, snap,
-                  solve_global, sweep_once)
+                  solve_global)
 from oswr.diagnostics import StackDiagnostics, WeightSpec, default_gamma
-from oswr.engine import StackExchange
+from oswr.engine import StackExchange, sweep_once
 from oswr.problem import PRESET_NAMES
 from oswr.subdomain import axis_range
 from tests.dense import dense_one_sweep, dense_one_sweep_2d
@@ -125,8 +127,24 @@ def test_sweep_and_exchange_match_dense_solves(case):
     for sol, ref in zip(sweep_once(prob, grid, layout, traces, p), dense):
         assert np.max(np.abs(sol.values - ref)) <= tol
 
+    # run()'s path: marches 0 and 1 of one sweeps() call, each against the
+    # dense solves on its own face data.  From march 1 on, sweeps() writes
+    # the Robin rows from its own terms, not through rhs().
     operator = StackOperator(prob, grid, [axis_range(e, p) for e in layout.entries])
     robin = StackExchange(operator, traces)
+    faces = traces
+    for u, outgoing in operator.sweeps(traces, 2, robin.traces):
+        refs = (dense_one_sweep_2d if prob.domain.n == 2 else dense_one_sweep)(
+            prob, grid, layout, faces, p)
+        refs = [d.reshape(d.shape[0], d.shape[1], -1) for d in refs]
+        march_tol = TOL * max(1.0, max(np.max(np.abs(d)) for d in refs))
+        for field, ref in zip(operator._unstack(u), refs):
+            assert np.max(np.abs(field - ref)) <= march_tol
+        rows = iter(np.moveaxis(outgoing, 1, 0))  # one per Robin face, in order
+        faces = [tuple(next(rows) if kind == "robin" else data
+                       for kind, data in zip((e.left_kind, e.right_kind), pair))
+                 for e, pair in zip(layout.entries, faces)]
+
     u, _ = next(operator.sweeps(traces))
     increment = robin.update(robin.traces(u))
     fields, h = operator._unstack(u), grid.hx_axis

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oswr import (DecompositionSpec, GlobalSolution, RobinParameter, SWRConfig,
-                  SubdomainSolution, WeightSpec, build_grid, compute_E,
-                  compute_error_fields, contraction_report, default_gamma,
-                  phi_boundary_check, problem_preset, run, snap, solve_global)
+                  SubdomainSolution, WeightSpec, build_grid, contraction_report,
+                  default_gamma, problem_preset, run, snap, solve_global)
 from oswr.diagnostics import (HISTORY_HEADER, ErrorFields, IterationHistory,
-                              IterationRecord, axis_derivative)
+                              IterationRecord, axis_derivative, compute_E,
+                              compute_error_fields, phi_boundary_check)
 from oswr.errors import ShapeMismatch, TooShort
 
 

@@ -5,16 +5,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oswr import (DecompositionSpec, InitialGuess, ParabolicProblem, RobinParameter,
-                  StackOperator, SWRConfig, SubdomainSolution, build_grid, exchange,
-                  extract_robin_trace, initial_traces, march, problem_preset, run, snap,
-                  solve_global, solve_subdomain, sweep_once)
+from oswr import (DecompositionSpec, DomainSpec, GlobalSolution, InitialGuess,
+                  ParabolicProblem, RobinParameter, StackOperator, SWRConfig,
+                  SubdomainSolution, build_grid, initial_traces, march, problem_preset, run,
+                  snap, solve_global)
 from oswr.diagnostics import StackDiagnostics
-from oswr.engine import StackExchange
-from oswr.errors import DataMismatch
+from oswr.engine import StackExchange, exchange, sweep_once
+from oswr.errors import DataMismatch, OswrError
 from oswr.grid import eval_plane
-from oswr.subdomain import axis_range
+from oswr.subdomain import axis_range, extract_robin_trace, solve_subdomain
 from tests.conftest import make_zero_problem
 
 
@@ -259,3 +261,69 @@ class TestFaceCheck:
         monkeypatch.setattr(StackOperator, "sweeps", lambda *_: pytest.fail("swept"))
         with pytest.raises(DataMismatch, match="^trace values contain non-finite entries$"):
             run(bad, grid, layout, SWRConfig(p=RobinParameter(1.0)), oracle)
+
+
+DOMAINS = st.builds(
+    lambda n, alpha, length, T, cross: DomainSpec(n, alpha, alpha + length, T,
+                                                  (0.0, cross) if n == 2 else None),
+    st.sampled_from((1, 2)), st.sampled_from((0.0, 0.5)), st.sampled_from((1.0, 2.0)),
+    st.sampled_from((0.5, 1.0)), st.sampled_from((1.0, 2.0)))
+
+
+def _grid(domain, nx_axis):
+    return build_grid(domain, nx_axis, 3, None if domain.n == 1 else 5)
+
+
+def _layout(grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # interface abscissas snapped to nodes
+        return snap(DecompositionSpec.uniform(grid.domain, 2, 0.2), grid)
+
+
+@st.composite
+def mismatched_inputs(draw):
+    """(entry point, what does not fit, the call) for inputs that do not fit
+    together: a problem on another domain than the grid's, a layout snapped
+    on a grid of another size, or no axis ranges."""
+    domain = draw(DOMAINS)
+    grid = _grid(domain, draw(st.integers(11, 21)))
+    kind = draw(st.sampled_from(("domain", "layout", "no ranges")))
+    problem_domain = draw(DOMAINS.filter(lambda d: d != domain)) if kind == "domain" else domain
+    problem = problem_preset(draw(st.sampled_from(("heat", "tvar"))) + f"{problem_domain.n}d",
+                             problem_domain.alpha, problem_domain.beta, problem_domain.T,
+                             problem_domain.cross)
+    if kind == "layout":
+        layout = _layout(_grid(domain, draw(st.integers(11, 31).filter(
+            lambda n: n != grid.nx_axis))))
+    else:
+        layout = _layout(grid)
+    p = RobinParameter(1.0)
+    ranges = [] if kind == "no ranges" else [axis_range(e, p) for e in layout.entries]
+    entries = {
+        "run": lambda: run(problem, grid, layout, SWRConfig(p=p, max_iters=2), GlobalSolution(
+            np.zeros((grid.nt + 1, grid.nx_axis, grid.nx_cross)))),
+        "solve_global": lambda: solve_global(problem, grid),
+        "march": lambda: march(problem, grid, ranges, [
+            (np.zeros((grid.nt + 1, grid.nx_cross)),) * 2 for _ in ranges]),
+        "StackOperator": lambda: StackOperator(problem, grid, ranges),
+    }
+    if kind == "domain":
+        fits = list(entries)
+    elif kind == "layout":  # a smaller layout's ranges fit the grid, if not the run
+        fits = ["run"] + ["march", "StackOperator"] * (ranges[-1].hi >= grid.nx_axis)
+    else:
+        fits = ["march", "StackOperator"]
+    entry = draw(st.sampled_from(fits))
+    return entry, kind, entries[entry]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=mismatched_inputs())
+def test_mismatched_inputs_raise_one_line(case):
+    """Inputs that do not fit together raise an OswrError with a one-line
+    message, never numpy's or a callable's error."""
+    _, _, call = case
+    with pytest.raises(OswrError) as info:
+        call()
+    message = str(info.value)
+    assert message and "\n" not in message

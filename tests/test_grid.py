@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from oswr import (AxisRange, BandedSystem, DomainSpec, FaceRule, assemble_step,
-                  build_grid, march, problem_preset, solve_global)
+from oswr import (AxisRange, DomainSpec, FaceRule, build_grid, march, problem_preset,
+                  solve_global)
 from oswr.errors import BadResolution
+from oswr.grid import BandedSystem, assemble_step
 from tests.conftest import make_zero_problem, source_env
 
 UNIT = DomainSpec(n=1, alpha=0.0, beta=1.0, T=1.0)
@@ -121,21 +122,39 @@ def fresh(code):
 
 
 # A banded factorization: the first loads scipy.linalg._fblas for dtbsv.
-BANDED = ("import numpy\nfrom oswr import BandedSystem\n"
+BANDED = ("import numpy\nfrom oswr.grid import BandedSystem\n"
           "BandedSystem(2, numpy.eye(5, 4, 2) + 4, numpy.ones(4)).solve()\n")
+
+
+def fake_scipy(tmp_path, module, body):
+    """A scipy package under tmp_path, with linalg/<module>.py holding body
+    if one is given: the scipy that grid.py finds once tmp_path leads
+    sys.path; returns its linalg directory."""
+    where = tmp_path / "scipy" / "linalg"
+    where.parent.mkdir()
+    (where.parent / "__init__.py").write_text("")
+    if body is not None:
+        where.mkdir()
+        (where / f"{module}.py").write_text(body)
+    return where
 
 
 class TestLapackLoading:
     """grid.py takes dgttrf, dgttrs, dgbtrf, dgbtrs, dpttrf and dpttrs from
     scipy.linalg._flapack and, at the first banded factorization, dtbsv from
-    scipy.linalg._fblas, without importing scipy.linalg, and they are the
-    objects scipy.linalg.lapack and scipy.linalg.blas export whichever is
-    imported first."""
+    scipy.linalg._fblas, without importing scipy or scipy.linalg, and they
+    are the objects scipy.linalg.lapack and scipy.linalg.blas export
+    whichever is imported first."""
 
     ROUTINES = ("dgttrf", "dgttrs", "dgbtrf", "dgbtrs", "dpttrf", "dpttrs")
 
     def test_cli_import_leaves_out_scipy_linalg(self):
         proc = fresh("import sys, oswr.cli; print('scipy.linalg' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_import_leaves_out_scipy(self):
+        proc = fresh("import sys, oswr, oswr.cli; print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
@@ -152,11 +171,8 @@ class TestLapackLoading:
         """A scipy without _flapack in its linalg directory, or whose _flapack
         fails to execute: the error names the directory or is the module's
         own, and sys.modules keeps no half-loaded entry."""
-        where = tmp_path / "scipy" / "linalg"
-        if body is not None:
-            where.mkdir(parents=True)
-            (where / "_flapack.py").write_text(body)
-        proc = fresh(f"import sys, scipy\nscipy.__file__ = {str(where.parent / 'x.py')!r}\n"
+        where = fake_scipy(tmp_path, "_flapack", body)
+        proc = fresh(f"import sys\nsys.path.insert(0, {str(tmp_path)!r})\n"
                      "try:\n    import oswr.grid\nexcept Exception as exc:\n"
                      "    print(type(exc).__name__, exc)\n"
                      "print('scipy.linalg._flapack' in sys.modules)")
@@ -178,12 +194,9 @@ class TestLapackLoading:
         """_flapack loaded, a banded factorization where _fblas is missing or
         fails to execute: the error names the directory or is the module's
         own, and sys.modules keeps no half-loaded entry."""
-        where = tmp_path / "scipy" / "linalg"
-        if body is not None:
-            where.mkdir(parents=True)
-            (where / "_fblas.py").write_text(body)
-        proc = fresh("import sys, scipy, oswr.grid\n"
-                     f"scipy.__file__ = {str(where.parent / 'x.py')!r}\ntry:\n"
+        where = fake_scipy(tmp_path, "_fblas", body)
+        proc = fresh("import sys, oswr.grid\n"
+                     f"sys.path.insert(0, {str(tmp_path)!r})\ntry:\n"
                      f"    exec({BANDED!r})\nexcept Exception as exc:\n"
                      "    print(type(exc).__name__, exc)\n"
                      "print('scipy.linalg._fblas' in sys.modules, oswr.grid.dtbsv)")

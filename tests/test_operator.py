@@ -18,17 +18,16 @@ import pytest
 from scipy.linalg import block_diag, solve_banded
 
 import oswr.grid
-from oswr import (AxisRange, BandedSystem, CoefficientSet, DecompositionSpec,
-                  FaceRule, GlobalSolution, InitialGuess, ParabolicProblem,
-                  RobinParameter, StackOperator, SWRConfig, assemble_step, build_grid,
-                  initial_traces, problem_from_table, problem_preset, run, snap,
-                  solve_global, solve_subdomain, sweep_once)
-from oswr.engine import StackExchange, exchange
+from oswr import (AxisRange, CoefficientSet, DecompositionSpec, FaceRule,
+                  GlobalSolution, InitialGuess, ParabolicProblem, RobinParameter,
+                  StackOperator, SWRConfig, build_grid, initial_traces,
+                  problem_from_table, problem_preset, run, snap, solve_global)
+from oswr.engine import StackExchange, exchange, sweep_once
 from oswr.errors import SingularSystem
-from oswr.grid import (BandedLU, SymmetricLDL, TridiagonalLU, _band_work, _coefficient_table,
-                       _fortran, _step_terms, eval_plane)
+from oswr.grid import (BandedLU, BandedSystem, SymmetricLDL, TridiagonalLU, _band_work,
+                       _coefficient_table, _fortran, _step_terms, assemble_step, eval_plane)
 from oswr.problem import PRESET_NAMES
-from oswr.subdomain import axis_range
+from oswr.subdomain import axis_range, solve_subdomain
 
 
 def _values(coeffs, t):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oswr import (CoefficientSet, ParabolicProblem, RobinParameter, build_grid,
-                  problem_preset, solve_global, solve_subdomain)
+                  problem_preset, solve_global)
 from oswr.decomposition import SubdomainEntry
 from oswr.errors import NonFiniteSolution
+from oswr.subdomain import solve_subdomain
 from tests.conftest import data_finite, make_huge_data_problem, make_zero_problem
 
 

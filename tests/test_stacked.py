@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from oswr import (AxisRange, DecompositionSpec, FaceRule, GlobalSolution, InitialGuess,
                   RobinParameter, StackOperator, SubdomainSolution, SWRConfig, WeightSpec,
-                  build_grid, compute_E, compute_error_fields, default_gamma, exchange,
-                  initial_traces, phi_boundary_check, problem_preset, run, snap,
+                  build_grid, default_gamma, initial_traces, problem_preset, run, snap,
                   solve_global)
 from oswr.decomposition import SubdomainEntry, SubdomainLayout
-from oswr.diagnostics import IterationRecord, StackDiagnostics
-from oswr.engine import StackExchange
+from oswr.diagnostics import (IterationRecord, StackDiagnostics, compute_E,
+                              compute_error_fields, phi_boundary_check)
+from oswr.engine import StackExchange, exchange
 from oswr.errors import DataMismatch, NodeOutOfRange, ShapeMismatch
 from oswr.grid import _strides
 from oswr.subdomain import axis_range

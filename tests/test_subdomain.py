@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from oswr import (DecompositionSpec, RobinParameter, SubdomainSolution,
-                  build_grid, extract_robin_trace, problem_preset, snap,
-                  solve_global, solve_subdomain)
+                  build_grid, problem_preset, snap, solve_global)
 from oswr.decomposition import SubdomainEntry
 from oswr.errors import DataMismatch, NodeOutOfRange
+from oswr.subdomain import extract_robin_trace, solve_subdomain
 from tests.conftest import make_zero_problem
 
 
