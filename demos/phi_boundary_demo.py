@@ -24,7 +24,6 @@ from oswr import (DecompositionSpec, InitialGuess, RobinParameter, StackOperator
                   WeightSpec, build_grid, initial_traces, problem_preset, snap,
                   solve_global)
 from oswr.diagnostics import StackDiagnostics
-from oswr.engine import StackExchange
 from oswr.subdomain import axis_range
 
 warnings.filterwarnings("ignore", message=".*snapped.*")
@@ -40,10 +39,9 @@ def worst_ratio(preset, count, theta, sweeps=20):
     p = RobinParameter(1.0)
     operator = StackOperator(problem, grid, [axis_range(e, p) for e in layout.entries])
     diagnose = StackDiagnostics(operator, oracle, p, WeightSpec(gamma=5.0, theta=theta))
-    faces = initial_traces(InitialGuess(), layout, grid, problem)
-    robin = StackExchange(operator, faces)
+    robin = initial_traces(InitialGuess(), layout, grid, problem)
     worst, floors = 0.0, None
-    for u, _ in operator.sweeps(faces, sweeps, robin.traces):
+    for u, _ in operator.sweeps(robin, sweeps):
         d = diagnose(u)
         if floors is None:
             floors = FLOOR * d.boundary_max

@@ -35,7 +35,7 @@ class SnapFailure(OswrError):
 
 class DataMismatch(OswrError):
     """Inputs that do not fit together (problem, grid, layout, axis ranges and
-    face data), or face data that are not finite."""
+    Robin data), or face data (Robin data, Dirichlet g) that are not finite."""
 
 
 class NodeOutOfRange(OswrError):

@@ -22,15 +22,16 @@ A step's matrix depends on the coefficient values at t_next and the face
 rules only, never on the iterate or the data.  A StackOperator places the
 step matrices of several axis node ranges (the strips of one sweep, which
 are independent within it) block-diagonally in one band.  When built, it
-evaluates f (and the lateral g) once on the whole space-time grid and the
-coefficients once at every grid time, and maps each entry of the band to
-the stencil term it takes, so a step's band is one scatter of its few
-terms.  Its one march loop, sweeps(), adds every face's data, times its
-per-step factor, in one right-hand-side build for all steps, and marches
+evaluates f once on the whole space-time grid, g once on every Dirichlet
+face and the coefficients once at every grid time, and maps each entry of
+the band to the stencil term it takes, so a step's band is one scatter of
+its few terms.  Callers pass Robin data only.  Its one march loop,
+sweeps(), adds every Robin face's data, times its per-step factor, in one
+right-hand-side build for all steps, and marches
 the sweeps of a run time-outer in blocks: each step is factored once per
 block and then costs each of the block's marches one solve in place in the
-iterate, and each march's Robin traces are gathered once, for the next
-march and for the caller.  In 1D a step whose rows are strictly
+iterate, and each march's Robin traces are gathered once (traces()), for
+the next march and for the caller.  In 1D a step whose rows are strictly
 diagonally dominant, with coupled entries of one sign (every step of the
 benchmark's 1D cases), is made symmetric by a row scaling R, stated range
 by range from its faces, once its Dirichlet face rows are folded into the
@@ -52,6 +53,7 @@ about double the start-up of a process.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import itertools
@@ -613,19 +615,19 @@ class StackOperator:
     matrix depends on the coefficient values at t_k and the face rules
     only, never on the iterate or the data.  Building the operator prepares
     the data of every step at once: f on the whole (nt+1) x axis x cross
-    grid in one call (and g on the two lateral planes in 2D), sliced into
-    the static right-hand side (nt+1, N); u0 from g at t=0 the same way;
-    from one coefficient table (_coefficient_table) each step's key and
-    every face's data factors; and the band map, where each of a step's
-    terms (_step_terms) lands in the band.  In 1D it also makes, from the
-    distinct steps' terms at once and range by range, the row scales R and
-    folds of the steps whose symmetric form qualifies (_prepare_symmetric).
-    Every face's data enter its rows the same way, data times the face's
-    factor at step k (plus, in 2D, the cross difference of the data times a
-    second factor): a Robin face's factors come from the ghost elimination,
-    a Dirichlet face's are the step diagonal d_k and 0, on rows whose
-    static value and u_prev weight are zero (the lateral g in the static
-    value is scaled by d_k too).
+    grid in one call, sliced into the static right-hand side (nt+1, N),
+    whose Dirichlet rows (the lateral faces in 2D and the Dirichlet axis
+    faces) hold d_k g instead and take no u_prev; u0 from g at t=0 the same
+    way; from one coefficient table (_coefficient_table) each step's key
+    and every Robin face's data factors; and the band map, where each of a
+    step's terms (_step_terms) lands in the band.  In 1D it also makes, from
+    the distinct steps' terms at once and range by range, the row scales R
+    and folds of the steps whose symmetric form qualifies
+    (_prepare_symmetric).  A Robin face's data enter its rows as the data
+    times the face's factor at step k from the ghost elimination (plus, in
+    2D, the cross difference of the data times a second factor); traces()
+    gathers every Robin face's data from an iterate, from the neighbouring
+    range.  A 1D operator of fewer than 3 unknowns raises BadResolution.
 
     sweeps() is the one march loop.  One rule gives every step its
     factors: a step reuses the previous step's while its key repeats, else
@@ -662,6 +664,8 @@ class StackOperator:
         ends = np.cumsum([0] + [(r.hi - r.lo + 1) * J for r in self.ranges])
         self.slices = [slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
         self.size = int(ends[-1])
+        if n == 1 and self.size < 3:  # scipy's ?gttrf rejects fewer, its ?pttrf fewer than 2
+            raise BadResolution(f"a 1D march needs at least 3 unknowns, not {self.size}")
         # 1 on the rows whose right-hand side takes u_prev/dt, 0 on the
         # Dirichlet rows: lateral faces (n=2) and Dirichlet axis faces.
         self.takes_prev = np.ones(self.size)
@@ -673,31 +677,37 @@ class StackOperator:
         self._keys: List[Optional[tuple]] = [None] + [tuple(v) for v in table[1:].tolist()]
         diag = _stencil(table.T, grid)[0]  # each Dirichlet row's diagonal
         nodes = eval_nodes(problem.f, grid, times)
+        axis = grid.axis_nodes()
         if n == 2:
-            cross, axis = grid.cross_nodes(), grid.axis_nodes()
+            cross = grid.cross_nodes()
             for j in (0, -1):
                 nodes[:, :, j] = diag[:, None] * problem.g(times[:, None], cross[j], axis)
         self._static = self._stack(nodes)  # (nt+1, N)
         self.u0 = self._stack(eval_nodes(problem.g, grid, times[:1])[0])
-        # Each face's rows (inner cross nodes in 2D) and its per-step factors,
-        # faces in range order, low face first; the indices of the Robin faces.
+        # A Dirichlet axis face's rows (inner cross nodes in 2D) take d_k g,
+        # as the lateral ones do; the Robin faces, in range order, low face
+        # first, take data times their per-step factors.
         j0, j1 = (1, J - 1) if n == 2 else (0, 1)
-        rows, factors, robin = [], [], []
-        for r, stack_rows, (sa, sc) in zip(self.ranges, self.slices, self._strides):
+        rows, factors, self._faces = [], [], []  # _faces: (range, low) per Robin face
+        for l, (r, stack_rows, (sa, sc)) in enumerate(zip(self.ranges, self.slices,
+                                                         self._strides)):
             for face, low in ((r.low, True), (r.high, False)):
                 first = stack_rows.start + (0 if low else (r.hi - r.lo) * sa)
-                rows.append(np.arange(first + j0 * sc, first + j1 * sc, sc))
-                if face.kind == "dirichlet":
-                    self.takes_prev[rows[-1]] = 0.0
-                    self._static[:, rows[-1]] = 0.0
-                    factors.append((diag, np.zeros(grid.nt + 1)))
-                else:
-                    robin.append(len(rows) - 1)
+                at = np.arange(first + j0 * sc, first + j1 * sc, sc)
+                if face.kind == "robin":
+                    rows.append(at)
                     factors.append(_robin_data_coefficients(table, grid, face, low))
-        self._rows, self._robin = np.stack(rows), np.array(robin, dtype=int)
+                    self._faces.append((l, low))
+                    continue
+                g = eval_plane(problem.g, grid, axis[r.lo if low else r.hi])
+                if not np.isfinite(g).all():  # the whole plane, corners too
+                    raise DataMismatch("trace values contain non-finite entries")
+                self.takes_prev[at] = 0.0
+                self._static[:, at] = diag[:, None] * g[:, j0:j1]
+        self._rows = np.array(rows, dtype=np.intp).reshape(len(rows), j1 - j0)
         self._inner = slice(j0, j1)  # the rows' cross nodes
         self._data_factor, self._cross_factor = (  # (nt+1, faces, 1)
-            np.stack(f, axis=1)[..., None] for f in zip(*factors))
+            np.reshape(factors, (len(rows), 2, grid.nt + 1, 1)).transpose(1, 2, 0, 3))
         N, bw = self.size, self.bandwidth
         # The band map: where each entry of _step_terms lands in _factor's
         # work array, by replaying _put_terms with the entries' indices (the
@@ -705,7 +715,7 @@ class StackOperator:
         # (Built in int32, which halves the pass over the band; kept in intp,
         # which numpy indexes with no conversion.)
         terms = np.full((2 * bw + 1, N), -1, dtype=np.int32, order="F")
-        _put_terms(terms, np.arange(7 + 4 * len(self._robin)), grid, self.ranges)
+        _put_terms(terms, np.arange(7 + 4 * len(self._faces)), grid, self.ranges)
         terms = terms.ravel(order="F")
         at = np.flatnonzero(terms >= 0)  # = column * (2*bw + 1) + row
         self._band_at = at + (at // (2 * bw + 1) + 1) * bw
@@ -853,18 +863,43 @@ class StackOperator:
             out += cross_factor * (data[..., 2:] - data[..., :-2])
         return out
 
-    def rhs(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    def rhs(self, robin: np.ndarray) -> np.ndarray:
         """Every step's right-hand side for zero u_prev, (nt+1, N), whose
-        row 0 is not used.
-
-        faces[i] holds the (nt+1, ncross) data of range i's low and high
-        face: solution values on a Dirichlet face, Robin data on a Robin one.
-        """
+        row 0 is not used, for the Robin data `robin` (see sweeps())."""
         out = self._static.copy()
-        data = np.stack([vals for pair in faces for vals in pair], axis=-2)
-        out[:, self._rows] = self._face_values(data, out[:, self._rows], self._data_factor,
+        out[:, self._rows] = self._face_values(robin, out[:, self._rows], self._data_factor,
                                                self._cross_factor)
         return out
+
+    @functools.cached_property
+    def _trace_map(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """What traces() reads: the columns of each Robin face's source node,
+        node + 1 and node - 1, (faces, ncross, 3); each face's sign and p,
+        (faces, 1); and 2h.  Range l's low (high) Robin face takes the data
+        of range l - 1 (l + 1) at node lo (hi), which must be strictly
+        inside it."""
+        cols = self._unstack(np.arange(self.size))
+        sources = np.zeros((len(self._faces), self.grid.nx_cross, 3), dtype=np.intp)
+        sign, p = np.zeros((2, len(self._faces), 1))
+        for q, (l, low) in enumerate(self._faces):
+            r, src = self.ranges[l], l - 1 if low else l + 1
+            node, rule = (r.lo, r.low) if low else (r.hi, r.high)
+            if not (0 <= src < len(self.ranges)
+                    and self.ranges[src].lo < node < self.ranges[src].hi):
+                raise NodeOutOfRange(f"node {node} is not strictly interior to subdomain {src}")
+            li = node - self.ranges[src].lo
+            sources[q] = cols[src][[li, li + 1, li - 1]].T
+            sign[q], p[q] = rule.sign, rule.p
+        return sources, sign, p, 2.0 * self.grid.hx_axis
+
+    def traces(self, u: np.ndarray) -> np.ndarray:
+        """The Robin data a stacked iterate (..., N), of all steps or of
+        one, gives the Robin faces, (..., faces, ncross), as sweeps() takes
+        them: sign * D_h u + p u at each face's source node (_trace_map), as
+        extract_robin_trace computes it."""
+        cols, sign, p, two_h = self._trace_map
+        g = u[..., cols]
+        return sign * ((g[..., 1] - g[..., 2]) / two_h) + p * g[..., 0]
 
     def _scale(self, b: np.ndarray) -> np.ndarray:
         """Fold and scale in place the right-hand sides b (nt+1, N) of the
@@ -880,35 +915,46 @@ class StackOperator:
         b *= R
         return R
 
-    def sweeps(self, faces: Sequence[Tuple[np.ndarray, np.ndarray]], count: int = 1,
-               traces: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    def sweeps(self, robin: np.ndarray, count: int = 1,
+               traces: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None,
                ) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
         """The stacked iterates u_j (nt+1, N) of `count` marches, in order,
-        each with its Robin traces traces(u_j) (None without `traces`).
+        each with its Robin traces traces(u_j); `traces` defaults to
+        self.traces.
 
-        March 0 takes the face data `faces` (see rhs()); march j + 1 the
-        same data but on its Robin faces, whose data are traces(u_j), one
-        (ncross,) row per Robin face (and step), in range order, low face
-        first.  The marches go time-outer in the fewest blocks of at most
-        `block`, as even as they can be, each block's iterates made when its
-        first is asked for: each step takes its factors, then march
-        j = 0, 1, ... of the block advances by one solve in place in its
-        iterate: u_prev / dt times the step's u_prev weight, plus its
-        right-hand side, solved.  For the symmetric 1D steps the weights,
-        the right-hand sides and the terms of later Robin rows are folded
-        and scaled once (_scale), and a solve is one ?pttrs.  Each march's
-        traces are gathered once: step by step, right after the solve, for
-        the next march of its block; at once, after the block, for its
-        last.  A step's factors are kept (under the cap) only in blocks of
-        one, when count > 1.  A block's iterates are views of one array,
-        whose memory lives while any of them does; the generator holds no
-        iterate it has yielded.
+        Callers pass Robin data only: every Dirichlet face carries g, which
+        the operator evaluated when built.  March 0 takes `robin`, the
+        Robin faces' data (nt+1, faces, ncross), in range order, low face
+        first, checked here; march j + 1 takes traces(u_j), in the same
+        layout (traces() gathers them from an iterate).  The marches go
+        time-outer in the fewest blocks of at most `block`, as even as they
+        can be, each block's iterates made when its first is asked for:
+        each step takes its factors, then march j = 0, 1, ... of the block
+        advances by one solve in place in its iterate: u_prev / dt times
+        the step's u_prev weight, plus its right-hand side, solved.  For the
+        symmetric 1D steps the weights, the right-hand sides and the terms
+        of later Robin rows are folded and scaled once (_scale), and a solve
+        is one ?pttrs.  Each march's traces are gathered once: step by
+        step, right after the solve, for the next march of its block; at
+        once, after the block, for its last.  A step's factors are kept
+        (under the cap) only in blocks of one, when count > 1.  A block's
+        iterates are views of one array, whose memory lives while any of
+        them does; the generator holds no iterate it has yielded.
         """
-        b = self.rhs(faces)  # march 0's; a later march rewrites the Robin rows
-        robin = self._robin
-        rows = self._rows[robin]
-        robin_terms = (self._static[:, rows], self._data_factor[:, robin],
-                       self._cross_factor[:, robin])
+        shape = (self.grid.nt + 1, len(self._faces), self.grid.nx_cross)
+        if robin.shape != shape:
+            raise DataMismatch(f"trace shape {robin.shape} != {shape}")
+        if not np.isfinite(robin).all():
+            raise DataMismatch("trace values contain non-finite entries")
+        return self._marches(robin, count, traces or self.traces)
+
+    def _marches(self, robin: np.ndarray, count: int,
+                 traces: Callable[[np.ndarray], Optional[np.ndarray]],
+                 ) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
+        """sweeps()'s generator, on checked data."""
+        b = self.rhs(robin)  # march 0's; a later march rewrites the Robin rows
+        rows = self._rows
+        robin_terms = (self._static[:, rows], self._data_factor, self._cross_factor)
         take = np.broadcast_to(self.takes_prev, b.shape)  # each step's u_prev weight
         if self._ldl:
             take = self._scale(b)
@@ -926,7 +972,7 @@ class StackOperator:
                 u[0] = self.u0
             # The traces of the block's marches but its last.
             last = len(us) - 1
-            ts = np.empty((last, len(b), len(robin), self.grid.nx_cross))
+            ts = np.empty((last, len(b), len(rows), self.grid.nx_cross))
             if last:
                 ts[:, 0] = traces(self.u0)
             for k in range(1, self.grid.nt + 1):
@@ -944,7 +990,7 @@ class StackOperator:
                     lu.solve(step)
                     if j < last:
                         ts[j, k] = traces(step)
-            ts = [*ts, None if traces is None else traces(us[-1])]
+            ts = [*ts, traces(us[-1])]
             if i + 1 < blocks:  # the Robin data of the next block's first march
                 b[:, rows] = self._face_values(ts[-1], *robin_terms)
             del u, step  # views of the last iterate: yielded, it is the caller's
@@ -959,29 +1005,15 @@ def check_domain(problem: ParabolicProblem, grid: SpaceTimeGrid) -> None:
                            f"the grid's {grid.domain}")
 
 
-def check_faces(grid: SpaceTimeGrid, ranges: Sequence[AxisRange],
-                faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> None:
-    """Raise DataMismatch unless each range has one finite (nt+1, ncross) face pair."""
-    if len(faces) != len(ranges):
-        raise DataMismatch(f"{len(faces)} face pairs for {len(ranges)} axis ranges")
-    shape = (grid.nt + 1, grid.nx_cross)
-    for low, high in faces:
-        for vals in (low, high):
-            if vals.shape != shape:
-                raise DataMismatch(f"trace shape {vals.shape} != {shape}")
-            if not np.all(np.isfinite(vals)):
-                raise DataMismatch("trace values contain non-finite entries")
-
-
 def march(problem: ParabolicProblem, grid: SpaceTimeGrid, ranges: Sequence[AxisRange],
-          faces: Sequence[Tuple[np.ndarray, np.ndarray]]) -> List[np.ndarray]:
+          robin: np.ndarray) -> List[np.ndarray]:
     """Backward-Euler march of axis node ranges side by side, on a
     StackOperator built for this march; returns one (nt+1, m, ncross) array
     per range.
 
-    faces[i] holds the (nt+1, ncross) data of range i's low and high axis
-    face (see check_faces); lateral faces (n=2) always carry Dirichlet data g.
+    robin holds the Robin faces' data, as StackOperator.sweeps() takes
+    them; Dirichlet faces, lateral ones (n=2) included, carry g.
     """
-    check_faces(grid, ranges, faces)
     operator = StackOperator(problem, grid, ranges)
-    return operator._unstack(next(operator.sweeps(faces))[0])
+    # It gathers no traces: the ranges need not chain.
+    return operator._unstack(next(operator.sweeps(robin, 1, lambda u: None))[0])

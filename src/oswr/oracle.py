@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteSolution
-from .grid import AxisRange, FaceRule, SpaceTimeGrid, check_domain, eval_plane, march
+from .grid import AxisRange, FaceRule, SpaceTimeGrid, march
 from .problem import ParabolicProblem
 
 
@@ -22,17 +22,15 @@ class GlobalSolution:
 
 
 def solve_global(problem: ParabolicProblem, grid: SpaceTimeGrid) -> GlobalSolution:
-    """Backward-Euler march with Dirichlet closures (data g) on every face.
+    """Backward-Euler march with Dirichlet closures on every face, whose
+    data g the march's StackOperator evaluates; it has no Robin face.
 
     Raises NonFiniteSolution, without numpy's overflow warnings, when the
     march overflows (as it can for a tiny dt).
     """
-    check_domain(problem, grid)  # before g is called with the grid's coordinates
     whole = AxisRange(0, grid.nx_axis - 1, FaceRule("dirichlet"), FaceRule("dirichlet"))
-    faces = (eval_plane(problem.g, grid, problem.domain.alpha),
-             eval_plane(problem.g, grid, problem.domain.beta))
     with np.errstate(over="ignore", invalid="ignore"):
-        values, = march(problem, grid, [whole], [faces])
+        values, = march(problem, grid, [whole], np.empty((grid.nt + 1, 0, grid.nx_cross)))
     if not np.all(np.isfinite(values)):
         raise NonFiniteSolution(f"the reference solution is not finite (dt = {grid.dt:g})")
     return GlobalSolution(values=values)

@@ -1,9 +1,9 @@
 """One-strip space-time solve and Robin trace extraction, the per-strip
 references of run()'s stacked march and exchange.
 
-Face data are one (nt+1, ncross) array per face: solution values on a
-Dirichlet face, Robin data sign * du/dx_n + p u on a Robin one; the
-strip's AxisRange (axis_range) states each face's kind, sign and p.
+A strip's Dirichlet faces carry g, which its march evaluates, and its
+Robin faces take the (nt+1, faces, ncross) Robin data sign * du/dx_n + p u;
+its AxisRange (axis_range) states each face's kind, sign and p.
 Outgoing Robin traces are extracted at nodes interior to the owning strip
 with centered differences, so they match the ghost-eliminated boundary rows
 exactly at the discrete level.
@@ -64,11 +64,11 @@ def axis_range(entry: SubdomainEntry, p: RobinParameter) -> AxisRange:
 
 
 def solve_subdomain(problem: ParabolicProblem, grid: SpaceTimeGrid,
-                    entry: SubdomainEntry, left: np.ndarray, right: np.ndarray,
+                    entry: SubdomainEntry, robin: np.ndarray,
                     p: RobinParameter) -> SubdomainSolution:
-    """March one strip over the whole time window with the given (nt+1,
-    ncross) face data."""
-    values, = march(problem, grid, [axis_range(entry, p)], [(left, right)])
+    """March one strip over the whole time window with the given Robin
+    data of its Robin faces."""
+    values, = march(problem, grid, [axis_range(entry, p)], robin)
     return SubdomainSolution(index=entry.index, i_left=entry.i_left, values=values)
 
 

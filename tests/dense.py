@@ -8,18 +8,26 @@ factorization: a reference that shares no code with the banded march.
 import numpy as np
 
 
-def dense_one_sweep(problem, grid, layout, traces, p):
+def _strip_faces(layout, robin):
+    """Each strip's (left, right) Robin data, (nt+1, ncross) each, from the
+    (nt+1, faces, ncross) array a sweep takes; None on a Dirichlet face."""
+    data = iter(np.moveaxis(robin, 1, 0))
+    return [tuple(None if kind == "dirichlet" else next(data)
+                  for kind in (e.left_kind, e.right_kind)) for e in layout.entries]
+
+
+def dense_one_sweep(problem, grid, layout, robin, p):
     """Independent brute-force reference for a single sweep.
 
     Assembles each strip's full space-time system (all backward-Euler steps
     coupled in one dense matrix) directly from the difference formulas and
-    solves it with a dense factorization.
+    solves it with a dense factorization.  Dirichlet faces take g.
     """
     h, dt = grid.hx_axis, grid.dt
     axis, times = grid.axis_nodes(), grid.times()
     coeffs = problem.coeffs
     out = []
-    for entry in layout.entries:
+    for entry, (left, right) in zip(layout.entries, _strip_faces(layout, robin)):
         i0, i1 = entry.i_left, entry.i_right
         m = i1 - i0 + 1
         x = axis[i0:i1 + 1]
@@ -47,13 +55,11 @@ def dense_one_sweep(problem, grid, layout, traces, p):
                     rhs[r] += u0[j] / dt
                 else:
                     A[r, idx(step - 1, j)] = -1.0 / dt
-            for j, low, data in ((0, True, traces[entry.index][0]),
-                                 (m - 1, False, traces[entry.index][1])):
+            for j, low, data in ((0, True, left), (m - 1, False, right)):
                 r = idx(step, j)
-                kind = entry.left_kind if low else entry.right_kind
-                if kind == "dirichlet":
+                if data is None:  # a Dirichlet face
                     A[r, r] = 1.0
-                    rhs[r] = float(data[step, 0])
+                    rhs[r] = float(problem.g(t, x[j]))
                     continue
                 # Ghost elimination: s*(u_in - u_ghost)/(2h) + p u = data
                 # substituted into the interior stencil at the face node.
@@ -73,12 +79,12 @@ def dense_one_sweep(problem, grid, layout, traces, p):
     return out
 
 
-def dense_one_sweep_2d(problem, grid, layout, traces, p):
+def dense_one_sweep_2d(problem, grid, layout, robin, p):
     """Independent brute-force reference for a single 2D sweep.
 
     Assembles each strip's full space-time system in one dense matrix, node
     by node: the nine-point stencil of L_h, identity rows with g on the
-    lateral faces and with the data on Dirichlet axis faces, and on a Robin
+    lateral faces and on Dirichlet axis faces, and on a Robin
     face the stencil's ghost nodes replaced through the discrete condition
     s * (u[i+1] - u[i-1]) / (2h) + p u[i] = data.  Solved with a dense
     factorization.
@@ -87,7 +93,7 @@ def dense_one_sweep_2d(problem, grid, layout, traces, p):
     axis, cross, times = grid.axis_nodes(), grid.cross_nodes(), grid.times()
     J, coeffs = grid.nx_cross, problem.coeffs
     out = []
-    for entry in layout.entries:
+    for entry, (left, right) in zip(layout.entries, _strip_faces(layout, robin)):
         i0, m = entry.i_left, entry.i_right - entry.i_left + 1
         x = axis[i0:i0 + m]
         N = grid.nt * m * J
@@ -98,8 +104,8 @@ def dense_one_sweep_2d(problem, grid, layout, traces, p):
         def idx(step, i, j):  # step is 1-based time level
             return ((step - 1) * m + i) * J + j
 
-        faces = {0: (entry.left_kind, traces[entry.index][0], p.sign("left"), -1.0),
-                 m - 1: (entry.right_kind, traces[entry.index][1], p.sign("right"), 1.0)}
+        faces = {0: (entry.left_kind, left, p.sign("left"), -1.0),
+                 m - 1: (entry.right_kind, right, p.sign("right"), 1.0)}
         for step in range(1, grid.nt + 1):
             t = times[step]
             a_ax, a_cr, a_mx = (float(coeffs.a[1][1](t)), float(coeffs.a[0][0](t)),
@@ -115,14 +121,10 @@ def dense_one_sweep_2d(problem, grid, layout, traces, p):
             for i in range(m):
                 for j in range(J):
                     r = idx(step, i, j)
-                    if j in (0, J - 1):
+                    kind, data, s, side = faces.get(i, ("interior", None, 0.0, 0.0))
+                    if j in (0, J - 1) or kind == "dirichlet":
                         A[r, r] = 1.0
                         rhs[r] = float(problem.g(t, cross[j], x[i]))
-                        continue
-                    kind, data, s, side = faces.get(i, ("interior", None, 0.0, 0.0))
-                    if kind == "dirichlet":
-                        A[r, r] = 1.0
-                        rhs[r] = float(data[step, j])
                         continue
                     rhs[r] = fv[i, j]
                     if step == 1:

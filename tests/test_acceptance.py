@@ -61,7 +61,7 @@ class CaseRun:
                     all(phi_boundary_check(f).ok for f in fields))
             if self.seconds_to_1e8 is None and self.sup_e[-1] <= 1e-8:
                 self.seconds_to_1e8 = solver_seconds
-            traces = exchange(sols, self.layout, self.grid, p, traces)
+            traces = exchange(sols, self.layout, self.grid, p)
             if self.sup_e[-1] <= 1e-13 and k > 20:
                 break
 

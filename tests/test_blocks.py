@@ -22,7 +22,7 @@ from oswr import (CoefficientSet, DecompositionSpec, GlobalSolution, InitialGues
                   ParabolicProblem, RobinParameter, StackOperator, SWRConfig, build_grid,
                   problem_preset, run, snap, solve_global)
 from oswr.diagnostics import StackDiagnostics
-from oswr.engine import StackExchange, initial_traces
+from oswr.engine import initial_traces
 from oswr.errors import DataMismatch, SingularSystem
 from oswr.grid import BandedLU, TridiagonalLU
 from oswr.subdomain import axis_range
@@ -206,8 +206,8 @@ def test_blocks_only_where_they_factor_less(monkeypatch, iterates, block):
     ranges = [axis_range(e, RobinParameter(1.0)) for e in layout.entries]
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", KEEP_ALL)
     every = StackOperator(prob, grid, ranges)
-    faces = [(np.zeros((grid.nt + 1, 1)),) * 2] * len(ranges)
-    list(every.sweeps(faces, 2, StackExchange(every, faces).traces))
+    zero = np.zeros((grid.nt + 1, len(every._faces), 1))
+    list(every.sweeps(zero, 2, every.traces))
     cap = iterates * _iterate_bytes(prob, grid, layout)
     assert every.nbytes > cap and cap // (every.nbytes // 12) == 3 * iterates - 1
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
@@ -225,8 +225,8 @@ def test_blocks_count_swapped_band_factors(monkeypatch):
     ranges = [axis_range(e, RobinParameter(1.0)) for e in layout.entries]
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 3 * _iterate_bytes(prob, grid, layout))
     operator = StackOperator(prob, grid, ranges)
-    faces = [(np.zeros((grid.nt + 1, grid.nx_cross)),) * 2] * len(ranges)
-    list(operator.sweeps(faces, 6, StackExchange(operator, faces).traces))
+    zero = np.zeros((grid.nt + 1, len(operator._faces), grid.nx_cross))
+    list(operator.sweeps(zero, 6, operator.traces))
     assert operator.block == 3 and operator.factorizations <= 2
     lu = operator._factor(operator._keys[1], keep=False)
     assert lu.lower is None and lu.nbytes > oswr.grid.FACTOR_CACHE_BYTES
@@ -243,13 +243,13 @@ def test_mixed_1d_steps_in_blocks(monkeypatch):
     prob = ParabolicProblem(domain=base.domain, f=base.f, g=base.g,
                             coeffs=CoefficientSet.build(0.1, lambda t: 12.0 * t, 0.0))
     ranges = [axis_range(e, RobinParameter(1.0)) for e in layout.entries]
-    faces = initial_traces(InitialGuess("random-smooth", seed=5), layout, grid, prob)
+    robin = initial_traces(InitialGuess("random-smooth", seed=5), layout, grid, prob)
     marched = []
     for cap in (KEEP_ALL, 2 * _iterate_bytes(prob, grid, layout)):
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
         operator = StackOperator(prob, grid, ranges)
         marched.append([(u.copy(), traces) for u, traces in
-                        operator.sweeps(faces, 5, StackExchange(operator, faces).traces)])
+                        operator.sweeps(robin, 5, operator.traces)])
     assert operator.block == 2
     assert [key in operator._ldl for key in operator._keys[1:]] == [True] * 5 + [False] * 7
     for (u, traces), (ref, ref_traces) in zip(*marched[::-1]):
@@ -315,8 +315,8 @@ def test_wide_layout_marches_one_block(monkeypatch):
             super().__init__(*args)
             operators.append(self)
 
-        def sweeps(self, faces, count=1, traces=None):
-            marches = super().sweeps(faces, count, traces)
+        def sweeps(self, robin, count=1, traces=None):
+            marches = super().sweeps(robin, count, traces)
             for _ in range(count):
                 # A block's iterates are views of one array.  When the next
                 # block's array is made, the last one is gone, from run()

@@ -11,10 +11,11 @@ One sweep_once, and each of the first two iterates of one
 StackOperator.sweeps() call (the second on the first's Robin traces), must
 equal the dense solves on their face data to tol = 1e-10 * max(1, max|u|):
 the two solves differ by rounding, which grows with |u| (about
-2 cond eps |u|).  StackExchange.update must put
-sign * (u[i+1] - u[i-1]) / (2h) + p * u[i] in place of each Robin face's
-data: exactly as computed from the stacked iterate, and within the error
-those formulas carry from tol in u when computed from the dense fields.
+2 cond eps |u|).  StackOperator.traces must give each Robin face
+sign * (u[i+1] - u[i-1]) / (2h) + p * u[i]: exactly as computed from the
+stacked iterate, and within the error those formulas carry from tol in u
+when computed from the dense fields; the trace increment, as run() takes
+it, is their largest change from the face's data before.
 StackDiagnostics' E_k, sup|e| and each strip's Phi interior and boundary
 maxima must match plain numpy on the dense fields, within the same error.
 """
@@ -30,7 +31,7 @@ from oswr import (DecompositionSpec, InitialGuess, RobinParameter, StackOperator
                   build_grid, initial_traces, problem_from_table, problem_preset, snap,
                   solve_global)
 from oswr.diagnostics import StackDiagnostics, WeightSpec, default_gamma
-from oswr.engine import StackExchange, sweep_once
+from oswr.engine import sweep_once
 from oswr.problem import PRESET_NAMES
 from oswr.subdomain import axis_range
 from tests.dense import dense_one_sweep, dense_one_sweep_2d
@@ -128,27 +129,25 @@ def test_sweep_and_exchange_match_dense_solves(case):
         assert np.max(np.abs(sol.values - ref)) <= tol
 
     # run()'s path: marches 0 and 1 of one sweeps() call, each against the
-    # dense solves on its own face data.  From march 1 on, sweeps() writes
+    # dense solves on its own Robin data.  From march 1 on, sweeps() writes
     # the Robin rows from its own terms, not through rhs().
     operator = StackOperator(prob, grid, [axis_range(e, p) for e in layout.entries])
-    robin = StackExchange(operator, traces)
-    faces = traces
-    for u, outgoing in operator.sweeps(traces, 2, robin.traces):
+    robin = traces
+    for u, outgoing in operator.sweeps(traces, 2, operator.traces):
         refs = (dense_one_sweep_2d if prob.domain.n == 2 else dense_one_sweep)(
-            prob, grid, layout, faces, p)
+            prob, grid, layout, robin, p)
         refs = [d.reshape(d.shape[0], d.shape[1], -1) for d in refs]
         march_tol = TOL * max(1.0, max(np.max(np.abs(d)) for d in refs))
         for field, ref in zip(operator._unstack(u), refs):
             assert np.max(np.abs(field - ref)) <= march_tol
-        rows = iter(np.moveaxis(outgoing, 1, 0))  # one per Robin face, in order
-        faces = [tuple(next(rows) if kind == "robin" else data
-                       for kind, data in zip((e.left_kind, e.right_kind), pair))
-                 for e, pair in zip(layout.entries, faces)]
+        robin = outgoing
 
     u, _ = next(operator.sweeps(traces))
-    increment = robin.update(robin.traces(u))
+    robin = operator.traces(u)
+    increment = float(np.max(np.abs(robin - traces)))  # as run() takes it
     fields, h = operator._unstack(u), grid.hx_axis
-    outgoing = iter(np.moveaxis(robin.robin, 1, 0))  # one per Robin face, in order
+    outgoing = iter(np.moveaxis(robin, 1, 0))  # one per Robin face, in order
+    before = iter(np.moveaxis(traces, 1, 0))
     deltas = []
     for entry in layout.entries:
         l = entry.index
@@ -161,7 +160,7 @@ def test_sweep_and_exchange_match_dense_solves(case):
             for field, bound in ((fields[src], 0.0), (dense[src], tol * (1.0 / h + p.p))):
                 expect = s * ((field[:, i + 1] - field[:, i - 1]) / (2.0 * h)) + p.p * field[:, i]
                 assert np.max(np.abs(data - expect)) <= bound
-            deltas.append(np.max(np.abs(data - traces[l][face])))
+            deltas.append(np.max(np.abs(data - next(before))))
     assert next(outgoing, None) is None
     assert increment == max(deltas)
 

@@ -13,9 +13,8 @@ from oswr import (DecompositionSpec, DomainSpec, GlobalSolution, InitialGuess,
                   SubdomainSolution, build_grid, initial_traces, march, problem_preset, run,
                   snap, solve_global)
 from oswr.diagnostics import StackDiagnostics
-from oswr.engine import StackExchange, exchange, sweep_once
+from oswr.engine import exchange, sweep_once
 from oswr.errors import DataMismatch, OswrError
-from oswr.grid import eval_plane
 from oswr.subdomain import axis_range, extract_robin_trace, solve_subdomain
 from tests.conftest import make_zero_problem
 
@@ -38,25 +37,22 @@ class TestInitialGuess:
         prob, grid, layout, _ = setup
         traces = initial_traces(InitialGuess(kind="constant", value=1.0),
                                 layout, grid, prob)
-        # Interior interfaces carry the constant; extremes carry Dirichlet g.
-        assert np.all(traces[0][1] == 1.0)
-        assert np.array_equal(traces[0][0], eval_plane(prob.g, grid, prob.domain.alpha))
-        assert np.array_equal(traces[1][1], eval_plane(prob.g, grid, prob.domain.beta))
+        # Interior interfaces carry the constant; extremes carry no data.
+        assert traces.shape == (grid.nt + 1, 2, 1)
+        assert np.all(traces == 1.0)
 
     def test_random_smooth_deterministic(self, setup):
         prob, grid, layout, _ = setup
         g = InitialGuess(kind="random-smooth", seed=7)
         t1 = initial_traces(g, layout, grid, prob)
         t2 = initial_traces(g, layout, grid, prob)
-        for (a1, b1), (a2, b2) in zip(t1, t2):
-            assert np.array_equal(b1, b2)
-            assert np.array_equal(a1, a2)
+        assert np.array_equal(t1, t2)
 
     def test_zero_guess_traces(self, setup):
         prob, grid, layout, _ = setup
         traces = initial_traces(InitialGuess(), layout, grid, prob)
-        assert np.all(traces[0][1] == 0.0)
-        assert np.all(traces[1][0] == 0.0)
+        assert np.all(traces[:, 0] == 0.0)
+        assert np.all(traces[:, 1] == 0.0)
 
 
 class TestSWRConfig:
@@ -97,7 +93,7 @@ class TestJacobiDataflow:
         p = RobinParameter(1.0)
         sols = sweep_once(prob, grid, layout, traces, p)
         mid = layout.entries[1]
-        direct = solve_subdomain(prob, grid, mid, traces[1][0], traces[1][1], p)
+        direct = solve_subdomain(prob, grid, mid, traces[:, 1:3], p)  # its two Robin faces
         assert np.array_equal(sols[1].values, direct.values)
 
     def test_exchange_wiring(self, setup):
@@ -106,14 +102,13 @@ class TestJacobiDataflow:
                                 layout, grid, prob)
         p = RobinParameter(1.0)
         sols = sweep_once(prob, grid, layout, traces, p)
-        new = exchange(sols, layout, grid, p, traces)
+        new = exchange(sols, layout, grid, p)
         # Subdomain 0's right inbound is extracted from subdomain 1 at b_1.
         expected = extract_robin_trace(sols[1], grid,
                                        layout.entries[0].i_right, p, "right")
-        assert np.array_equal(new[0][1], expected)
-        # Extreme-face Dirichlet traces are passed through unchanged.
-        assert new[0][0] is traces[0][0]
-        assert new[1][1] is traces[1][1]
+        assert np.array_equal(new[:, 0], expected)
+        # Extreme (Dirichlet) faces carry no data: one row per Robin face.
+        assert new.shape == traces.shape
 
 
 def test_mirror_symmetry():
@@ -150,8 +145,7 @@ def test_fixed_point_consistency(setup):
     fake = [SubdomainSolution(index=e.index, i_left=e.i_left,
                               values=oracle.values[:, e.i_left:e.i_right + 1, :])
             for e in layout.entries]
-    traces = initial_traces(InitialGuess(), layout, grid, prob)
-    traces = exchange(fake, layout, grid, p, traces)
+    traces = exchange(fake, layout, grid, p)
     sols = sweep_once(prob, grid, layout, traces, p)
     for sol, ref in zip(sols, fake):
         assert np.max(np.abs(sol.values - ref.values)) <= 1e-10
@@ -207,44 +201,45 @@ def test_error_context_attached(setup):
 
 
 def _one_row(traces):
-    return [(traces[0][0], traces[0][1][:1])] + traces[1:], r"trace shape \(1, 1\) != \(5, 1\)"
+    return traces[:1], r"trace shape \(1, (1|2), 1\) != \(5, (1|2), 1\)"
 
 
 def _nan_entry(traces):
-    bad = traces[0][1].copy()
-    bad[2, 0] = np.nan
-    return [(traces[0][0], bad)] + traces[1:], "trace values contain non-finite entries"
+    bad = traces.copy()
+    bad[2, 0, 0] = np.nan
+    return bad, "trace values contain non-finite entries"
 
 
 def _short(traces):
-    return traces[:1], "1 face pairs for 2 axis ranges"
+    return traces[:, :1], r"trace shape \(5, 1, 1\) != \(5, 2, 1\)"
 
 
-def _march(prob, grid, layout, p, faces):
-    march(prob, grid, [axis_range(e, p) for e in layout.entries], faces)
+def _march(prob, grid, layout, p, robin):
+    march(prob, grid, [axis_range(e, p) for e in layout.entries], robin)
 
 
-def _sweep_once(prob, grid, layout, p, faces):
-    sweep_once(prob, grid, layout, faces, p)
+def _sweep_once(prob, grid, layout, p, robin):
+    sweep_once(prob, grid, layout, robin, p)
 
 
-def _solve_subdomain(prob, grid, layout, p, faces):
-    solve_subdomain(prob, grid, layout.entries[0], *faces[0], p)
+def _solve_subdomain(prob, grid, layout, p, robin):
+    solve_subdomain(prob, grid, layout.entries[0], robin[:, :1], p)  # its one Robin face
 
 
-def _stack_exchange(prob, grid, layout, p, faces):
-    StackExchange(StackOperator(prob, grid, [axis_range(e, p) for e in layout.entries]),
-                  faces)
+def _stack_exchange(prob, grid, layout, p, robin):
+    """run()'s entry: the stacked march and exchange of every strip."""
+    operator = StackOperator(prob, grid, [axis_range(e, p) for e in layout.entries])
+    operator.sweeps(robin, 2)
 
 
 class TestFaceCheck:
-    """Face data are checked where they enter: by march, and so by
-    sweep_once and solve_subdomain, and by StackExchange for run()."""
+    """Robin data are checked where they enter, by StackOperator.sweeps():
+    for march, and so sweep_once and solve_subdomain, and for run()."""
 
     @pytest.mark.parametrize("enter, spoil", [
         (enter, spoil) for enter in (_march, _sweep_once, _solve_subdomain, _stack_exchange)
         for spoil in (_one_row, _nan_entry, _short)
-        if (enter, spoil) != (_solve_subdomain, _short)])  # it takes one strip's pair
+        if (enter, spoil) != (_solve_subdomain, _short)])  # it takes one strip's face
     def test_rejected(self, setup, enter, spoil):
         prob, _, layout, _ = setup
         grid = build_grid(prob.domain, 41, 4)
@@ -252,6 +247,25 @@ class TestFaceCheck:
         faces, message = spoil(traces)
         with pytest.raises(DataMismatch, match=message):
             enter(prob, grid, layout, RobinParameter(1.0), faces)
+
+    def test_sweeps_gather_their_own_traces(self, setup):
+        # Without `traces`, sweeps() gathers each march's with op.traces.
+        prob, grid, layout, _ = setup
+        p = RobinParameter(1.0)
+        operator = StackOperator(prob, grid, [axis_range(e, p) for e in layout.entries])
+        robin = initial_traces(InitialGuess(), layout, grid, prob)
+        own = list(operator.sweeps(robin, 3))
+        given = list(operator.sweeps(robin, 3, operator.traces))
+        for (u, t), (v, s) in zip(own, given):
+            assert np.array_equal(u, v) and np.array_equal(t, s)
+            assert np.array_equal(t, operator.traces(u))
+
+    def test_one_sweep_run(self, setup):
+        prob, grid, layout, oracle = setup
+        config = SWRConfig(p=RobinParameter(1.0), max_iters=1)
+        history = run(prob, grid, layout, config, oracle)
+        assert len(history.rows) == 1 and history.termination == "max_iters"
+        assert np.isfinite(history.rows[0].trace_increment)
 
     def test_nonfinite_g_stops_run_before_the_first_sweep(self, setup, monkeypatch):
         prob, grid, layout, oracle = setup
@@ -261,6 +275,25 @@ class TestFaceCheck:
         monkeypatch.setattr(StackOperator, "sweeps", lambda *_: pytest.fail("swept"))
         with pytest.raises(DataMismatch, match="^trace values contain non-finite entries$"):
             run(bad, grid, layout, SWRConfig(p=RobinParameter(1.0)), oracle)
+
+    @pytest.mark.parametrize("solve", ["run", "solve_global"])
+    def test_nonfinite_g_at_a_lateral_corner(self, solve, monkeypatch):
+        # 2D: g is not finite only at (alpha, 0), a corner of the first
+        # strip's low face, which the lateral faces share.
+        prob = problem_preset("heat2d")
+        grid = build_grid(prob.domain, 21, 4, 7)
+        layout = snap(DecompositionSpec.uniform(prob.domain, 2, 0.2), grid)
+        alpha, c0 = prob.domain.alpha, prob.domain.cross[0]
+        bad = ParabolicProblem(domain=prob.domain, coeffs=prob.coeffs, f=prob.f,
+                               g=lambda t, y, x: np.where((x == alpha) & (y == c0), np.nan,
+                                                          prob.g(t, y, x)))
+        oracle = solve_global(prob, grid)
+        monkeypatch.setattr(StackOperator, "sweeps", lambda *_: pytest.fail("swept"))
+        with pytest.raises(DataMismatch, match="^trace values contain non-finite entries$"):
+            if solve == "run":
+                run(bad, grid, layout, SWRConfig(p=RobinParameter(1.0)), oracle)
+            else:
+                solve_global(bad, grid)
 
 
 DOMAINS = st.builds(
@@ -303,8 +336,9 @@ def mismatched_inputs(draw):
         "run": lambda: run(problem, grid, layout, SWRConfig(p=p, max_iters=2), GlobalSolution(
             np.zeros((grid.nt + 1, grid.nx_axis, grid.nx_cross)))),
         "solve_global": lambda: solve_global(problem, grid),
-        "march": lambda: march(problem, grid, ranges, [
-            (np.zeros((grid.nt + 1, grid.nx_cross)),) * 2 for _ in ranges]),
+        "march": lambda: march(problem, grid, ranges, np.zeros((
+            grid.nt + 1, sum(f.kind == "robin" for r in ranges for f in (r.low, r.high)),
+            grid.nx_cross))),
         "StackOperator": lambda: StackOperator(problem, grid, ranges),
     }
     if kind == "domain":

@@ -76,9 +76,21 @@ class TestAssembleStep:
         prob = make_zero_problem(problem_preset("heat1d"))
         grid = build_grid(prob.domain, 21, 10)
         whole = AxisRange(0, 20, FaceRule("dirichlet"), FaceRule("dirichlet"))
-        zero = np.zeros((grid.nt + 1, 1))
-        u, = march(prob, grid, [whole], [(zero, zero)])
+        u, = march(prob, grid, [whole], np.zeros((grid.nt + 1, 0, 1)))
         assert np.max(np.abs(u)) <= 1e-14
+
+    @pytest.mark.parametrize("lo, hi, low, high", [
+        (3, 3, "dirichlet", "dirichlet"), (3, 3, "robin", "robin"),
+        (3, 4, "dirichlet", "robin"), (3, 4, "robin", "dirichlet"), (3, 4, "robin", "robin")])
+    def test_tiny_1d_march_rejected(self, lo, hi, low, high):
+        # LAPACK's tridiagonal wrappers take no fewer than 3 unknowns.
+        prob = problem_preset("heat1d")
+        grid = build_grid(prob.domain, 11, 3)
+        r = AxisRange(lo, hi, FaceRule(low, 1.0), FaceRule(high, 1.0))
+        robin = np.zeros((grid.nt + 1, [low, high].count("robin"), 1))
+        with pytest.raises(BadResolution, match=r"^a 1D march needs at least 3 unknowns, "
+                                                rf"not {hi - lo + 1}$"):
+            march(prob, grid, [r], robin)
 
 
 def _final_time_error(prob, nx, nt, nx_cross=None):

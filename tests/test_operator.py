@@ -22,7 +22,7 @@ from oswr import (AxisRange, CoefficientSet, DecompositionSpec, FaceRule,
                   GlobalSolution, InitialGuess, ParabolicProblem, RobinParameter,
                   StackOperator, SWRConfig, build_grid, initial_traces,
                   problem_from_table, problem_preset, run, snap, solve_global)
-from oswr.engine import StackExchange, exchange, sweep_once
+from oswr.engine import exchange, sweep_once
 from oswr.errors import SingularSystem
 from oswr.grid import (BandedLU, BandedSystem, SymmetricLDL, TridiagonalLU, _band_work,
                        _coefficient_table, _fortran, _step_terms, assemble_step, eval_plane)
@@ -183,9 +183,11 @@ def test_assembly_matches_loop_reference(preset, nx, nx_cross, kinds, low_sign):
                                 np.zeros((2, m)), zero, zero)
         assert np.array_equal(ab, _reordered_band(ref, ref_bw, order, bw))
         # Every step: the band, and the right-hand side for zero u_prev with
-        # random face data.
-        faces = rng.standard_normal((2, grid.nt + 1, J))
-        rhs = StackOperator(prob, grid, [r]).rhs([faces])
+        # random Robin data (and g on Dirichlet faces).
+        operator = StackOperator(prob, grid, [r])
+        robin = rng.standard_normal((grid.nt + 1, len(operator._faces), J))
+        faces, = _face_data(prob, grid, [r], robin)
+        rhs = operator.rhs(robin)
         for k, t in enumerate(grid.times()[1:], start=1):
             ab = assemble_step(_values(prob.coeffs, t), grid, [r])
             ref, ref_rhs = _loop_assemble(prob.coeffs, grid, t, r, faces[:, k],
@@ -249,18 +251,26 @@ def _picks(operator, seed):
     unknowns of an iterate (of all steps or of one), one (ncross,) row per
     Robin face, as StackOperator.sweeps() takes traces."""
     cols = np.random.default_rng(seed).integers(
-        0, operator.size, (len(operator._robin), operator.grid.nx_cross))
+        0, operator.size, (len(operator._faces), operator.grid.nx_cross))
     return lambda u: u[..., cols]
 
 
-def _with_robin(operator, faces, data):
-    """The face pairs `faces`, (ranges, 2, nt+1, ncross), with the Robin
-    faces' data replaced by data[:, q], q counting the Robin faces in range
-    order, low face first."""
-    flat = [vals for pair in faces for vals in pair]
-    for q, i in enumerate(operator._robin):
-        flat[i] = data[:, q]
-    return np.reshape(flat, (-1, 2) + flat[0].shape)
+def _robin(operator, seed):
+    """Random Robin data for the operator's Robin faces, as sweeps() takes
+    them."""
+    grid = operator.grid
+    return np.random.default_rng(seed).standard_normal(
+        (grid.nt + 1, len(operator._faces), grid.nx_cross))
+
+
+def _face_data(prob, grid, ranges, robin):
+    """Each range's low and high face data (2, nt+1, ncross) for the
+    per-step references: g on a Dirichlet face, its row of the Robin data
+    `robin` (range order, low face first) on a Robin one."""
+    rows, axis = iter(np.moveaxis(robin, 1, 0)), grid.axis_nodes()
+    return [np.array([next(rows) if face.kind == "robin"
+                      else eval_plane(prob.g, grid, axis[node])
+                      for face, node in ((r.low, r.lo), (r.high, r.hi))]) for r in ranges]
 
 
 OPERATOR_GRIDS = [("tvar1d", 15, None, 6), ("heat1d", 15, None, 6), ("tvar2d", 11, 7, 4)]
@@ -283,14 +293,16 @@ def test_operator_matches_per_step_assembly(monkeypatch, preset, nx, nx_cross, n
     operator = StackOperator(prob, grid, ranges)
     data = np.random.default_rng(9).standard_normal((len(ranges), 2, grid.nt + 1,
                                                      grid.nx_cross))
+    robin = np.stack([data[l, 0 if low else 1] for l, low in operator._faces], axis=1)
     traces = _picks(operator, 9)
     # The first march factors the steps, later ones reuse the kept ones and
     # take their Robin data from the iterate before.
-    for u, _ in operator.sweeps(data, 3, traces):
-        for r, faces, values in zip(ranges, data, operator._unstack(u)):
-            ref = _per_step_reference(prob, grid, r, faces)
+    for u, _ in operator.sweeps(robin, 3, traces):
+        faces = _face_data(prob, grid, ranges, robin)
+        for r, pair, values in zip(ranges, faces, operator._unstack(u)):
+            ref = _per_step_reference(prob, grid, r, pair)
             assert np.max(np.abs(values - ref)) <= 1e-12
-        data = _with_robin(operator, data, traces(u))
+        robin = traces(u)
     assert (operator.nbytes == 0) == capped
 
 
@@ -337,13 +349,13 @@ def test_1d_steps_match_per_step_assembly(monkeypatch, kind, capped):
     _check_symmetric_forms(operator)
     assert all(isinstance(operator._factor(key, keep=False), TridiagonalLU)
                for key in set(operator._keys[1:]) - set(operator._ldl))
-    data = np.random.default_rng(8).standard_normal((len(ranges), 2, grid.nt + 1, 1))
-    traces = _picks(operator, 8)
-    for u, _ in operator.sweeps(data, 3, traces):
-        for r, faces, values in zip(ranges, data, operator._unstack(u)):
-            ref = _per_step_reference(prob, grid, r, faces)
+    robin, traces = _robin(operator, 8), _picks(operator, 8)
+    for u, _ in operator.sweeps(robin, 3, traces):
+        faces = _face_data(prob, grid, ranges, robin)
+        for r, data, values in zip(ranges, faces, operator._unstack(u)):
+            ref = _per_step_reference(prob, grid, r, data)
             assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
-        data = _with_robin(operator, data, traces(u))
+        robin = traces(u)
     assert (operator.nbytes == 0) == capped
 
 
@@ -370,13 +382,14 @@ def test_stacked_matrix_is_block_diagonal(preset, nx_cross):
     sizes = [(r.hi - r.lo + 1) * J for r in operator.ranges]
     order = np.concatenate([start + _order(r.hi - r.lo + 1, J) for r, start
                             in zip(operator.ranges, np.cumsum([0] + sizes))])
-    zero = np.zeros((grid.nt + 1, J))
-    static = operator.rhs([(zero, zero)] * len(operator.ranges))
+    zero = np.zeros((grid.nt + 1, len(operator._faces), J))
+    static = operator.rhs(zero)
+    faces = _face_data(prob, grid, operator.ranges, zero)
     for k, t in enumerate(grid.times()[1:], start=1):
         blocks, rhs = [], []
-        for r in operator.ranges:
+        for r, data in zip(operator.ranges, faces):
             m = r.hi - r.lo + 1
-            ab, b = _loop_assemble(prob.coeffs, grid, t, r, np.zeros((2, J)),
+            ab, b = _loop_assemble(prob.coeffs, grid, t, r, data[:, k],
                                    _lateral(prob, grid, t, r),
                                    np.zeros((m, J)), _nodes(prob.f, grid, t, r))
             blocks.append(BandedSystem(bandwidth=ref_bw, ab=ab, rhs=b).to_dense())
@@ -396,13 +409,16 @@ def test_sweep_matches_per_strip_solves(preset, nx_cross):
     traces = initial_traces(InitialGuess("random-smooth", seed=3), layout, grid, prob)
     sols = sweep_once(prob, grid, layout, traces, p)
     # The second sweep runs on the kept factors, from the first's traces.
-    for u, _ in operator.sweeps(traces, 2, StackExchange(operator, traces).traces):
-        for entry, sol, v in zip(layout.entries, sols, operator._unstack(u)):
-            ref = solve_subdomain(prob, grid, entry, *traces[entry.index], p)
+    for u, _ in operator.sweeps(traces, 2, operator.traces):
+        strip_data = np.split(traces, np.cumsum([
+            (e.left_kind == "robin") + (e.right_kind == "robin") for e in layout.entries]),
+            axis=1)
+        for entry, sol, v, robin in zip(layout.entries, sols, operator._unstack(u), strip_data):
+            ref = solve_subdomain(prob, grid, entry, robin, p)
             assert (sol.index, sol.i_left) == (ref.index, ref.i_left)
             assert np.max(np.abs(sol.values - ref.values)) <= 1e-12
             assert np.max(np.abs(v - ref.values)) <= 1e-12
-        traces = exchange(sols, layout, grid, p, traces)
+        traces = exchange(sols, layout, grid, p)
         sols = sweep_once(prob, grid, layout, traces, p)
     assert operator.nbytes > 0
 
@@ -413,7 +429,7 @@ def test_factorizations_per_run(preset, per_run):
     p = RobinParameter(1.0)
     operator = _stack(prob, grid, layout, p)
     traces = initial_traces(InitialGuess("random-smooth", seed=1), layout, grid, prob)
-    list(operator.sweeps(traces, 3, StackExchange(operator, traces).traces))
+    list(operator.sweeps(traces, 3, operator.traces))
     assert operator.factorizations == per_run
     assert operator.nbytes > 0
 
@@ -557,13 +573,13 @@ def test_two_node_range_with_one_dirichlet_face(kinds):
     assert StackOperator(prob, grid, ranges[:1])._ldl
     operator = StackOperator(prob, grid, ranges)
     assert not operator._ldl
-    data = np.random.default_rng(6).standard_normal((len(ranges), 2, grid.nt + 1, 1))
-    traces = _picks(operator, 6)
-    for u, _ in operator.sweeps(data, 3, traces):
-        for r, faces, values in zip(ranges, data, operator._unstack(u)):
-            ref = _per_step_reference(prob, grid, r, faces)
+    robin, traces = _robin(operator, 6), _picks(operator, 6)
+    for u, _ in operator.sweeps(robin, 3, traces):
+        faces = _face_data(prob, grid, ranges, robin)
+        for r, data, values in zip(ranges, faces, operator._unstack(u)):
+            ref = _per_step_reference(prob, grid, r, data)
             assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
-        data = _with_robin(operator, data, traces(u))
+        robin = traces(u)
 
 
 @pytest.mark.parametrize("preset,nx,nt,count,overlap,p_values",
@@ -637,9 +653,7 @@ def test_kept_symmetric_factors_within_the_cap(monkeypatch):
     operator = _stack(prob, grid, layout, RobinParameter(1.0))
     step = 8 * (2 * operator.size - 1)
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 5 * step // 2)
-    faces = np.random.default_rng(4).standard_normal((len(operator.ranges), 2,
-                                                      grid.nt + 1, 1))
-    list(operator.sweeps(faces, 2, _picks(operator, 4)))
+    list(operator.sweeps(_robin(operator, 4), 2, _picks(operator, 4)))
     assert list(operator._lus) == operator._keys[1:3] and operator.nbytes == 2 * step
     assert all(isinstance(lu, SymmetricLDL) and lu.nbytes == step
                for lu in operator._lus.values())
@@ -652,7 +666,7 @@ def test_cap_zero_refactors_every_step(monkeypatch):
     # The cap is read when factors are kept, not when the operator is built.
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 0)
     traces = initial_traces(InitialGuess(), layout, grid, prob)
-    list(operator.sweeps(traces, 3, StackExchange(operator, traces).traces))
+    list(operator.sweeps(traces, 3, operator.traces))
     # Nothing is kept, so every march factors again; heat1d's steps are all
     # equal, so a march factors its first step and reuses it for the rest.
     assert operator.factorizations == 3
@@ -672,8 +686,7 @@ def test_equal_steps_share_factors(monkeypatch, tmp_path):
     for cap in (0, 2 ** 40):
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
         operator = _stack(prob, grid, layout, p)
-        sols[cap] = [u for u, _ in operator.sweeps(traces, 3,
-                                                  StackExchange(operator, traces).traces)]
+        sols[cap] = [u for u, _ in operator.sweeps(traces, 3, operator.traces)]
         # Kept: one per plateau per run; not kept: one per plateau per sweep.
         assert operator.factorizations == (2 if cap else 2 * 3)
     assert all(map(np.array_equal, sols[0], sols[2 ** 40]))
@@ -763,9 +776,8 @@ def test_wide_layout_keeps_seventeen_steps(monkeypatch):
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 2 ** 40)
     operator = StackOperator(prob, grid, ranges)
     monkeypatch.undo()
-    zero = np.zeros((grid.nt + 1, grid.nx_cross))
-    faces = [(zero, zero)] * len(ranges)
-    marches = operator.sweeps(faces, 2, StackExchange(operator, faces).traces)
+    zero = np.zeros((grid.nt + 1, len(operator._faces), grid.nx_cross))
+    marches = operator.sweeps(zero, 2, operator.traces)
     next(marches)
     # The first march factors all 20 steps and keeps the first 17: ?gbtrf
     # swaps no row, so each kept step holds its 2*bw + 1 band rows and no
@@ -792,12 +804,11 @@ def test_pivoting_step_keeps_its_fill_rows(monkeypatch):
     grid = build_grid(prob.domain, 11, 4, 7)
     rule = FaceRule("robin", 1.0)
     ranges = [AxisRange(0, 6, FaceRule("dirichlet"), rule), AxisRange(4, 10, rule, rule)]
-    faces = np.random.default_rng(3).standard_normal((2, 2, grid.nt + 1, grid.nx_cross))
     sols = {}
     for cap in (0, 2 ** 40):
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
         operator = StackOperator(prob, grid, ranges)
-        sols[cap] = [u for u, _ in operator.sweeps(faces, 2, _picks(operator, 3))]
+        sols[cap] = [u for u, _ in operator.sweeps(_robin(operator, 3), 2, _picks(operator, 3))]
     lu, = operator._lus.values()  # heat2d's steps are all equal
     bw = operator.bandwidth
     assert np.any(lu.piv != np.arange(operator.size))
@@ -898,12 +909,10 @@ def test_cap_keeps_the_first_steps(monkeypatch, preset, nx_cross, kept):
     # size where ?gbtrf swapped rows: those keep their fill rows.)
     prob, grid, layout = _tiny_run(preset, nx_cross=nx_cross)
     ranges = [axis_range(e, RobinParameter(1.0)) for e in layout.entries]
-    faces = np.random.default_rng(11).standard_normal((len(ranges), 2, grid.nt + 1,
-                                                       grid.nx_cross))
     monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 2 ** 40)
     every = StackOperator(prob, grid, ranges)
-    traces = _picks(every, 11)
-    ref = [u for u, _ in every.sweeps(faces, 3, traces)]
+    robin, traces = _robin(every, 11), _picks(every, 11)
+    ref = [u for u, _ in every.sweeps(robin, 3, traces)]
     sizes = [lu.nbytes for lu in every._lus.values()]
     assert list(every._lus) == every._keys[1:] and every.nbytes == sum(sizes)
     first = sum(sizes[:kept])
@@ -913,7 +922,7 @@ def test_cap_keeps_the_first_steps(monkeypatch, preset, nx_cross, kept):
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", 2 ** 40)
         operator = StackOperator(prob, grid, ranges)
         monkeypatch.setattr(oswr.grid, "FACTOR_CACHE_BYTES", cap)
-        assert all(map(np.array_equal, (u for u, _ in operator.sweeps(faces, 3, traces)), ref))
+        assert all(map(np.array_equal, (u for u, _ in operator.sweeps(robin, 3, traces)), ref))
         assert list(operator._lus) == operator._keys[1:kept + 1]
         assert operator.nbytes == first
         assert operator.factorizations == kept + 3 * (grid.nt - kept)
@@ -959,8 +968,6 @@ def _per_step_global(prob, grid):
     operator = StackOperator(prob, grid, [AxisRange(0, grid.nx_axis - 1, rule, rule)])
     for key in set(operator._keys[1:]):
         operator._factor(key, keep=True)
-    faces = [(eval_plane(prob.g, grid, prob.domain.alpha),
-              eval_plane(prob.g, grid, prob.domain.beta))]
-    values, = operator._unstack(next(operator.sweeps(faces))[0])
+    values, = operator._unstack(next(operator.sweeps(np.empty((grid.nt + 1, 0, 1))))[0])
     assert operator.factorizations == len(operator._lus)
     return values

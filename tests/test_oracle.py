@@ -1,10 +1,12 @@
 """Monolithic reference solves."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from oswr import (CoefficientSet, ParabolicProblem, RobinParameter, build_grid,
-                  problem_preset, solve_global)
+from oswr import (CoefficientSet, DecompositionSpec, ParabolicProblem, RobinParameter,
+                  SWRConfig, build_grid, problem_preset, run, snap, solve_global)
 from oswr.decomposition import SubdomainEntry
 from oswr.errors import NonFiniteSolution
 from oswr.subdomain import solve_subdomain
@@ -62,10 +64,7 @@ def test_degenerate_single_subdomain_matches_global(preset):
     oracle = solve_global(prob, grid)
     entry = SubdomainEntry(index=0, i_left=0, i_right=grid.nx_axis - 1,
                            left_kind="dirichlet", right_kind="dirichlet")
-    times = grid.times()
-    left = np.asarray(prob.g(times[:, None], 0.0), dtype=float)
-    right = np.asarray(prob.g(times[:, None], 1.0), dtype=float)
-    sol = solve_subdomain(prob, grid, entry, left, right, RobinParameter(1.0))
+    sol = solve_subdomain(prob, grid, entry, np.zeros((grid.nt + 1, 0, 1)), RobinParameter(1.0))
     assert np.max(np.abs(sol.values - oracle.values)) <= 1e-12
 
 
@@ -111,3 +110,26 @@ def test_fine_h_faces_equal_g():
     times = grid.times()
     for node, x in ((0, prob.domain.alpha), (-1, prob.domain.beta)):
         assert np.max(np.abs(values[:, node] - prob.g(times, x))) <= 1e-14
+
+
+@pytest.mark.parametrize("preset, nx_cross", [("heat1d", None), ("heat2d", 5)])
+def test_strips_take_the_oracles_dirichlet_data(preset, nx_cross):
+    # On (1.0, 3.7) the grid's last node misses beta by 4.4e-16.  The
+    # oracle and the strips both take g at the grid's end nodes from their
+    # operators, so the extreme faces agree exactly in every sweep.
+    prob = problem_preset(preset, 1.0, 3.7)
+    grid = build_grid(prob.domain, 342, 10, nx_cross)
+    assert grid.axis_nodes()[-1] != prob.domain.beta
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the interfaces snap to nodes
+        layout = snap(DecompositionSpec.uniform(prob.domain, 2, 0.3), grid)
+    oracle = solve_global(prob, grid)
+    faces = []
+
+    def on_sweep(k, sols):
+        faces.append((np.max(np.abs(sols[0].values[:, 0] - oracle.values[:, 0])),
+                      np.max(np.abs(sols[-1].values[:, -1] - oracle.values[:, -1]))))
+
+    config = SWRConfig(p=RobinParameter(1.0), max_iters=5, stop_tol=1e-300)
+    run(prob, grid, layout, config, oracle, on_sweep)
+    assert faces == [(0.0, 0.0)] * 5

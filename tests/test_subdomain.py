@@ -84,8 +84,8 @@ class TestSolveSubdomain:
         grid = build_grid(zero_problem.domain, 21, 8)
         entry = SubdomainEntry(index=0, i_left=0, i_right=12,
                                left_kind="dirichlet", right_kind="robin")
-        zeros = np.zeros((grid.nt + 1, 1))
-        sol = solve_subdomain(zero_problem, grid, entry, zeros, zeros, RobinParameter(1.0))
+        zeros = np.zeros((grid.nt + 1, 1, 1))
+        sol = solve_subdomain(zero_problem, grid, entry, zeros, RobinParameter(1.0))
         assert np.max(np.abs(sol.values)) <= 1e-14
 
     def test_manufactured_robin_data(self):
@@ -99,8 +99,7 @@ class TestSolveSubdomain:
         p = RobinParameter(1.0)
         robin = (np.pi * np.exp(-times) * np.cos(np.pi * 0.6)
                  + p.p * np.exp(-times) * np.sin(np.pi * 0.6))
-        sol = solve_subdomain(prob, grid, entry, np.zeros((grid.nt + 1, 1)),
-                              robin[:, None], p)
+        sol = solve_subdomain(prob, grid, entry, robin[:, None, None], p)
         axis = grid.axis_nodes()[:25]
         exact = np.exp(-times)[:, None] * np.sin(np.pi * axis)[None, :]
         assert np.max(np.abs(sol.values[:, :, 0] - exact)) < 5e-3
@@ -110,8 +109,7 @@ class TestSolveSubdomain:
         entry = SubdomainEntry(index=0, i_left=0, i_right=12,
                                left_kind="dirichlet", right_kind="robin")
         with pytest.raises(DataMismatch):
-            solve_subdomain(zero_problem, grid, entry, np.zeros((grid.nt + 1, 1)),
-                            np.zeros((2, 1)), RobinParameter(1.0))
+            solve_subdomain(zero_problem, grid, entry, np.zeros((2, 1, 1)), RobinParameter(1.0))
 
     def test_boundedness_by_data(self):
         # f == 0, |g| <= 1, c >= 0: discrete maximum principle keeps the
@@ -141,20 +139,13 @@ def test_transmission_exactness(orientation):
     oracle = solve_global(prob, grid)
     layout = snap(DecompositionSpec.uniform(prob.domain, 2, 0.2), grid)
     p = RobinParameter(1.3, orientation=orientation)
-    times = grid.times()
     full = SubdomainSolution(index=-1, i_left=0, values=oracle.values)
     for entry in layout.entries:
-        if entry.left_kind == "dirichlet":
-            xn = grid.axis_nodes()[entry.i_left]
-            left = prob.g(times[:, None], xn)
-        else:
-            left = extract_robin_trace(full, grid, entry.i_left, p, "left")
-        if entry.right_kind == "dirichlet":
-            xn = grid.axis_nodes()[entry.i_right]
-            right = prob.g(times[:, None], xn)
-        else:
-            right = extract_robin_trace(full, grid, entry.i_right, p, "right")
-        sol = solve_subdomain(prob, grid, entry, left, right, p)
+        robin = [extract_robin_trace(full, grid, node, p, side)
+                 for node, kind, side in ((entry.i_left, entry.left_kind, "left"),
+                                          (entry.i_right, entry.right_kind, "right"))
+                 if kind == "robin"]
+        sol = solve_subdomain(prob, grid, entry, np.stack(robin, axis=1), p)
         ref = oracle.values[:, entry.i_left:entry.i_right + 1, :]
         assert np.max(np.abs(sol.values - ref)) <= 1e-10
 
@@ -168,10 +159,9 @@ def test_linearity_in_trace_data(zero_problem):
     d1 = rng.standard_normal((grid.nt + 1, 1))
     d2 = rng.standard_normal((grid.nt + 1, 1))
     p = RobinParameter(1.0)
-    zeros = np.zeros((grid.nt + 1, 1))
 
     def solve(data):
-        return solve_subdomain(zero_problem, grid, entry, data, zeros, p).values
+        return solve_subdomain(zero_problem, grid, entry, data[:, None], p).values
 
     combo = solve(2.0 * d1 - 0.5 * d2)
     direct = 2.0 * solve(d1) - 0.5 * solve(d2)
